@@ -210,7 +210,7 @@ def _cmd_dbar(args) -> int:
                "wp": [wpv.real, wpv.imag], "wp_nu": [wnv.real, wnv.imag]})
     elif args.op == "solve":
         cfg = D.DbarConfig(eps=args.eps, delta=args.delta, quad_n=args.quad)
-        params = D.KernelParams(args.alpha, trunc=args.N)
+        params = D.KernelParams(args.alpha)
         g = D.demo_g(args.alpha, 1, args.winding, args.rho)
         quad = D.quadrature_phi(g, cfg)
         sol = D.solve_dbar(quad, params, cfg)
@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--alpha", type=float, default=1.0)
     q.add_argument("--delta", type=float, default=0.1)
     q.add_argument("--eps", type=float, required=True)
-    q.add_argument("--N", type=int, default=50)
     q.add_argument("--quad", type=int, default=400)
     q.add_argument("--winding", type=int, default=1)
     q.add_argument("--rho", type=float, default=0.2)

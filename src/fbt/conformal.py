@@ -32,7 +32,6 @@ effective conductance depending on the family orientation.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,11 +168,6 @@ class SolverReport:
     def to_json(self) -> dict:
         return {"lambda": self.lam, "h": self.h, "iterations": self.iterations,
                 "residual": self.residual}
-
-
-def _threads() -> int | None:
-    val = os.environ.get("FBT_THREADS")
-    return int(val) if val else None
 
 
 def grid_extremal_length(dom: GridDomain, rtol: float = 1e-10) -> SolverReport:

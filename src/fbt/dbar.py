@@ -13,16 +13,16 @@ The correction uses the doubly periodic kernels
   wp_nu(z) = 1/z - 1/(z-nu) + sum' [ 1/(z-u) - 1/(z-u-nu) + nu/u^2 ],
 
 with u running over the lattice Z + i alpha Z minus the origin and
-nu = (1 + i alpha)/2.  Sums are truncated to the box |n|,|m| <= N; the
-documented tails are O(1/N) for wp_nu and O(1/N^2) for wp on compact
-pole-free sets.  The solution
+nu = (1 + i alpha)/2.  `wp` and `wp_nu` truncate the sums to the box
+|n|,|m| <= N, with documented tails O(1/N) for wp_nu and O(1/N^2) for wp
+on compact pole-free sets; the solver uses the exact q-series form of
+wp_nu (`ThetaKernel`).  The solution
 
   f(z) = -(1/pi) * int_{Q_eps} phi(zeta) wp_nu(zeta - z) dm(zeta)
 
 is computed by a tensor midpoint rule with exact analytic integration of
-the Cauchy factor over cells containing (or adjacent to) the evaluation
-point; the smooth kernel remainder is tabulated on pole-free strips and
-interpolated by bicubic splines.
+the Cauchy factor over cells near the evaluation point; the smooth kernel
+remainder wp_nu(w) - 1/w is summed over blocks of cells.
 
 The cutoff profile chi0 integrates a C^1 trapezoid of height 3/2 (the
 least possible maximum slope): chi0' rises along the cubic ramp
@@ -38,11 +38,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
-from scipy.special import psi as _psi
 
 from .errors import NumericalError, ValidationError
 from .words import FreeWord
+
+TRUNC_MAX = 400  # (2N+1)^2 lattice terms per evaluation point
+QUAD_N_MAX = 1000  # quad_n^2 quadrature cells
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,12 @@ class KernelParams:
     trunc: int = 50
 
     def __post_init__(self):
-        if self.alpha < 1:
-            raise ValidationError("alpha must be >= 1")
-        if self.trunc < 2:
-            raise ValidationError("truncation order must be >= 2")
+        if not (math.isfinite(self.alpha) and self.alpha >= 1):
+            raise ValidationError("alpha must be finite and >= 1")
+        if not 2 <= self.trunc <= TRUNC_MAX:
+            raise ValidationError(f"truncation order must lie in [2, {TRUNC_MAX}]")
+        if self.nu is not None and not cmath.isfinite(self.nu):
+            raise ValidationError("nu must be finite")
         nv = self.nu_value
         n = round(nv.real)
         m = round(nv.imag / self.alpha)
@@ -82,6 +85,8 @@ def _check_poles(params: KernelParams, z: np.ndarray, with_nu: bool) -> None:
     lat = np.concatenate([_lattice(params), [0.0]])
     poles = np.concatenate([lat, lat + params.nu_value]) if with_nu else lat
     flat = np.atleast_1d(z).ravel()
+    if not np.isfinite(flat).all():
+        raise ValidationError("evaluation points must be finite")
     d = np.abs(flat[:, None] - poles[None, :]).min(axis=1)
     if (d < 1e-6).any():
         bad = complex(flat[int(np.argmin(d))])
@@ -112,32 +117,6 @@ def wp_nu(params: KernelParams, z) -> np.ndarray | complex:
     return out if out.shape else complex(out)
 
 
-def _wp_nu_rows(params: KernelParams, z: np.ndarray,
-                skip: tuple[complex, ...] = ()) -> np.ndarray:
-    """The same truncated sum computed row by row with digamma telescoping,
-    optionally omitting the simple-pole terms at the lattice points in
-    `skip` (used when tabulating the smooth remainder near those poles)."""
-    n = params.trunc
-    alpha, nu = params.alpha, params.nu_value
-    u = _lattice(params)
-    s0 = complex((nu / u ** 2).sum())
-    out = np.full(z.shape, s0, dtype=complex)
-    skipset = {(round(p.real), round(p.imag / alpha)) for p in skip}
-    for m in range(-n, n + 1):
-        x = z - 1j * m * alpha
-        y = x - nu
-        out += -_psi(y + n + 1) + _psi(y - n)
-        row_skips = [pn for (pn, pm) in skipset if pm == m]
-        if abs(m) >= 2 and not row_skips:
-            out += _psi(x + n + 1) - _psi(x - n)
-        else:
-            for k in range(-n, n + 1):
-                if k in row_skips:
-                    continue
-                out += 1.0 / (x - k)
-    return out
-
-
 def wp_tail_bound(params: KernelParams, wmax: float) -> float:
     """Bound for |wp - wp_truncated| on {|z| <= wmax}: paired terms decay
     like |u|^-4, and the off-box lattice satisfies sum |u|^-4 <= 4/N^2."""
@@ -158,6 +137,72 @@ def wp_nu_tail_bound(params: KernelParams, wmax: float) -> float:
     a = 4.0 * nu * (2.0 * wmax + nu)
     b = 4.0 * nu * wmax * (wmax + nu)
     return a * 8.0 / n + b * 4.0 / n ** 2
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel
+
+
+# Taylor coefficients of cot(v) - 1/v in v^11, v^9, ..., v, for np.polyval in
+# v^2 (times v); the first omitted term is below 2e-16 on |v| < _SMALL_V.
+_COT_TAYLOR = (-1382.0 / 638512875.0, -2.0 / 93555.0, -1.0 / 4725.0,
+               -2.0 / 945.0, -1.0 / 45.0, -1.0 / 3.0)
+_SMALL_V = 0.2
+
+
+class ThetaKernel:
+    """wp_nu evaluated exactly through the theta_1 log-derivative.
+
+    The truncated sum converges absolutely to zeta(z) - zeta(z - nu), so
+    wp_nu(z) = 2 eta1 nu + pi [L(pi z) - L(pi (z - nu))] with
+    L(v) = theta_1'(v)/theta_1(v) = cot v + 4 sum q^{2n}/(1 - q^{2n}) sin 2nv,
+    q = e^{-pi alpha} and eta1 = zeta(1/2) = (pi^2/6)(1 - 24 sum n q^{2n}/(1 - q^{2n}))
+    (DLMF 20.5.10, 23.6.8).  Each argument is reduced into the strip
+    |Im v| <= pi alpha/2 by L(v + i pi alpha) = L(v) - 2i, where the sine
+    terms decay like e^{-n pi alpha}; ceil(38/(pi alpha)) terms (13 at
+    alpha = 1) then reach double precision.
+    """
+
+    def __init__(self, params: KernelParams):
+        a = params.alpha
+        n = np.arange(1, math.ceil(38.0 / (math.pi * a)) + 1)
+        ratio = 1.0 / np.expm1(2.0 * math.pi * a * n)  # q^{2n}/(1 - q^{2n})
+        self.alpha, self.nu = a, params.nu_value
+        self.coef = (4.0 * ratio)[::-1]  # highest order first, for np.polyval
+        self.eta1 = math.pi ** 2 / 6.0 * (1.0 - 24.0 * float((n * ratio).sum()))
+
+    def _sine_series(self, e: np.ndarray) -> np.ndarray:
+        """4 sum q^{2n}/(1 - q^{2n}) sin 2nv = (P(e) - P(1/e))/(2i), where
+        e = e^{2iv} and P(x) = sum 4 q^{2n}/(1 - q^{2n}) x^n."""
+        return (e * np.polyval(self.coef, e) - np.polyval(self.coef, 1.0 / e) / e) / 2j
+
+    def dlog_theta1(self, v) -> np.ndarray:
+        """L(v) = theta_1'(v)/theta_1(v) for the nome q = e^{-pi alpha}."""
+        v = np.asarray(v, dtype=complex)
+        m = np.round(v.imag / (math.pi * self.alpha))
+        em1 = np.expm1(2j * v + 2.0 * math.pi * self.alpha * m)  # e^{2iv} - 1, reduced
+        # cot v = i (e^{2iv} + 1)/(e^{2iv} - 1)
+        return 1j * (em1 + 2.0) / em1 + self._sine_series(em1 + 1.0) - 2j * m
+
+    def wp_nu(self, z) -> np.ndarray:
+        """The exact kernel wp_nu(z) (infinite at its poles)."""
+        z = np.asarray(z, dtype=complex)
+        return (2.0 * self.eta1 * self.nu + math.pi * (
+            self.dlog_theta1(math.pi * z) - self.dlog_theta1(math.pi * (z - self.nu))))
+
+    def regular(self, w) -> np.ndarray:
+        """wp_nu(w) - 1/w, finite at w = 0: near the origin cot v - 1/v is
+        summed from its Taylor series instead of cancelling two poles."""
+        w = np.asarray(w, dtype=complex)
+        v = math.pi * w
+        small = np.abs(v) < _SMALL_V
+        vs, far = v[small], ~small
+        out = np.empty_like(w)
+        out[small] = math.pi * (vs * np.polyval(_COT_TAYLOR, vs * vs)
+                                + self._sine_series(np.exp(2j * vs)))
+        out[far] = math.pi * self.dlog_theta1(v[far]) - 1.0 / w[far]
+        out -= math.pi * self.dlog_theta1(v - math.pi * self.nu)
+        return out + 2.0 * self.eta1 * self.nu
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +272,6 @@ class DbarConfig:
     c2: float | None = None
     lath_samples: int = 360
     lath_across: int = 7
-    remainder_block: int = 4
 
     def __post_init__(self):
         if not 0 < self.eps < 1:
@@ -236,6 +280,10 @@ class DbarConfig:
             raise ValidationError("delta must lie in (0, 0.2]")
         if self.quad_n < 16:
             raise ValidationError("quadrature grid too coarse")
+        if self.quad_n > QUAD_N_MAX:
+            raise ValidationError(f"quadrature grid larger than {QUAD_N_MAX}^2")
+        if not all(c is None or math.isfinite(c) and c > 0 for c in (self.c1, self.c2)):
+            raise ValidationError("c1 and c2 must be finite and positive")
 
     @property
     def sigma(self) -> float:
@@ -348,6 +396,8 @@ def quadrature_phi(g, cfg: DbarConfig) -> QuadratureData:
     hot = cp != 0.0
     if hot.any():
         phi[hot] = 0.5 * cp[hot] * (g(centers[hot]) - g_zero)
+    if not np.isfinite(phi).all():
+        raise ValidationError("g is not finite on the blending window")
     keep = phi != 0.0
     return QuadratureData(centers[keep], np.full(int(keep.sum()), hx * hy),
                           phi[keep], hx, hy, centers)
@@ -371,51 +421,21 @@ def rect_cauchy_integral(x0: float, x1: float, y0: float, y1: float,
 
 
 # ---------------------------------------------------------------------------
-# kernel remainder tables
-
-
-class _RemainderTable:
-    """Bicubic spline of R_reg(w) = wp_nu(w) - sum_p 1/(w - p) over a
-    pole-free rectangle, with p running over the subtracted pole set."""
-
-    def __init__(self, params: KernelParams, poles: tuple[complex, ...],
-                 re_lo, re_hi, im_lo, im_hi, step=0.01):
-        xs = np.linspace(re_lo, re_hi, max(8, int((re_hi - re_lo) / step) + 1))
-        ys = np.linspace(im_lo, im_hi, max(8, int((im_hi - im_lo) / step) + 1))
-        xx, yy = np.meshgrid(xs, ys)
-        w = xx + 1j * yy
-        vals = _wp_nu_rows(params, w, skip=poles)
-        if not np.isfinite(vals).all() or np.abs(vals).max() > 1e4:
-            raise ValidationError(
-                "kernel remainder table hits a pole; the lath width is too "
-                "large for the tabulated strips (reduce sigma or delta)")
-        self.re_spl = RectBivariateSpline(xs, ys, vals.real.T)
-        self.im_spl = RectBivariateSpline(xs, ys, vals.imag.T)
-        self.box = (re_lo, re_hi, im_lo, im_hi)
-        self.max_abs = float(np.abs(vals).max())
-
-    def contains(self, w: np.ndarray) -> np.ndarray:
-        re_lo, re_hi, im_lo, im_hi = self.box
-        return ((w.real >= re_lo) & (w.real <= re_hi)
-                & (w.imag >= im_lo) & (w.imag <= im_hi))
-
-    def eval(self, w: np.ndarray) -> np.ndarray:
-        return (self.re_spl.ev(w.real, w.imag)
-                + 1j * self.im_spl.ev(w.real, w.imag))
-
-
-# ---------------------------------------------------------------------------
 # the dbar solution
+
+# Side, in cells, of the blocks that carry the smooth kernel remainder.
+_REMAINDER_BLOCK = 4
 
 
 class DbarSolution:
     """f(z) = -(1/pi) int_{Q_eps} phi(zeta) wp_nu(zeta - z) dm(zeta).
 
-    The kernel splits into the five nearby simple poles (the origin and its
-    four lattice neighbours, so that z may roam the fundamental cross plus
-    one period in each direction) plus a smooth remainder interpolated from
-    the strip tables.  Cells containing or adjacent to an evaluation point
-    swap the midpoint Cauchy term for the exact rectangle integral.
+    wp_nu is doubly periodic, so each target is first reduced modulo the
+    lattice; then only the kernel pole at 0 can come near the support.  The
+    kernel splits into that Cauchy term, integrated exactly over cells
+    within `sing_radius` of the target, and the smooth remainder
+    wp_nu(w) - 1/w, summed over 4 x 4 blocks of cells.  Targets that bring
+    a pole of the nu class within reach of the support are refused.
     """
 
     def __init__(self, quad: QuadratureData, params: KernelParams,
@@ -423,19 +443,8 @@ class DbarSolution:
         self.quad = quad
         self.params = params
         self.cfg = cfg
-        a = params.alpha
-        self.poles = (0.0 + 0.0j, 1.0 + 0.0j, -1.0 + 0.0j,
-                      1j * a, -1j * a)
-        pad = 0.05
-        d = cfg.delta
-        h_im = 0.5 * d + cfg.sigma + pad
-        h_re = 1.5 + 1.5 * d + pad
-        self._h_box = (-h_re, h_re, -h_im, h_im)
-        v_re = 1.5 * d + cfg.sigma + pad
-        v_im = 1.5 * a + 0.5 * d + pad
-        self._v_box = (-v_re, v_re, -v_im, v_im)
-        self._tables: list[_RemainderTable] | None = None
-        self._blocks = self._aggregate_blocks(cfg.remainder_block)
+        self.kernel = ThetaKernel(params)
+        self._blocks = self._aggregate_blocks(_REMAINDER_BLOCK)
 
     def _aggregate_blocks(self, b: int) -> tuple[np.ndarray, np.ndarray]:
         """Group cells into b x b blocks for the smooth remainder part
@@ -443,7 +452,7 @@ class DbarSolution:
         evaluation point and quartically small in the block size)."""
         c = self.quad.centers
         pa = self.quad.phi * self.quad.areas
-        if b <= 1 or c.size == 0:
+        if c.size == 0:
             return c, pa
         kx = np.round(c.real / (b * self.quad.hx)).astype(np.int64)
         ky = np.round(c.imag / (b * self.quad.hy)).astype(np.int64)
@@ -457,51 +466,54 @@ class DbarSolution:
                      / np.add.reduceat(weights, starts))
         return centroids, sums
 
-    def _remainders(self) -> list[_RemainderTable]:
-        if self._tables is None:
-            self._tables = [
-                _RemainderTable(self.params, self.poles, *self._h_box),
-                _RemainderTable(self.params, self.poles, *self._v_box),
-            ]
-        return self._tables
+    def _reduce(self, z: np.ndarray) -> np.ndarray:
+        """z minus the nearest lattice point."""
+        a = self.params.alpha
+        z = z - 1j * a * np.round(z.imag / a)
+        return z - np.round(z.real)
 
-    def remainder(self, w: np.ndarray) -> np.ndarray:
-        """R_reg on the union of the two strip boxes."""
-        out = np.empty(w.shape, dtype=complex)
-        done = np.zeros(w.shape, dtype=bool)
-        for table in self._remainders():
-            sel = table.contains(w) & ~done
-            if sel.any():
-                out[sel] = table.eval(w[sel])
-                done[sel] = True
-        if not done.all():
-            bad = w[~done].ravel()[0]
+    def _check_nu_poles(self, zr: np.ndarray) -> None:
+        """Refuse reduced targets z for which wp_nu(zeta - z) has a pole of
+        the nu class, at zeta = z + nu (mod the lattice), within block or
+        singular-cell reach of the bounding box of the support."""
+        c, hx, hy = self.quad.centers, self.quad.hx, self.quad.hy
+        if c.size == 0:
+            return
+        lo = complex(c.real.min() - hx / 2, c.imag.min() - hy / 2)
+        hi = complex(c.real.max() + hx / 2, c.imag.max() + hy / 2)
+        p = self._reduce(zr + self.params.nu_value - 0.5 * (lo + hi))
+        half = 0.5 * (hi - lo)
+        dist = np.hypot(np.maximum(np.abs(p.real) - half.real, 0.0),
+                        np.maximum(np.abs(p.imag) - half.imag, 0.0))
+        reach = max(2.5 * max(hx, hy), _REMAINDER_BLOCK * math.hypot(hx, hy))
+        if (dist < reach).any():
+            k = int(np.argmin(dist))
             raise ValidationError(
-                f"kernel remainder requested outside tabulated strips at {bad}")
-        return out
+                f"evaluation point {complex(zr[k])} too close to kernel pole: "
+                f"wp_nu(zeta - z) has a pole {dist[k]:.2e} from the phi "
+                f"support (reach {reach:.2e})")
 
     def kernel_c2(self) -> float:
-        """Numeric bound for |wp_nu(w) - 1/w| over the tabulated strips."""
+        """Numeric bound for |wp_nu(w) - 1/w| over the strips that hold the
+        differences of points of the cross and of the support, away from
+        the neighbouring lattice poles 1, -1, i alpha, -i alpha."""
+        d, s, a = self.cfg.delta, self.cfg.sigma, self.params.alpha
+        pad = 0.05
+        poles = np.array([1.0, -1.0, 1j * a, -1j * a])
         bound = 0.0
-        for table in self._remainders():
-            re_lo, re_hi, im_lo, im_hi = table.box
-            xs = np.linspace(re_lo, re_hi, 160)
-            ys = np.linspace(im_lo, im_hi, 40)
-            xx, yy = np.meshgrid(xs, ys)
+        for re_h, im_h in ((1.5 + 1.5 * d + pad, 0.5 * d + s + pad),
+                           (1.5 * d + s + pad, 1.5 * a + 0.5 * d + pad)):
+            xx, yy = np.meshgrid(np.linspace(-re_h, re_h, 160),
+                                 np.linspace(-im_h, im_h, 40))
             w = (xx + 1j * yy).ravel()
-            vals = table.eval(w)
-            for p in self.poles[1:]:
-                vals += 1.0 / (w - p)
-            keep = np.ones(w.shape, dtype=bool)
-            for p in self.poles[1:]:
-                keep &= np.abs(w - p) > 0.24
-            if keep.any():
-                bound = max(bound, float(np.abs(vals[keep]).max()))
-        return 1.1 * bound + wp_nu_tail_bound(self.params, 2.0)
+            w = w[(np.abs(w[:, None] - poles) > 0.24).all(axis=1)]
+            bound = max(bound, float(np.abs(self.kernel.regular(w)).max()))
+        return 1.1 * bound
 
     def f(self, z) -> np.ndarray | complex:
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        flat = zz.ravel()
+        flat = self._reduce(zz.ravel())
+        self._check_nu_poles(flat)
         out = np.zeros(flat.shape, dtype=complex)
         centers = self.quad.centers
         phi_a = self.quad.phi * self.quad.areas
@@ -511,23 +523,15 @@ class DbarSolution:
         chunk = max(1, int(4e6 // max(1, centers.size)))
         for lo in range(0, flat.size, chunk):
             zc = flat[lo:lo + chunk]
-            wb = blk_c[None, :] - zc[:, None]
-            acc = (blk_pa[None, :] * self.remainder(wb)).sum(axis=1)
+            acc = (blk_pa * self.kernel.regular(blk_c[None, :] - zc[:, None])).sum(axis=1)
             w0 = centers[None, :] - zc[:, None]
-            for p in self.poles:
-                wp_ = w0 - p
-                near = np.abs(wp_) < sing_radius
-                terms = phi_a[None, :] / np.where(near, 1.0, wp_)
-                if near.any():
-                    rows, cols = np.nonzero(near)
-                    for r, c in zip(rows, cols):
-                        zeta = centers[c]
-                        w_tgt = zc[r] + p
-                        exact = rect_cauchy_integral(
-                            zeta.real - hx / 2, zeta.real + hx / 2,
-                            zeta.imag - hy / 2, zeta.imag + hy / 2, w_tgt)
-                        terms[r, c] = self.quad.phi[c] * exact
-                acc += terms.sum(axis=1)
+            near = np.abs(w0) < sing_radius
+            terms = phi_a[None, :] / np.where(near, 1.0, w0)
+            for r, c in zip(*np.nonzero(near)):
+                x, y = centers[c].real, centers[c].imag
+                terms[r, c] = self.quad.phi[c] * rect_cauchy_integral(
+                    x - hx / 2, x + hx / 2, y - hy / 2, y + hy / 2, zc[r])
+            acc += terms.sum(axis=1)
             out[lo:lo + chunk] = -acc / math.pi
         out = out.reshape(zz.shape)
         return out if out.shape != (1,) or np.ndim(z) else complex(out[0])
@@ -707,7 +711,7 @@ def demo_config(alpha: float, sigma: float, n: int) -> DbarConfig:
 
 
 def demo_construct(alpha: float, sigma: float, target: FreeWord,
-                   cfg: DbarConfig | None = None, trunc: int = 50,
+                   cfg: DbarConfig | None = None,
                    circle_samples: int = 1024) -> DemoResult:
     """Build a holomorphic map T^{alpha,sigma} -> C minus {-1,1} whose
     monodromy along the vertical generator is the single-power target,
@@ -720,7 +724,7 @@ def demo_construct(alpha: float, sigma: float, target: FreeWord,
     cfg = cfg or demo_config(alpha, sigma, n)
     if abs(cfg.sigma - sigma) > 1e-12:
         raise ValidationError("config sigma does not match the requested sigma")
-    params = KernelParams(alpha, trunc=trunc)
+    params = KernelParams(alpha)
 
     growth = math.exp(2.0 * math.pi * abs(n) * (1.5 * cfg.delta) / alpha)
     rho = 0.5 / growth

@@ -157,9 +157,26 @@ def test_validation_exit_code(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("dbar", "kernel", "--alpha", "nan", "--re", "0.2", "--im", "0.3"),
+    ("dbar", "kernel", "--alpha", "inf", "--re", "0.2", "--im", "0.3"),
+    ("dbar", "kernel", "--alpha", "1", "--re", "nan", "--im", "0.3"),
+    ("dbar", "kernel", "--alpha", "1", "--N", "100000", "--re", "0.2", "--im", "0.3"),
+    ("dbar", "solve", "--alpha", "nan", "--eps", "0.01"),
+    ("dbar", "solve", "--eps", "0.01", "--quad", "100000"),
+    ("dbar", "solve", "--eps", "0.01", "--rho", "nan"),
+    ("dbar", "solve", "--eps", "0.01", "--winding", "1000000"),
+    ("dbar", "demo", "--alpha", "inf", "--sigma", "0.01", "--target", "a1"),
+], ids=lambda argv: " ".join(argv[1:]))
+def test_dbar_input_contract_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("error:") == 1
+
+
 def test_numeric_exit_code(capsys):
     code, _, err = run_cli(capsys, "dbar", "solve", "--eps", "0.001",
-                           "--quad", "16", "--N", "20")
+                           "--quad", "16")
     assert code == 3 and err.startswith("error:")
 
 

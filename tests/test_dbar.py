@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -75,12 +76,64 @@ def test_truncation_error_decreases_and_within_bound():
         assert errs_wp[1] < errs_wp[0]
 
 
-def test_digamma_rows_match_direct_sum():
+def _mp_kernel(alpha):
+    """mpmath oracle for the exact kernel: L = theta_1'/theta_1,
+    eta1 = zeta(1/2) and wp_nu = 2 eta1 nu + pi [L(pi z) - L(pi (z - nu))],
+    optionally minus the pole 1/z, at the working precision."""
+    q = mpmath.exp(-mpmath.pi * alpha)
+    nu = mpmath.mpc(0.5, 0.5 * alpha)
+
+    def L(v):
+        return mpmath.jtheta(1, v, q, 1) / mpmath.jtheta(1, v, q)
+
+    eta1 = -mpmath.pi ** 2 * mpmath.jtheta(1, 0, q, 3) / (6 * mpmath.jtheta(1, 0, q, 1))
+
+    def kernel(z, minus_pole=False):
+        z = mpmath.mpc(z.real, z.imag)
+        if z == 0:  # the limit of wp_nu(z) - 1/z
+            return complex(2 * eta1 * nu - mpmath.pi * L(-mpmath.pi * nu))
+        val = 2 * eta1 * nu + mpmath.pi * (L(mpmath.pi * z) - L(mpmath.pi * (z - nu)))
+        return complex(val - 1 / z if minus_pole else val)
+
+    return L, kernel
+
+
+def test_exact_kernel_matches_mpmath_theta():
     for alpha in (1.0, 2.0):
-        p = KernelParams(alpha, trunc=35)
-        direct = wp_nu(p, TEST_POINTS)
-        rows = D._wp_nu_rows(p, TEST_POINTS)
-        assert np.abs(direct - rows).max() < 1e-10
+        ker = D.ThetaKernel(KernelParams(alpha))
+        with mpmath.workdps(40):
+            L, kernel = _mp_kernel(alpha)
+            for z in TEST_POINTS:
+                v = complex(math.pi * z)
+                assert abs(ker.dlog_theta1(v) - complex(L(v))) <= 1e-13
+                assert abs(ker.wp_nu(z) - kernel(z)) <= 1e-13
+                # the pole-free remainder on both sides of its small-|w| branch
+                for w in (z, 0.05 * z, 1e-9 * z, 0j):
+                    want = kernel(w, minus_pole=True)
+                    assert abs(ker.regular(w) - want) <= 1e-13
+
+
+def test_truncated_wp_nu_converges_to_exact_kernel():
+    for alpha in (1.0, 2.0):
+        exact = D.ThetaKernel(KernelParams(alpha)).wp_nu(TEST_POINTS)
+        sums, errs = {}, []
+        for n in (60, 120, 240):
+            p = KernelParams(alpha, trunc=n)
+            sums[n] = wp_nu(p, TEST_POINTS)
+            errs.append(np.abs(sums[n] - exact).max())
+            assert errs[-1] <= wp_nu_tail_bound(p, 0.6)
+        # the true tail is O(1/N^2): about 4x per doubling
+        assert errs[0] >= 3 * errs[1] and errs[1] >= 3 * errs[2]
+        richardson = (4 * sums[240] - sums[120]) / 3
+        assert np.abs(richardson - exact).max() <= 1e-7
+
+
+def test_exact_kernel_double_periodicity():
+    for alpha in (1.0, 2.0):
+        ker = D.ThetaKernel(KernelParams(alpha))
+        base = ker.wp_nu(TEST_POINTS)
+        for shift in (1.0, 1j * alpha, -1.0 - 1j * alpha, 5 + 7j * alpha):
+            assert np.abs(ker.wp_nu(TEST_POINTS + shift) - base).max() <= 1e-12
 
 
 def test_pole_proximity_error():
@@ -216,6 +269,17 @@ def test_solve_resolution_guard():
         solve_dbar(quadrature_phi(g, cfg), KernelParams(1.0, trunc=20), cfg)
 
 
+def test_f_refuses_nu_pole_target():
+    # at z = c - nu the kernel wp_nu(zeta - z) has a pole on the support cell c
+    cfg = DbarConfig(eps=0.01, delta=0.1, quad_n=200)
+    params = KernelParams(1.0)
+    sol = solve_dbar(quadrature_phi(demo_g(1.0, 1, 1, 0.2), cfg), params, cfg)
+    c = sol.quad.centers[0]
+    for z in (c - params.nu_value, c - params.nu_value + 2.0 - 1j):
+        with pytest.raises(ValidationError, match="too close to kernel pole"):
+            sol.f(z)
+
+
 @pytest.fixture(scope="module")
 def acceptance_solution():
     cfg = DbarConfig(eps=0.01, delta=0.1, quad_n=400)
@@ -289,7 +353,7 @@ def test_demo_targets():
 
 
 def test_demo_alpha_two():
-    res = demo_construct(2.0, 0.02, parse_word("a2^2"), trunc=35)
+    res = demo_construct(2.0, 0.02, parse_word("a2^2"))
     assert format_word(res.decoded) == "a2^2"
     assert res.dbar_residual < 1e-3
 
@@ -312,8 +376,7 @@ def test_demo_rejects_bad_targets():
 def test_demo_eps_too_large():
     with pytest.raises(ValidationError, match="eps too large"):
         demo_construct(1.0, 0.05, parse_word("a1^6"),
-                       cfg=DbarConfig(eps=0.5, delta=0.1, quad_n=200),
-                       trunc=25)
+                       cfg=DbarConfig(eps=0.5, delta=0.1, quad_n=200))
 
 
 def test_demo_sigma_mismatch():
@@ -325,5 +388,4 @@ def test_demo_sigma_mismatch():
 def test_remainder_table_pole_guard():
     with pytest.raises((ValidationError, NumericalError)):
         demo_construct(1.0, 0.19, parse_word("a1^6"),
-                       cfg=DbarConfig(eps=0.95, delta=0.2, quad_n=128),
-                       trunc=25)
+                       cfg=DbarConfig(eps=0.95, delta=0.2, quad_n=128))
