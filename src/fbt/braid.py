@@ -32,6 +32,7 @@ from .words import (
     ENUM_BUDGET_CAP,
     FreeWord,
     IDENTITY,
+    check_budget,
     enumerate_words,
     format_word,
     l_minus,
@@ -113,13 +114,30 @@ def braid_invert(b: BraidWord) -> BraidWord:
 
 # ---------------------------------------------------------------------------
 # matrix oracle
+#
+# A syllable maps to the closed-form power of its generator's matrix,
+# s1^k -> [[1,k],[0,1]], s2^k -> [[1,0],[-k,1]] and d^k -> D^(k mod 4)
+# with D = [[0,1],[-1,0]], D^2 = -I, so matrix_image costs one 2x2 product
+# per syllable whatever the exponents.  sigma_letters stays as the
+# independent per-letter expansion.
 
-_MAT = {
-    (1, 1): (1, 1, 0, 1),
-    (1, -1): (1, -1, 0, 1),
-    (2, 1): (1, 0, -1, 1),
-    (2, -1): (1, 0, 1, 1),
-}
+
+def _times_syllable(m: tuple[int, int, int, int], gen: str,
+                    exp: int) -> tuple[int, int, int, int]:
+    """m times the image of the syllable gen^exp."""
+    a, b, c, d = m
+    if gen == "s1":
+        return (a, a * exp + b, c, c * exp + d)
+    if gen == "s2":
+        return (a - b * exp, b, c - d * exp, d)
+    r = exp % 4
+    if r == 0:
+        return m
+    if r == 1:
+        return (-b, a, -d, c)
+    if r == 2:
+        return (-a, -b, -c, -d)
+    return (b, -a, d, -c)
 
 
 @dataclass(frozen=True)
@@ -144,16 +162,10 @@ class MatrixImage:
         return (s * self.a, s * self.b, s * self.c, s * self.d)
 
 
-def _mat_mul(m, n):
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
 def matrix_image(b: BraidWord) -> MatrixImage:
     m = (1, 0, 0, 1)
-    for gen, sign in b.sigma_letters():
-        m = _mat_mul(m, _MAT[(gen, sign)])
+    for gen, exp in b.letters:
+        m = _times_syllable(m, gen, exp)
     return MatrixImage(*m, exponent_sum=b.exponent_sum())
 
 
@@ -169,9 +181,8 @@ def equal(b1: BraidWord, b2: BraidWord) -> bool:
 # ---------------------------------------------------------------------------
 # the twist-prefix normal form
 
-_A1 = (1, 2, 0, 1)     # image of a1 = s1^2
-_A2 = (1, 0, -2, 1)    # image of a2 = s2^2
-_D = (0, 1, -1, 0)     # image of d
+#: most terms the peeling of a pure-braid matrix may produce
+PEEL_LIMIT = 10 ** 6
 
 
 def _nearest_int(p: int, q: int) -> int:
@@ -195,11 +206,10 @@ def _matrix_to_word(m: tuple[int, int, int, int]) -> FreeWord:
     if a % 2 == 0 or d % 2 == 0 or b % 2 or c % 2:
         raise ValidationError("matrix is not in the pure-braid image")
     terms: list[tuple[int, int]] = []
-    guard = 0
     while c != 0:
-        guard += 1
-        if guard > 10 ** 6:
-            raise AssertionError("matrix peeling failed to terminate")
+        if len(terms) >= PEEL_LIMIT:
+            raise ValidationError(
+                f"normal form has more than {PEEL_LIMIT} terms in a1, a2")
         if abs(a) > abs(c):
             k = _nearest_int(a, 2 * c)
             terms.append((1, k))
@@ -260,54 +270,48 @@ def expand(nf: BraidNormalForm) -> BraidWord:
     return BraidWord(tuple(letters), nf.ambient)
 
 
-_PREFIXES = (
-    (0, 0),  # pure already
-    (0, 1),  # b = p d
-    (1, 0),  # b = s1 p
-    (2, 0),  # b = s2 p
-    (1, 1),  # b = s1 p d
-    (2, 1),  # b = s2 p d
-)
+# The strand permutation of b is its matrix mod 2 (B3 / P3 = S3 = SL(2, Z/2),
+# the pure braids being the preimage of the congruence subgroup of level 2),
+# so it picks the prefix (j0, l0) with b = s_j0 p d^l0 and p pure; the six
+# prefixes realise the six permutations.
+def _prefix_table() -> dict[tuple[int, ...], tuple[int, int]]:
+    table = {}
+    for j0 in (0, 1, 2):
+        for l0 in (0, 1):
+            head = ((f"s{j0}", 1),) if j0 else ()
+            tail = (("d", 1),) if l0 else ()
+            m = matrix_image(BraidWord(head + tail)).entries()
+            table[tuple(x % 2 for x in m)] = (j0, l0)
+    return table
 
-_PERM = {"s1": (1, 0, 2), "s2": (0, 2, 1), "d": (2, 1, 0)}
 
-
-def _permutation(b: BraidWord) -> tuple[int, int, int]:
-    perm = (0, 1, 2)
-    for gen, exp in b.letters:
-        p = _PERM[gen]
-        if exp % 2:
-            perm = tuple(p[i] for i in perm)
-    return perm
+_PREFIX_OF_PARITY = _prefix_table()
 
 
 def normal_form(b: BraidWord) -> BraidNormalForm:
     """Compute the unique normal form; powers of d are reported as such.
 
-    The strand permutation picks the unique prefix (s_j, d-parity) whose
-    removal leaves a pure braid; the pure part is decoded from its matrix
-    into a word in a1, a2 plus a central power of d^2 recovered from the
-    exponent sum.  The expansion is checked against the input through the
-    matrix oracle.
+    The strand permutation picks the unique prefix (s_j0, d^l0) whose
+    removal leaves a pure braid p = s_j0^-1 b d^-l0; its matrix
+    S_j0^-1 M(b) D^-l0 is decoded into a word in a1, a2 plus a central
+    power of d^2 recovered from the exponent sum.  The expansion is checked
+    against the input through the matrix oracle.
     """
-    for j0, l0 in _PREFIXES:
-        head = [] if j0 == 0 else [(f"s{j0}", -1)]
-        tail = [] if l0 == 0 else [("d", -1)]
-        p = braid_concat(BraidWord(tuple(head), b.ambient), b,
-                         BraidWord(tuple(tail), b.ambient))
-        if _permutation(p) == (0, 1, 2):
-            break
-    else:
-        raise AssertionError("no prefix produced a pure braid")
-
-    mp = matrix_image(p)
-    w = _matrix_to_word(mp.projective())
-    two_t, rem = divmod(mp.exponent_sum - 2 * sum(e for _, e in w.terms), 6)
+    mb = matrix_image(b)
+    j0, l0 = _PREFIX_OF_PARITY[tuple(x % 2 for x in mb.entries())]
+    p11, p12, p21, p22 = _times_syllable(mb.entries(), "d", -l0)
+    if j0 == 1:    # S1^-1 = [[1,-1],[0,1]] on the left
+        p11, p12 = p11 - p21, p12 - p22
+    elif j0 == 2:  # S2^-1 = [[1,0],[1,1]] on the left
+        p21, p22 = p21 + p11, p22 + p12
+    w = _matrix_to_word((p11, p12, p21, p22))
+    es = mb.exponent_sum - (j0 != 0) - 3 * l0
+    two_t, rem = divmod(es - 2 * sum(e for _, e in w.terms), 6)
     if rem:
         raise AssertionError("pure part has inconsistent exponent sum")
 
+    ell = 2 * two_t + l0
     if j0 == 0 and w.is_identity:
-        ell = 2 * two_t + l0
         nf = BraidNormalForm("delta-power", _reduce_l(ell, b.ambient),
                              ambient=b.ambient)
     else:
@@ -320,7 +324,6 @@ def normal_form(b: BraidWord) -> BraidNormalForm:
             j, k, b1 = j0, 2 * w.terms[0][1] + 1, FreeWord(w.terms[1:])
         else:
             j, k, b1 = j0, 1, w
-        ell = 2 * two_t + l0
         nf = BraidNormalForm("general", _reduce_l(ell, b.ambient),
                              j=j, k=k, b1=b1, ambient=b.ambient)
     if not equal(expand(nf), b):
@@ -342,7 +345,11 @@ def q(k: int) -> int:
 def theta(b: BraidWord) -> FreeWord:
     """theta(s_j^k b1 d^l) = s_j^{q(k)} b1 as a reduced word in a1, a2;
     powers of d map to the identity."""
-    nf = normal_form(b)
+    return theta_nf(normal_form(b))
+
+
+def theta_nf(nf: BraidNormalForm) -> FreeWord:
+    """theta read off a normal form already computed."""
     if nf.kind == "delta-power":
         return IDENTITY
     qk = q(nf.k)
@@ -354,10 +361,14 @@ def theta(b: BraidWord) -> FreeWord:
 def lambda_tr_lower(b: BraidWord) -> float:
     """Lower bound L-(theta(b)) / (2 pi) for the transversal extremal
     length; zero for the exceptional braids s_j^k d^l and powers of d."""
-    nf = normal_form(b)
+    return lambda_tr_lower_nf(normal_form(b))
+
+
+def lambda_tr_lower_nf(nf: BraidNormalForm) -> float:
+    """lambda_tr_lower read off a normal form already computed."""
     if nf.kind == "delta-power" or nf.b1.is_identity:
         return 0.0
-    return l_minus(theta(b)) / (2.0 * math.pi)
+    return l_minus(theta_nf(nf)) / (2.0 * math.pi)
 
 
 def lemma4_admissible(b: BraidWord, lam: float) -> bool:
@@ -368,7 +379,7 @@ def lemma4_admissible(b: BraidWord, lam: float) -> bool:
     nf = normal_form(b)
     if nf.kind == "delta-power" or (nf.b1.is_identity and nf.l % 2 == 0):
         return True
-    return l_minus(theta(b)) <= 2.0 * math.pi * lam
+    return l_minus(theta_nf(nf)) <= 2.0 * math.pi * lam
 
 
 def _log_plus(x: float) -> float:
@@ -439,8 +450,7 @@ def census(budget: float, cap: float = ENUM_BUDGET_CAP) -> list[BraidWord]:
 
 def braid_count_bound(budget: float) -> LogNumber:
     """The census bound 15 e^{3Y}."""
-    if budget < 0:
-        raise ValidationError("budget must be >= 0")
+    check_budget(budget, "budget")
     return LogNumber(math.log(15.0) + 3.0 * budget)
 
 
@@ -489,7 +499,8 @@ def normal_form_json(nf: BraidNormalForm) -> dict:
 
 
 def braid_json(b: BraidWord) -> dict:
-    wj = word_json(theta(b))
+    nf = normal_form(b)
+    wj = word_json(theta_nf(nf))
     return {
         "braid": format_braid(b),
         "ambient": b.ambient,
@@ -498,5 +509,5 @@ def braid_json(b: BraidWord) -> dict:
         "l_minus": wj["l_minus"],
         "l_plus": wj["l_plus"],
         "syllables": wj["syllables"],
-        "normal_form": normal_form_json(normal_form(b)),
+        "normal_form": normal_form_json(nf),
     }

@@ -98,7 +98,7 @@ def _cmd_braid(args) -> int:
         else:
             nf = B.normal_form(b)
             _emit({"braid": B.format_braid(b),
-                   "lambda_tr_lower": B.lambda_tr_lower(b),
+                   "lambda_tr_lower": B.lambda_tr_lower_nf(nf),
                    "exceptional": nf.kind == "delta-power" or nf.b1.is_identity})
         return 0
     # census

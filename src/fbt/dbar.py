@@ -34,6 +34,7 @@ chi0(0) = 0, chi0(1) = 1 and |chi0'| <= 3/2.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -95,13 +96,25 @@ def _check_poles(params: KernelParams, z: np.ndarray, with_nu: bool) -> None:
             f"{_nearest_pole(bad, poles)}")
 
 
+@contextlib.contextmanager
+def _raising(name: str):
+    """Turn floating-point overflow or invalid results in the truncated
+    lattice sums into a NumericalError."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalError(f"truncated {name} sum is not representable: {exc}") from None
+
+
 def wp(params: KernelParams, z) -> np.ndarray | complex:
     """Truncated lattice sum for the double-pole kernel."""
     zz = np.asarray(z, dtype=complex)
     _check_poles(params, zz, with_nu=False)
     u = _lattice(params)
-    w = zz[..., None] - u
-    out = 1.0 / zz ** 2 + (1.0 / w ** 2 - 1.0 / u ** 2).sum(axis=-1)
+    with _raising("wp"):
+        w = zz[..., None] - u
+        out = 1.0 / zz ** 2 + (1.0 / w ** 2 - 1.0 / u ** 2).sum(axis=-1)
     return out if out.shape else complex(out)
 
 
@@ -112,8 +125,9 @@ def wp_nu(params: KernelParams, z) -> np.ndarray | complex:
     u = _lattice(params)
     nu = params.nu_value
     w = zz[..., None]
-    out = (1.0 / (w - u) - 1.0 / (w - u - nu) + nu / u ** 2).sum(axis=-1)
-    out = out + 1.0 / zz - 1.0 / (zz - nu)
+    with _raising("wp_nu"):
+        out = (1.0 / (w - u) - 1.0 / (w - u - nu) + nu / u ** 2).sum(axis=-1)
+        out = out + 1.0 / zz - 1.0 / (zz - nu)
     return out if out.shape else complex(out)
 
 

@@ -30,7 +30,8 @@ from .bounds import LogNumber
 
 LOG3 = math.log(3.0)
 
-#: default safety cap for enumeration budgets (about 4e5 words)
+#: default safety cap for enumeration budgets: 777 words at Y = 4.5, where
+#: the bound e^{3Y}/2 + 1 allows about 3.6e5
 ENUM_BUDGET_CAP = 4.5
 
 Term = tuple[int, int]    # (generator index 1|2, nonzero exponent)
@@ -137,12 +138,10 @@ def conjugate(u: FreeWord, w: FreeWord) -> FreeWord:
 
 
 def power(w: FreeWord, k: int) -> FreeWord:
+    """w^k as one free reduction of k copies of w (of w^-1 when k < 0)."""
     if k < 0:
-        return power(invert(w), -k)
-    out = IDENTITY
-    for _ in range(k):
-        out = concat(out, w)
-    return out
+        w, k = invert(w), -k
+    return reduce(w.terms * k)
 
 
 def syllables(w: FreeWord) -> list[Syllable]:
@@ -256,14 +255,21 @@ def _fits_budget(degrees: Sequence[int], budget: float) -> bool:
     return prod <= math.exp(budget) * (1.0 + 1e-12)
 
 
+def check_budget(budget: float, what: str = "enumeration budget") -> None:
+    """Refuse negative and non-finite L- budgets."""
+    if not math.isfinite(budget):
+        raise ValidationError(f"{what} must be finite")
+    if budget < 0:
+        raise ValidationError(f"{what} must be >= 0")
+
+
 def enumerate_words(budget: float, cap: float = ENUM_BUDGET_CAP) -> list[FreeWord]:
     """All reduced words (identity included) with L-(w) <= budget.
 
     Deterministic order: (syllable count, letter sequence) lexicographic.
     """
-    if budget < 0:
-        raise ValidationError("enumeration budget must be >= 0")
-    if budget > cap:
+    check_budget(budget)
+    if not budget <= cap:  # a NaN cap refuses every budget
         raise ValidationError("enumeration budget exceeded")
     found: list[FreeWord] = [IDENTITY]
     max_deg = int(math.exp(budget) / 3 * (1 + 1e-12)) + 1
@@ -295,8 +301,7 @@ def count_words_by_patterns(budget: float) -> int:
     generators) and counts the reduced words realizing each, without ever
     writing the words down.  Used as an oracle against enumerate_words.
     """
-    if budget < 0:
-        raise ValidationError("enumeration budget must be >= 0")
+    check_budget(budget)
     max_deg = int(math.exp(budget) / 3 * (1 + 1e-12)) + 1
 
     # syllable choices: ("big", sign, d>=2) with one generator choice fixed by
@@ -337,8 +342,7 @@ def count_words_by_patterns(budget: float) -> int:
 
 def word_count_bound(budget: float) -> LogNumber:
     """The bound e^{3Y}/2 + 1 on the number of words with L- <= Y."""
-    if budget < 0:
-        raise ValidationError("budget must be >= 0")
+    check_budget(budget, "budget")
     return LogNumber(math.log(0.5) + 3.0 * budget) + LogNumber.from_value(1.0)
 
 

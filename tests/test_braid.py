@@ -48,6 +48,42 @@ def test_matrix_examples():
     assert m0.entries() == (1, 0, 0, 1) and m0.exponent_sum == 0
 
 
+def letter_product(b):
+    """Per-letter product over sigma_letters, independent of the syllable
+    matrices in matrix_image."""
+    gens = {(1, 1): (1, 1, 0, 1), (1, -1): (1, -1, 0, 1),
+            (2, 1): (1, 0, -1, 1), (2, -1): (1, 0, 1, 1)}
+    m = (1, 0, 0, 1)
+    for letter in b.sigma_letters():
+        a, b_, c, d = m
+        e, f, g, h = gens[letter]
+        m = (a * e + b_ * g, a * f + b_ * h, c * e + d * g, c * f + d * h)
+    return m
+
+
+def test_matrix_image_matches_letter_product():
+    rng = random.Random(31)
+    for _ in range(400):
+        amb = rng.choice((B3, MOD_CENTER))
+        letters = []
+        for _ in range(rng.randrange(1, 12)):
+            gen = rng.choice(("s1", "s2", "d"))
+            letters.append((gen, rng.choice([e for e in range(-40, 41) if e])))
+        # d exponents in every residue class mod 4
+        letters += [("d", r + 4 * rng.randrange(-3, 3) or 4) for r in range(4)]
+        rng.shuffle(letters)
+        b = B.braid(letters, amb)
+        m = matrix_image(b)
+        assert m.entries() == letter_product(b)
+        assert m.exponent_sum == sum(s for _, s in b.sigma_letters())
+
+
+def test_normal_form_huge_exponent():
+    nf = normal_form(parse_braid("s1^100000000 s2^4"))
+    assert (nf.kind, nf.j, nf.k, nf.b1, nf.l) == ("general", 1, 10 ** 8,
+                                                  word((2, 2)), 0)
+
+
 def test_equal_examples():
     assert equal(parse_braid("s1 d"), parse_braid("d s2"))
     assert not equal(parse_braid("s1"), parse_braid("s2"))

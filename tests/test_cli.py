@@ -174,6 +174,26 @@ def test_dbar_input_contract_exit_code(capsys, argv):
     assert err.startswith("error:") and err.count("error:") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("word", "enum", "--budget", "nan"),
+    ("word", "enum", "--budget", "5", "--cap", "nan"),
+    ("braid", "census", "--budgets", "nan"),
+    ("braid", "census", "--budgets", "4.0,nan"),
+    ("braid", "nf", "s1^1000000 s2^-3"),
+], ids=lambda argv: " ".join(argv))
+def test_exact_input_contract_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("error:") == 1
+
+
+def test_dbar_kernel_overflow_exit_code(capsys):
+    code, out, err = run_cli(capsys, "dbar", "kernel", "--alpha", "1e300",
+                             "--re", "0.2", "--im", "0.3")
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("error:") == 1
+
+
 def test_numeric_exit_code(capsys):
     code, _, err = run_cli(capsys, "dbar", "solve", "--eps", "0.001",
                            "--quad", "16")

@@ -160,6 +160,31 @@ def test_enumeration_deterministic_and_capped():
     assert len(enumerate_words(5.0, cap=5.0)) > 0
 
 
+def test_budget_functions_refuse_non_finite():
+    from fbt.braid import braid_count_bound
+
+    for fn in (enumerate_words, W.count_words_by_patterns, word_count_bound,
+               braid_count_bound):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                fn(bad)
+
+
+def test_power_matches_repeated_concat():
+    rng = random.Random(21)
+    for _ in range(300):
+        w = random_word(rng, 12)
+        if rng.random() < 0.5:
+            # conjugate so that the ends cancel between copies
+            u = random_word(rng, 4)
+            w = conjugate(u, w)
+        for k in range(-3, 6):
+            want = IDENTITY
+            for _ in range(abs(k)):
+                want = concat(want, w if k > 0 else invert(w))
+            assert power(w, k) == want
+
+
 def test_word_count_bound_values():
     assert word_count_bound(0.0).to_float() == pytest.approx(1.5, rel=1e-12)
     assert word_count_bound(LOG3).to_float() == pytest.approx(14.5, rel=1e-12)
