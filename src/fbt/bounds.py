@@ -97,8 +97,8 @@ class SurfaceTopology:
 
 
 def _check_lambda(lam: float) -> None:
-    if lam < 0:
-        raise ValidationError("extremal length must be >= 0")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValidationError("extremal length must be finite and >= 0")
 
 
 def thm1_bound(t: SurfaceTopology, lambda4: float) -> LogNumber:
@@ -140,8 +140,7 @@ def prop1a_lower(alpha: float, sigma: float, big_c: float, small_c: float) -> Lo
     """c e^{C alpha / sigma}; the theory supplies no numeric values for
     the constants, so they must be given."""
     _check_torus(alpha, sigma)
-    if big_c <= 0 or small_c <= 0:
-        raise ValidationError("lower-bound constants must be positive")
+    _check_constants(big_c, small_c)
     return LogNumber(math.log(small_c) + big_c * alpha / sigma)
 
 
@@ -149,10 +148,9 @@ def prop1a_lower_from_construction(alpha: float, slalom_c: float,
                                    delta: float = 0.1) -> LogNumber:
     """The construction's count 2^{alpha/(10 C delta) - 1} of sign choices,
     with C the (non-constructive) slalom constant."""
-    if alpha < 1:
-        raise ValidationError("alpha must be >= 1")
-    if slalom_c <= 0 or delta <= 0:
-        raise ValidationError("constants must be positive")
+    if not (math.isfinite(alpha) and alpha >= 1):
+        raise ValidationError("alpha must be finite and >= 1")
+    _check_constants(slalom_c, delta)
     return LogNumber((alpha / (10.0 * slalom_c * delta) - 1.0) * math.log(2.0))
 
 
@@ -161,9 +159,7 @@ def prop1b_bounds(sigma: float, c1: float, c2: float,
     """(C1 e^{C2/sigma}, C1' e^{C2'/sigma}) for the slalom neighbourhoods."""
     if not 0 < sigma < 1:
         raise ValidationError("sigma must lie in (0,1)")
-    for c in (c1, c2, c1p, c2p):
-        if c <= 0:
-            raise ValidationError("constants must be positive")
+    _check_constants(c1, c2, c1p, c2p)
     return (LogNumber(math.log(c1) + c2 / sigma),
             LogNumber(math.log(c1p) + c2p / sigma))
 
@@ -182,9 +178,14 @@ def lemma3_product_budget(lam: float, factors: int) -> float:
     return factors * 2.0 * PI * lam
 
 
+def _check_constants(*cs: float) -> None:
+    if not all(math.isfinite(c) and c > 0 for c in cs):
+        raise ValidationError("constants must be finite and positive")
+
+
 def _check_torus(alpha: float, sigma: float) -> None:
-    if alpha < 1:
-        raise ValidationError("alpha must be >= 1")
+    if not (math.isfinite(alpha) and alpha >= 1):
+        raise ValidationError("alpha must be finite and >= 1")
     if not 0 < sigma < 1:
         raise ValidationError("sigma must lie in (0,1)")
 

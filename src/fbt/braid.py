@@ -36,6 +36,7 @@ from .words import (
     enumerate_words,
     format_word,
     l_minus,
+    _merge_syllables,
     reduce as reduce_word,
     word_json,
 )
@@ -94,18 +95,7 @@ def braid_concat(*parts: BraidWord) -> BraidWord:
     ambient = parts[0].ambient
     if any(p.ambient != ambient for p in parts):
         raise ValidationError("ambient mismatch")
-    letters: list[BraidLetter] = []
-    for p in parts:
-        for gen, exp in p.letters:
-            if letters and letters[-1][0] == gen:
-                merged = letters[-1][1] + exp
-                if merged == 0:
-                    letters.pop()
-                else:
-                    letters[-1] = (gen, merged)
-            else:
-                letters.append((gen, exp))
-    return BraidWord(tuple(letters), ambient)
+    return BraidWord(_merge_syllables(x for p in parts for x in p.letters), ambient)
 
 
 def braid_invert(b: BraidWord) -> BraidWord:

@@ -9,8 +9,8 @@ Subcommands:
   bounds thm1|thm2|thm3|prop1a|prop1b|table
 
 Exit codes: 0 success, 2 validation error, 3 numeric non-convergence.
-Output is JSON (or CSV for tables); identical argv and seed give
-byte-identical stdout.  FBT_THREADS caps the BLAS thread pools used by
+Output is JSON (or CSV for tables); identical argv give byte-identical
+stdout.  FBT_THREADS caps the BLAS thread pools used by
 the numeric backends.
 """
 
@@ -310,8 +310,6 @@ def _bounds_table(args) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fbt")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized sweeps (reserved)")
     sub = p.add_subparsers(dest="command", required=True)
 
     w = sub.add_parser("word")

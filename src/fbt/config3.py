@@ -32,11 +32,12 @@ from typing import Sequence
 
 from .braid import B3, BraidWord
 from .errors import ValidationError
-from .words import FreeWord, reduce as reduce_word
+from .words import FreeWord, _merge_syllables, reduce as reduce_word
 
 CLEARANCE = 1e-9
 IN_H_TOL = 1e-9
 CLOSE_TOL = 1e-12
+_RETRIES = 8  # generic projection angles tried by decode_braid
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,8 @@ def triple(z1: complex, z2: complex, z3: complex) -> Triple:
 def in_h(t: Triple, tol: float = IN_H_TOL) -> bool:
     """True iff the three points lie on a real line, up to tol on
     Im (z2-z1)/(z3-z1) minimized over labellings."""
-    if tol < 0:
-        raise ValidationError("tolerance must be >= 0")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError("tolerance must be finite and >= 0")
     return collinearity_defect(t) <= tol
 
 
@@ -239,10 +240,10 @@ class _NonGeneric(Exception):
     pass
 
 
-def decode_braid(loop: ConfigLoop, ambient: str = B3, retries: int = 8) -> BraidWord:
+def decode_braid(loop: ConfigLoop, ambient: str = B3) -> BraidWord:
     """Braid of a sampled loop in the symmetrized configuration space."""
     tracks = _track_strands(loop.samples)
-    for attempt in range(retries):
+    for attempt in range(_RETRIES):
         # deterministic pseudo-random generic angles (golden-angle sequence)
         beta = 0.7548776662466927 + attempt * 2.399963229728653
         rot = cmath.exp(-1j * beta)
@@ -256,8 +257,8 @@ def decode_braid(loop: ConfigLoop, ambient: str = B3, retries: int = 8) -> Braid
                 raise _NonGeneric("crossing count inconsistent with closure")
         except _NonGeneric:
             continue
-        return BraidWord(tuple(letters), ambient)
-    raise ValidationError(f"non-generic projection after {retries} retries")
+        return BraidWord(letters, ambient)
+    raise ValidationError(f"non-generic projection after {_RETRIES} retries")
 
 
 def _closure_permutation(first, last) -> tuple[int, int, int]:
@@ -306,17 +307,7 @@ def _read_crossings(tracks: list[tuple[complex, complex, complex]]):
             if block:
                 raise _NonGeneric("non-adjacent swap; sampling too coarse")
             i = j
-    merged: list[tuple[str, int]] = []
-    for gen, exp in letters:
-        if merged and merged[-1][0] == gen:
-            s = merged[-1][1] + exp
-            if s == 0:
-                merged.pop()
-            else:
-                merged[-1] = (gen, s)
-        else:
-            merged.append((gen, exp))
-    return merged, start_order, order
+    return _merge_syllables(letters), start_order, order
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,13 @@ import scipy.sparse.linalg as spla
 from .errors import NumericalError, ValidationError
 
 
+def _check_positive(**values) -> None:
+    """Refuse missing, non-finite or non-positive lengths."""
+    for name, v in values.items():
+        if v is None or not (math.isfinite(v) and v > 0):
+            raise ValidationError(f"{name} must be given, finite and positive")
+
+
 @dataclass(frozen=True)
 class AnnulusSpec:
     kind: str  # "round" | "rectangle" | "flat-cylinder"
@@ -49,11 +56,13 @@ class AnnulusSpec:
     def __post_init__(self):
         a, b = self.params
         if self.kind == "round":
-            if not 0 < a < b:
+            _check_positive(r=a, R=b)
+            if not a < b:
                 raise ValidationError("round annulus needs 0 < r < R")
-        elif self.kind in ("rectangle", "flat-cylinder"):
-            if a <= 0 or b <= 0:
-                raise ValidationError("side lengths must be positive")
+        elif self.kind == "rectangle":
+            _check_positive(a=a, b=b)
+        elif self.kind == "flat-cylinder":
+            _check_positive(circumference=a, height=b)
         else:
             raise ValidationError(f"unknown annulus kind {self.kind!r}")
 
@@ -88,8 +97,8 @@ class TorusWithHole:
     sigma: float
 
     def __post_init__(self):
-        if self.alpha < 1:
-            raise ValidationError("alpha must be >= 1")
+        if not (math.isfinite(self.alpha) and self.alpha >= 1):
+            raise ValidationError("alpha must be finite and >= 1")
         if not 0 < self.sigma < 1:
             raise ValidationError("sigma must lie in (0,1)")
 
@@ -113,6 +122,9 @@ def prop1a_lambda3_upper(x: TorusWithHole) -> float:
 # ---------------------------------------------------------------------------
 # grid solver
 
+_RTOL = 1e-10       # relative residual of the conjugate gradients (README contract)
+_MAX_ITER = 20000
+
 
 @dataclass
 class GridDomain:
@@ -134,7 +146,6 @@ class GridDomain:
     marked_b: np.ndarray | None = None
     family: str = "separating"    # which curve family the caller asks about
     x_guess: np.ndarray | None = None
-    max_iter: int = 20000
 
     def __post_init__(self):
         if self.mode not in ("dirichlet", "periodic-y"):
@@ -170,12 +181,13 @@ class SolverReport:
                 "residual": self.residual}
 
 
-def grid_extremal_length(dom: GridDomain, rtol: float = 1e-10) -> SolverReport:
-    """Solve the discrete Laplace problem and convert the effective
-    conductance into the requested curve-family extremal length."""
+def grid_extremal_length(dom: GridDomain) -> SolverReport:
+    """Solve the discrete Laplace problem to the relative residual _RTOL and
+    convert the effective conductance into the requested curve-family
+    extremal length."""
     a, rhs, const = _assemble(dom)
     x0 = None if dom.x_guess is None else dom.x_guess[dom.inside]
-    u, iters, res = _cg(a, rhs, x0, dom.inside, rtol, dom.max_iter)
+    u, iters, res = _cg(a, rhs, x0, dom.inside)
     energy = float(u @ (a @ u) - 2.0 * (rhs @ u)) + const
     if dom.mode == "dirichlet":
         lam = energy if dom.family == "separating" else 1.0 / energy
@@ -188,8 +200,7 @@ def grid_extremal_length(dom: GridDomain, rtol: float = 1e-10) -> SolverReport:
 
 
 def _cg(a: sp.csr_matrix, rhs: np.ndarray, x0: np.ndarray | None,
-        inside: np.ndarray, rtol: float,
-        max_iter: int) -> tuple[np.ndarray, int, float]:
+        inside: np.ndarray) -> tuple[np.ndarray, int, float]:
     count = [0]
 
     def cb(_):
@@ -197,13 +208,13 @@ def _cg(a: sp.csr_matrix, rhs: np.ndarray, x0: np.ndarray | None,
 
     mg = _Multigrid(a, inside)
     precond = spla.LinearOperator(a.shape, matvec=mg.vcycle, dtype=float)
-    kw = {"maxiter": max_iter, "M": precond, "x0": x0, "callback": cb}
+    kw = {"maxiter": _MAX_ITER, "M": precond, "x0": x0, "callback": cb}
     try:
-        x, info = spla.cg(a, rhs, rtol=rtol, atol=0.0, **kw)
+        x, info = spla.cg(a, rhs, rtol=_RTOL, atol=0.0, **kw)
     except TypeError:  # scipy < 1.12 spelling
-        x, info = spla.cg(a, rhs, tol=rtol, atol=0.0, **kw)
+        x, info = spla.cg(a, rhs, tol=_RTOL, atol=0.0, **kw)
     res = float(np.linalg.norm(rhs - a @ x) / np.linalg.norm(rhs))
-    if info != 0 or not np.isfinite(res) or res > 10 * rtol:
+    if info != 0 or not np.isfinite(res) or res > 10 * _RTOL:
         raise NumericalError(
             f"conjugate gradients failed to converge: residual {res:.3e}")
     return x, count[0], res
@@ -344,8 +355,8 @@ def annulus_grid(r: float, big_r: float, h: float,
     """Round annulus r < |z| < R; marked families are the inner and outer
     complements.  The analytic potential log(R/|z|)/log(R/r) seeds the CG
     iteration."""
-    if not 0 < r < big_r:
-        raise ValidationError("need 0 < r < R")
+    round_annulus(r, big_r)  # checks 0 < r < R
+    _check_positive(h=h)
     half = big_r + 2 * h
     m = int(math.ceil(2 * half / h))
     xs = (np.arange(m) + 0.5) * h - half
@@ -368,6 +379,7 @@ def rectangle_grid(a: float, b: float, h: float,
     marked="horizontal" marks the two horizontal sides (top/bottom), so the
     joining family runs vertically and has extremal length a/b.
     """
+    _check_positive(a=a, b=b, h=h)
     nx = max(2, int(round(b / h)))
     ny = max(2, int(round(a / h)))
     inside = np.zeros((ny + 2, nx + 2), dtype=bool)
@@ -390,6 +402,7 @@ def rectangle_grid(a: float, b: float, h: float,
 
 def cylinder_grid(circumference: float, height: float, h: float) -> GridDomain:
     """Flat cylinder, periodic in y (the circumference direction)."""
+    _check_positive(circumference=circumference, height=height, h=h)
     nx = max(2, int(round(height / h)))
     ny = max(2, int(round(circumference / h)))
     inside = np.ones((ny, nx), dtype=bool)

@@ -223,52 +223,57 @@ class ThetaKernel:
 # cutoff
 
 
-def chi0(t: float) -> float:
-    if not 0.0 <= t <= 1.0:
+def _unbox(out: np.ndarray, t):
+    """out for an array argument t, its one entry as a float for a scalar t
+    (which is evaluated as a 1-element array, so both round alike)."""
+    return out if np.ndim(t) else float(out[0])
+
+
+def _fold(t) -> tuple[np.ndarray, np.ndarray]:
+    """t checked to lie in [0,1], and t with (1/2, 1] mirrored onto [0, 1/2)."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not ((t >= 0.0) & (t <= 1.0)).all():
         raise ValidationError("chi0 domain is [0,1]")
-    if t > 0.5:
-        return 1.0 - chi0(1.0 - t)
-    if t <= 1.0 / 3.0:
-        v = 3.0 * t
-        return 0.5 * (v ** 3 - 0.5 * v ** 4)
-    return 0.25 + 1.5 * (t - 1.0 / 3.0)
+    return t, np.where(t > 0.5, 1.0 - t, t)
 
 
-def chi0_prime(t: float) -> float:
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError("chi0 domain is [0,1]")
-    if t > 0.5:
-        return chi0_prime(1.0 - t)
-    if t <= 1.0 / 3.0:
-        v = 3.0 * t
-        return 1.5 * (3.0 * v ** 2 - 2.0 * v ** 3)
-    return 1.5
+def chi0(t):
+    """The cutoff profile on [0,1], elementwise; chi0(1 - t) = 1 - chi0(t)."""
+    tt, s = _fold(t)
+    v = 3.0 * s
+    low = np.where(s <= 1.0 / 3.0, 0.5 * (v ** 3 - 0.5 * v ** 4),
+                   0.25 + 1.5 * (s - 1.0 / 3.0))
+    return _unbox(np.where(tt > 0.5, 1.0 - low, low), t)
 
 
-def _clamp01(u: float) -> float:
-    return 0.0 if u < 0.0 else (1.0 if u > 1.0 else u)
+def chi0_prime(t):
+    """chi0' elementwise; chi0'(1 - t) = chi0'(t)."""
+    _, s = _fold(t)
+    v = 3.0 * s
+    return _unbox(np.where(s <= 1.0 / 3.0, 1.5 * (3.0 * v ** 2 - 2.0 * v ** 3), 1.5), t)
 
 
-def chi(delta: float, t: float) -> float:
-    if delta <= 0:
+def _ramp(delta: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """t as an array and the chi0 argument 3/2 - |t|/delta clamped to [0,1]."""
+    if not delta > 0:
         raise ValidationError("delta must be positive")
-    if abs(t) > 1.5 * delta * (1 + 1e-12):
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return t, np.clip(1.5 - np.abs(t) / delta, 0.0, 1.0)
+
+
+def chi(delta: float, t):
+    """The C^2 cutoff: 1 on |t| <= delta/2, 0 at |t| = 3 delta/2."""
+    tt, u = _ramp(delta, t)
+    if (np.abs(tt) > 1.5 * delta * (1 + 1e-12)).any():
         raise ValidationError("chi argument outside [-3 delta/2, 3 delta/2]")
-    if abs(t) <= 0.5 * delta:
-        return 1.0
-    if t < 0:
-        return chi0(_clamp01(t / delta + 1.5))
-    return chi0(_clamp01(-t / delta + 1.5))
+    return _unbox(np.where(np.abs(tt) <= 0.5 * delta, 1.0, chi0(u)), t)
 
 
-def chi_prime(delta: float, t: float) -> float:
-    if abs(t) > 1.5 * delta:
-        return 0.0
-    if abs(t) <= 0.5 * delta:
-        return 0.0
-    if t < 0:
-        return chi0_prime(_clamp01(t / delta + 1.5)) / delta
-    return -chi0_prime(_clamp01(-t / delta + 1.5)) / delta
+def chi_prime(delta: float, t):
+    """chi' on the whole line (0 beyond the window)."""
+    tt, u = _ramp(delta, t)
+    window = (np.abs(tt) > 0.5 * delta) & (np.abs(tt) <= 1.5 * delta)
+    return _unbox(np.where(window, -np.sign(tt) * chi0_prime(u) / delta, 0.0), t)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +287,7 @@ class DbarConfig:
     eps: float
     delta: float = 0.1
     quad_n: int = 400
-    c1: float | None = None
-    c2: float | None = None
     lath_samples: int = 360
-    lath_across: int = 7
 
     def __post_init__(self):
         if not 0 < self.eps < 1:
@@ -296,26 +298,20 @@ class DbarConfig:
             raise ValidationError("quadrature grid too coarse")
         if self.quad_n > QUAD_N_MAX:
             raise ValidationError(f"quadrature grid larger than {QUAD_N_MAX}^2")
-        if not all(c is None or math.isfinite(c) and c > 0 for c in (self.c1, self.c2)):
-            raise ValidationError("c1 and c2 must be finite and positive")
 
     @property
     def sigma(self) -> float:
         return self.eps * self.delta
 
 
-def blend(g_value: complex, g_zero: complex, x: float, delta: float) -> complex:
-    """g1(z) = chi(Re z) g(z) + (1 - chi(Re z)) g(0) inside the window,
-    the constant g(0) beyond it."""
-    if abs(x) >= 1.5 * delta:
-        return g_zero
-    c = chi(delta, x)
-    return c * g_value + (1.0 - c) * g_zero
-
-
-def phi_value(g_value: complex, g_zero: complex, x: float, delta: float) -> complex:
-    """dbar g1 = (1/2) chi'(Re z) (g(z) - g(0))."""
-    return 0.5 * chi_prime(delta, x) * (g_value - g_zero)
+def blend(g_values, g_zero: complex, x, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(g1, phi) from samples g(z) at points with real parts x:
+    g1 = chi(Re z) g(z) + (1 - chi(Re z)) g(0) inside the window, the
+    constant g(0) beyond it, and phi = dbar g1 = (1/2) chi'(Re z) (g(z) - g(0))."""
+    inside = np.abs(x) < 1.5 * delta
+    c = chi(delta, np.where(inside, x, 0.0))
+    g1 = np.where(inside, c * g_values + (1.0 - c) * g_zero, g_zero)
+    return g1, 0.5 * chi_prime(delta, x) * (g_values - g_zero)
 
 
 def validate_analytic(xs: np.ndarray, ys: np.ndarray, values: np.ndarray,
@@ -350,25 +346,10 @@ def _third_difference_scale(values: np.ndarray, hx: float, hy: float) -> float:
 def blend_and_phi(xs: np.ndarray, ys: np.ndarray, values: np.ndarray,
                   cfg: DbarConfig) -> tuple[np.ndarray, np.ndarray]:
     """Blend a holomorphic sample grid on the strip |Re z| < 3 delta/2 and
-    return (g1, phi) on the same grid; checks analyticity and the bound
-    |phi| <= (3/2) C1/delta."""
+    return (g1, phi) on the same grid, after checking analyticity."""
     validate_analytic(xs, ys, values)
-    i0 = int(np.argmin(np.abs(xs)))
-    j0 = int(np.argmin(np.abs(ys)))
-    g_zero = complex(values[j0, i0])
-    g1 = np.empty_like(values)
-    phi = np.empty_like(values)
-    for i, x in enumerate(xs):
-        cx = chi(cfg.delta, float(x)) if abs(x) <= 1.5 * cfg.delta else 0.0
-        cpx = chi_prime(cfg.delta, float(x))
-        g1[:, i] = cx * values[:, i] + (1.0 - cx) * g_zero
-        phi[:, i] = 0.5 * cpx * (values[:, i] - g_zero)
-    c1 = cfg.c1 if cfg.c1 is not None else float(np.abs(values).max())
-    cap = 1.5 * c1 / cfg.delta
-    if float(np.abs(phi).max()) > cap * (1 + 1e-9):
-        raise ValidationError("phi exceeds the (3/2) C1/delta bound; "
-                              "C1 is too small for this g")
-    return g1, phi
+    g_zero = values[int(np.argmin(np.abs(ys))), int(np.argmin(np.abs(xs)))]
+    return blend(values, g_zero, xs, cfg.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +384,9 @@ def quadrature_phi(g, cfg: DbarConfig) -> QuadratureData:
     """Evaluate phi = dbar g1 on the Q_eps midpoint cells for a callable
     holomorphic g (periodic with period i alpha)."""
     centers, hx, hy = q_eps_cells(cfg)
-    g_zero = complex(g(0.0 + 0.0j))
-    x = centers.real
-    cp = np.array([chi_prime(cfg.delta, float(v)) for v in x])
-    phi = np.zeros(centers.shape, dtype=complex)
-    hot = cp != 0.0
-    if hot.any():
-        phi[hot] = 0.5 * cp[hot] * (g(centers[hot]) - g_zero)
+    # an overflowing g leaves a non-finite phi, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, phi = blend(g(centers), complex(g(0j)), centers.real, cfg.delta)
     if not np.isfinite(phi).all():
         raise ValidationError("g is not finite on the blending window")
     keep = phi != 0.0
@@ -513,6 +490,9 @@ class DbarSolution:
         the neighbouring lattice poles 1, -1, i alpha, -i alpha."""
         d, s, a = self.cfg.delta, self.cfg.sigma, self.params.alpha
         pad = 0.05
+        if 1.5 * d + s + pad >= 0.5:
+            raise ValidationError("c2 needs 3 delta/2 + sigma < 0.45: a wider sample "
+                                  "strip holds the nu-class kernel poles at Re w = +-1/2")
         poles = np.array([1.0, -1.0, 1j * a, -1j * a])
         bound = 0.0
         for re_h, im_h in ((1.5 + 1.5 * d + pad, 0.5 * d + s + pad),
@@ -578,12 +558,11 @@ def sup_f_budget(c1: float, c2: float, eps: float, delta: float) -> float:
 
 
 def cross_grid(params: KernelParams, cfg: DbarConfig,
-               along: int | None = None, across: int | None = None) -> np.ndarray:
+               along: int | None = None, across: int = 7) -> np.ndarray:
     """Sample points on the fundamental cross of T^{alpha,sigma}."""
     a = params.alpha
     s = cfg.sigma
     along = along or cfg.lath_samples
-    across = across or cfg.lath_across
     ts = np.linspace(-0.5 + 1e-3, 0.5 - 1e-3, along)
     us = np.linspace(-s / 2 + s / 64, s / 2 - s / 64, across)
     vert = (us[None, :] + 1j * a * ts[:, None]).ravel()
@@ -609,15 +588,25 @@ def fd_dbar(fvals: dict[str, np.ndarray], step_x: float, step_y: float) -> np.nd
     return 0.5 * (gx + 1j * gy)
 
 
-def _fd_values(sol: DbarSolution, z: np.ndarray, sx: float, sy: float):
+def _fd_values(fn, z: np.ndarray, sx: float, sy: float):
+    """fn at the four points of the dbar stencil around z."""
     return {
-        "xp": sol.f(z + sx), "xm": sol.f(z - sx),
-        "yp": sol.f(z + 1j * sy), "ym": sol.f(z - 1j * sy),
+        "xp": fn(z + sx), "xm": fn(z - sx),
+        "yp": fn(z + 1j * sy), "ym": fn(z - 1j * sy),
     }
 
 
-def fd_nodes(quad: QuadratureData, cfg: DbarConfig, stride: int = 3) -> np.ndarray:
-    """Q_eps cell centers where a +-hy dbar stencil sees a smooth field:
+def _off_support_residual(fn, points: np.ndarray, cfg: DbarConfig) -> float:
+    """max |dbar fn| by central differences of step sigma/8 at the first 240
+    of the points well outside Q, where fn must be holomorphic."""
+    off = points[(np.abs(points.real) > 1.6 * cfg.delta)
+                 | (np.abs(points.imag) > 0.6 * cfg.delta)][:240]
+    so = cfg.sigma / 8
+    return float(np.abs(fd_dbar(_fd_values(fn, off, so, so), so, so)).max())
+
+
+def fd_nodes(quad: QuadratureData, cfg: DbarConfig) -> np.ndarray:
+    """Every third Q_eps cell center where a +-hy dbar stencil sees a smooth field:
     inside the lath where chi' can be nonzero (support edges at
     |Im z| = sigma/2 must not be crossed), and in the chi' = 0 band of the
     vertical strip away from the corner."""
@@ -628,43 +617,32 @@ def fd_nodes(quad: QuadratureData, cfg: DbarConfig, stride: int = 3) -> np.ndarr
     vert = (np.abs(pts.real) < s / 2) & \
            (np.abs(pts.imag) > s / 2 + 2 * hy) & \
            (np.abs(pts.imag) < 0.5 * d - 2 * hy)
-    sel = pts[horiz | vert]
-    return sel[::stride]
+    return pts[horiz | vert][::3]
 
 
 def solve_diagnostics(sol: DbarSolution, g, g_zero: complex) -> SolveDiagnostics:
     cfg, params = sol.cfg, sol.params
-    quad = sol.quad
-    hx, hy = quad.hx, quad.hy
+    c2 = sol.kernel_c2()  # first, since it may refuse the geometry
+    hy = sol.quad.hy
 
-    nodes = fd_nodes(quad, cfg)
-    vals = _fd_values(sol, nodes, hy, hy)
-    dbar_fd = fd_dbar(vals, hy, hy)
-    phi_true = np.array([phi_value(complex(g(z)), g_zero, float(z.real), cfg.delta)
-                         for z in nodes])
+    nodes = fd_nodes(sol.quad, cfg)
+    dbar_fd = fd_dbar(_fd_values(sol.f, nodes, hy, hy), hy, hy)
+    _, phi_true = blend(g(nodes), g_zero, nodes.real, cfg.delta)
     fd_res = float(np.abs(dbar_fd - phi_true).max()) if nodes.size else 0.0
 
-    # off-support holomorphy of f alone
-    a = params.alpha
-    off = cross_grid(params, cfg, along=120, across=3)
-    off = off[(np.abs(off.real) > 1.6 * cfg.delta) | (np.abs(off.imag) > 0.6 * cfg.delta)]
-    off = off[:240]
-    so = cfg.sigma / 8
-    off_res = float(np.abs(fd_dbar(_fd_values(sol, off, so, so), so, so)).max())
+    off_res = _off_support_residual(sol.f, cross_grid(params, cfg, 120, 3), cfg)
 
     grid = cross_grid(params, cfg)
-    fvals = sol.f(grid)
-    sup_f = float(np.abs(fvals).max())
+    sup_f = float(np.abs(sol.f(grid)).max())
 
     # the torus gluing shifts each lath along its own direction
     vert = grid[np.abs(grid.real) <= cfg.sigma / 2][::5]
     horiz = grid[np.abs(grid.imag) <= cfg.sigma / 2][::5]
     defect = max(
         float(np.abs(sol.f(horiz + 1.0) - sol.f(horiz)).max()),
-        float(np.abs(sol.f(vert + 1j * a) - sol.f(vert)).max()))
+        float(np.abs(sol.f(vert + 1j * params.alpha) - sol.f(vert)).max()))
 
-    c1 = cfg.c1 if cfg.c1 is not None else _c1_estimate(g, params, cfg)
-    c2 = cfg.c2 if cfg.c2 is not None else sol.kernel_c2()
+    c1 = _c1_estimate(g, params, cfg)
     return SolveDiagnostics(sup_f, sup_f_budget(c1, c2, cfg.eps, cfg.delta),
                             c1, c2, fd_res, off_res, defect)
 
@@ -749,8 +727,7 @@ def demo_construct(alpha: float, sigma: float, target: FreeWord,
     sol = solve_dbar(quad, params, cfg)
 
     grid = cross_grid(params, cfg)
-    g1 = np.array([blend(complex(g(z)), g_zero, float(z.real), cfg.delta)
-                   for z in grid])
+    g1, _ = blend(g(grid), g_zero, grid.real, cfg.delta)
     clearance = float(min(np.abs(g1 - 1.0).min(), np.abs(g1 + 1.0).min()))
     fvals = sol.f(grid)
     if not np.isfinite(fvals).all():
@@ -764,22 +741,15 @@ def demo_construct(alpha: float, sigma: float, target: FreeWord,
             f"eps too large: sup|f| {sup_f:.4e} vs clearance {clearance:.4e} "
             "(pointwise puncture margin exhausted)")
 
-    # holomorphy of h = g1 - f off the support
-    so = cfg.sigma / 8
-    off = grid[(np.abs(grid.real) > 1.6 * cfg.delta)
-               | (np.abs(grid.imag) > 0.6 * cfg.delta)][:240]
-    hvals = {}
-    for key, dz in (("xp", so), ("xm", -so), ("yp", 1j * so), ("ym", -1j * so)):
-        zz = off + dz
-        g1s = np.array([blend(complex(g(z)), g_zero, float(z.real), cfg.delta)
-                        for z in zz])
-        hvals[key] = g1s - sol.f(zz)
-    residual = float(np.abs(fd_dbar(hvals, so, so)).max())
+    def h(z):
+        return blend(g(z), g_zero, z.real, cfg.delta)[0] - sol.f(z)
+
+    residual = _off_support_residual(h, grid, cfg)
 
     ys = np.linspace(0.0, alpha, circle_samples, endpoint=False)
     circle = 1j * ys
-    h = g(circle) - sol.f(circle)
-    samples = np.concatenate([h, h[:1]])
+    on_circle = g(circle) - sol.f(circle)
+    samples = np.concatenate([on_circle, on_circle[:1]])
 
     from .config3 import decode_word, plane_loop
 

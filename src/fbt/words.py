@@ -100,13 +100,10 @@ class Syllable:
             raise ValidationError("syllable degree must be positive")
 
 
-def reduce(items: Iterable[Term]) -> FreeWord:
-    """Free reduction: merge same-generator neighbours, drop zero exponents.
-
-    Accepts any term sequence (letters included); returns the unique reduced
-    form.  Concatenating term lists and reducing is the group operation.
-    """
-    stack: list[list[int]] = []
+def _merge_syllables(items: Iterable[tuple]) -> tuple[tuple, ...]:
+    """Free reduction of (generator, exponent) pairs over any generator
+    labels: merge same-generator neighbours, drop zero exponents."""
+    stack: list[list] = []
     for gen, exp in items:
         if exp == 0:
             continue
@@ -116,7 +113,16 @@ def reduce(items: Iterable[Term]) -> FreeWord:
                 stack.pop()
         else:
             stack.append([gen, exp])
-    return FreeWord(tuple((g, e) for g, e in stack))
+    return tuple((g, e) for g, e in stack)
+
+
+def reduce(items: Iterable[Term]) -> FreeWord:
+    """Free reduction: merge same-generator neighbours, drop zero exponents.
+
+    Accepts any term sequence (letters included); returns the unique reduced
+    form.  Concatenating term lists and reducing is the group operation.
+    """
+    return FreeWord(_merge_syllables(items))
 
 
 def word(*terms: Term) -> FreeWord:

@@ -166,6 +166,7 @@ def test_validation_exit_code(capsys):
     ("dbar", "solve", "--eps", "0.01", "--quad", "100000"),
     ("dbar", "solve", "--eps", "0.01", "--rho", "nan"),
     ("dbar", "solve", "--eps", "0.01", "--winding", "1000000"),
+    ("dbar", "solve", "--delta", "0.2", "--eps", "0.95", "--quad", "128"),
     ("dbar", "demo", "--alpha", "inf", "--sigma", "0.01", "--target", "a1"),
 ], ids=lambda argv: " ".join(argv[1:]))
 def test_dbar_input_contract_exit_code(capsys, argv):
@@ -182,6 +183,30 @@ def test_dbar_input_contract_exit_code(capsys, argv):
     ("braid", "nf", "s1^1000000 s2^-3"),
 ], ids=lambda argv: " ".join(argv))
 def test_exact_input_contract_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("error:") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "thm1", "--g", "0", "--m", "1", "--lambda4", "nan"),
+    ("bounds", "thm1", "--g", "0", "--m", "1", "--lambda4", "inf"),
+    ("bounds", "thm2", "--g", "0", "--m", "1", "--lambda8", "nan"),
+    ("bounds", "prop1a", "--alpha", "nan", "--sigma", "0.1"),
+    ("bounds", "prop1a", "--alpha", "inf", "--sigma", "0.1"),
+    ("bounds", "prop1b", "--sigma", "0.1", "--C1", "nan", "--C2", "1",
+     "--C1p", "1", "--C2p", "1"),
+    ("bounds", "table", "--formula", "thm1", "--lambdas", "nan"),
+    ("conformal", "grid", "--kind", "round", "--r", "1", "--R", "2", "--h", "0"),
+    ("conformal", "grid", "--kind", "round", "--R", "2", "--h", "0.1"),
+    ("conformal", "grid", "--kind", "rectangle", "--a", "1", "--b", "1", "--h", "nan"),
+    ("conformal", "grid", "--kind", "flat-cylinder", "--circumference", "1",
+     "--height", "1", "--h", "-1"),
+    ("conformal", "lambda", "--kind", "rectangle"),
+    ("conformal", "torus-bounds", "--alpha", "nan", "--sigma", "0.1"),
+    ("config3", "in-h", "--points=-1,0,0,0,1,0", "--tol", "nan"),
+], ids=lambda argv: " ".join(argv))
+def test_bounds_conformal_config3_input_contract_exit_code(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("error:") == 1

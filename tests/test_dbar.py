@@ -186,6 +186,14 @@ def test_chi0_profile():
         h = 1e-7
         fd = (chi0(t + h) - chi0(t - h)) / (2 * h)
         assert fd == pytest.approx(chi0_prime(t), abs=1e-6)
+    # whole arrays agree with the scalar calls; one entry off [0,1] refuses all
+    for fn in (chi0, chi0_prime):
+        vals = fn(ts)
+        assert vals.shape == ts.shape
+        assert np.array_equal(vals, [fn(float(t)) for t in ts])
+        for bad in (-1e-9, 1.0 + 1e-9, np.nan):
+            with pytest.raises(ValidationError):
+                fn(np.append(ts, bad))
 
 
 def test_chi_prime_support():
@@ -194,6 +202,18 @@ def test_chi_prime_support():
         assert chi_prime(d, t) == 0.0
     assert chi_prime(d, 0.08) != 0.0
     assert chi_prime(d, 0.2) == 0.0
+    # whole arrays agree with the scalar calls; one entry out of the domain
+    # (|t| > 3 delta/2 for chi, NaN for both) refuses all
+    ts = np.linspace(-0.2, 0.2, 801)
+    inner = ts[np.abs(ts) <= 1.5 * d]
+    for fn, xs in ((chi_prime, ts), (chi, inner)):
+        vals = fn(d, xs)
+        assert vals.shape == xs.shape
+        assert np.array_equal(vals, [fn(d, float(t)) for t in xs])
+        with pytest.raises(ValidationError):
+            fn(d, np.append(xs, np.nan))
+    with pytest.raises(ValidationError):
+        chi(d, np.append(inner, 0.2))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +235,7 @@ def test_blend_constant_g():
 
 
 def test_blend_linear_g_bound_and_support():
-    cfg = DbarConfig(eps=0.1, c1=0.2)
+    cfg = DbarConfig(eps=0.1)
     xs, ys, vals = _strip_grid(cfg, lambda z: np.asarray(z))
     g1, phi = blend_and_phi(xs, ys, vals, cfg)
     assert np.abs(phi).max() <= 1.5 * 0.2 / cfg.delta + 1e-12
@@ -324,8 +344,7 @@ def test_sup_f_scales_linearly_in_eps():
     sups = []
     buds = []
     for eps in eps_list:
-        cfg = DbarConfig(eps=eps, delta=0.1, quad_n=400, lath_samples=160,
-                         lath_across=5)
+        cfg = DbarConfig(eps=eps, delta=0.1, quad_n=400, lath_samples=160)
         g = demo_g(1.0, 1, 1, 0.2)
         quad = quadrature_phi(g, cfg)
         sol = solve_dbar(quad, params, cfg)
