@@ -26,6 +26,11 @@ class LogNumber:
 
     ln: float
 
+    def __post_init__(self):
+        # -inf is zero; NaN or +inf means the bound overflowed the float range
+        if math.isnan(self.ln) or self.ln == float("inf"):
+            raise ValidationError(f"bound overflows: ln = {self.ln}")
+
     @staticmethod
     def zero() -> "LogNumber":
         return LogNumber(float("-inf"))

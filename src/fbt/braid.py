@@ -390,51 +390,38 @@ def lemma3a_check(k: int, kp: int, lam: float) -> bool:
 # census of quotient elements with small L-(theta)
 
 
-def _word_to_braid(w: FreeWord, ambient: str) -> BraidWord:
-    return BraidWord(tuple((f"s{g}", 2 * e) for g, e in w.terms), ambient)
+def _preimage_forms(w: FreeWord) -> list[BraidNormalForm]:
+    """Normal forms of the elements of B3 mod center with theta equal to w:
+    for w != Id with first term a_j^m and rest b1, s_j^{2m} b1,
+    s_j^{2m + sgn m} b1 and s_j'^{+-1} w; for w = Id, d^0 and s_j^{+-1};
+    each times d^l, l in {0, 1}.  Normal forms are unique: no repeats."""
+    if w.is_identity:
+        out = [BraidNormalForm("delta-power", ell, ambient=MOD_CENTER)
+               for ell in (0, 1)]
+        heads = [(j, s, IDENTITY) for j in (1, 2) for s in (1, -1)]
+    else:
+        (j, m), b1 = w.terms[0], FreeWord(w.terms[1:])
+        out = []
+        heads = [(j, 2 * m, b1), (j, 2 * m + (1 if m > 0 else -1), b1),
+                 (3 - j, 1, w), (3 - j, -1, w)]
+    return out + [BraidNormalForm("general", ell, j=j, k=k, b1=rest,
+                                  ambient=MOD_CENTER)
+                  for j, k, rest in heads for ell in (0, 1)]
 
 
 def theta_preimages(w: FreeWord) -> list[BraidWord]:
-    """All elements of B3 mod center with theta equal to w.
-
-    For w != Id with first term a_j^k these are {w, s_j^{sgn k} w,
-    s_j'^{+-1} w} times {1, d}; for w = Id they are {d^l, s_j^{+-1} d^l}
-    with l in {0, 1}, ten elements in total.
-    """
-    out: list[BraidWord] = []
-    if w.is_identity:
-        heads: list[tuple[BraidLetter, ...]] = [()]
-        heads += [((f"s{j}", s),) for j in (1, 2) for s in (1, -1)]
-        for head in heads:
-            for ell in (0, 1):
-                tail = (("d", ell),) if ell else ()
-                out.append(BraidWord(head + tail, MOD_CENTER))
-        return out
-    base = _word_to_braid(w, MOD_CENTER)
-    j, kfirst = w.terms[0]
-    sgn = 1 if kfirst > 0 else -1
-    jp = 3 - j
-    heads = [BraidWord((), MOD_CENTER),
-             BraidWord(((f"s{j}", sgn),), MOD_CENTER),
-             BraidWord(((f"s{jp}", 1),), MOD_CENTER),
-             BraidWord(((f"s{jp}", -1),), MOD_CENTER)]
-    for head in heads:
-        for ell in (0, 1):
-            tail = BraidWord((("d", ell),) if ell else (), MOD_CENTER)
-            out.append(braid_concat(head, base, tail))
-    return out
+    """All elements of B3 mod center with theta equal to w: eight, or ten
+    for w = Id (see _preimage_forms)."""
+    return [expand(nf) for nf in _preimage_forms(w)]
 
 
 def census(budget: float, cap: float = ENUM_BUDGET_CAP) -> list[BraidWord]:
-    """All elements b of B3 mod center with L-(theta(b)) <= budget,
-    deduplicated by the projective matrix image and sorted by normal form."""
-    seen: dict[tuple, BraidNormalForm] = {}
-    for w in enumerate_words(budget, cap=cap):
-        for b in theta_preimages(w):
-            key = matrix_image(b).projective()
-            if key not in seen:
-                seen[key] = normal_form(b)
-    forms = sorted(seen.values(), key=BraidNormalForm.sort_key)
+    """All elements b of B3 mod center with L-(theta(b)) <= budget, sorted
+    by normal form; each is written down from the normal forms of the
+    theta-preimages of an enumerated word."""
+    forms = [nf for w in enumerate_words(budget, cap=cap)
+             for nf in _preimage_forms(w)]
+    forms.sort(key=BraidNormalForm.sort_key)
     return [expand(nf) for nf in forms]
 
 

@@ -47,6 +47,8 @@ class Triple:
     points: tuple[complex, complex, complex]
 
     def __post_init__(self):
+        if not all(cmath.isfinite(z) for z in self.points):
+            raise ValidationError("triple points must be finite")
         pts = tuple(sorted(self.points, key=lambda z: (z.real, z.imag)))
         object.__setattr__(self, "points", pts)
         if len({(z.real, z.imag) for z in pts}) != 3:
@@ -113,6 +115,8 @@ class PlaneLoop:
         if abs(self.samples[0] - self.samples[-1]) > CLOSE_TOL:
             raise ValidationError("loop is not closed")
         for i, z in enumerate(self.samples):
+            if not cmath.isfinite(z):
+                raise ValidationError(f"sample {i} is not finite")
             if abs(z - 1.0) < CLEARANCE or abs(z + 1.0) < CLEARANCE:
                 raise ValidationError(f"sample {i} violates puncture clearance")
 
@@ -175,8 +179,7 @@ class ConfigLoop:
     def __post_init__(self):
         if len(self.samples) < 2:
             raise ValidationError("loop needs at least two samples")
-        first = sorted(self.samples[0].points, key=lambda z: (z.real, z.imag))
-        last = sorted(self.samples[-1].points, key=lambda z: (z.real, z.imag))
+        first, last = self.samples[0].points, self.samples[-1].points
         if any(abs(a - b) > 1e-9 for a, b in zip(first, last)):
             raise ValidationError("configuration loop is not closed")
 
@@ -186,8 +189,7 @@ def config_loop(samples: Sequence[Triple]) -> ConfigLoop:
 
 
 def compose_config_loops(l1: ConfigLoop, l2: ConfigLoop) -> ConfigLoop:
-    a = sorted(l1.samples[-1].points, key=lambda z: (z.real, z.imag))
-    b = sorted(l2.samples[0].points, key=lambda z: (z.real, z.imag))
+    a, b = l1.samples[-1].points, l2.samples[0].points
     if any(abs(x - y) > 1e-9 for x, y in zip(a, b)):
         raise ValidationError("loops do not share a base configuration")
     return ConfigLoop(l1.samples + l2.samples[1:])

@@ -439,31 +439,21 @@ def spec_from_json(data: dict) -> AnnulusSpec:
 
 
 def dump_grid_csv(dom: GridDomain, path: str) -> None:
-    """Node list: x,y,marked with marked in {a, b, none}."""
+    """Node list: x,y,marked with marked in {a, b, none}; a node is marked
+    when one of its four lattice neighbours is a marked cell, a before b."""
     import csv
 
+    ys, xs = np.nonzero(dom.inside)
+    mark = np.full(xs.shape, "none", dtype=object)
+    for marked, name in ((dom.marked_b, "b"), (dom.marked_a, "a")):
+        if marked is not None:
+            touch = np.zeros(dom.inside.shape, dtype=bool)
+            for dy, dx in ((-1, 0), (0, -1), (0, 1), (1, 0)):
+                touch |= _shift(marked, dy, dx, False)
+            mark[touch[ys, xs]] = name
+    x = (dom.x0 + (xs + 0.5) * dom.h).tolist()
+    y = (dom.y0 + (ys + 0.5) * dom.h).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x", "y", "marked"])
-        ny, nx = dom.inside.shape
-        for j in range(ny):
-            for i in range(nx):
-                if not dom.inside[j, i]:
-                    continue
-                x = dom.x0 + (i + 0.5) * dom.h
-                y = dom.y0 + (j + 0.5) * dom.h
-                mark = "none"
-                if dom.marked_a is not None and _touches(dom.inside, dom.marked_a, j, i):
-                    mark = "a"
-                elif dom.marked_b is not None and _touches(dom.inside, dom.marked_b, j, i):
-                    mark = "b"
-                writer.writerow([repr(x), repr(y), mark])
-
-
-def _touches(inside: np.ndarray, marked: np.ndarray, j: int, i: int) -> bool:
-    ny, nx = inside.shape
-    for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-        jj, ii = j + dj, i + di
-        if 0 <= jj < ny and 0 <= ii < nx and marked[jj, ii]:
-            return True
-    return False
+        writer.writerows([repr(a), repr(b), m] for a, b, m in zip(x, y, mark))

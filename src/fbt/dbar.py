@@ -581,19 +581,11 @@ class SolveDiagnostics:
     periodic_defect: float
 
 
-def fd_dbar(fvals: dict[str, np.ndarray], step_x: float, step_y: float) -> np.ndarray:
-    """Central-difference dbar from f at z, z +- hx, z +- i hy."""
-    gx = (fvals["xp"] - fvals["xm"]) / (2 * step_x)
-    gy = (fvals["yp"] - fvals["ym"]) / (2 * step_y)
+def fd_dbar(fn, z: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference dbar of fn at z from fn at z +- step, z +- i step."""
+    gx = (fn(z + step) - fn(z - step)) / (2 * step)
+    gy = (fn(z + 1j * step) - fn(z - 1j * step)) / (2 * step)
     return 0.5 * (gx + 1j * gy)
-
-
-def _fd_values(fn, z: np.ndarray, sx: float, sy: float):
-    """fn at the four points of the dbar stencil around z."""
-    return {
-        "xp": fn(z + sx), "xm": fn(z - sx),
-        "yp": fn(z + 1j * sy), "ym": fn(z - 1j * sy),
-    }
 
 
 def _off_support_residual(fn, points: np.ndarray, cfg: DbarConfig) -> float:
@@ -602,7 +594,7 @@ def _off_support_residual(fn, points: np.ndarray, cfg: DbarConfig) -> float:
     off = points[(np.abs(points.real) > 1.6 * cfg.delta)
                  | (np.abs(points.imag) > 0.6 * cfg.delta)][:240]
     so = cfg.sigma / 8
-    return float(np.abs(fd_dbar(_fd_values(fn, off, so, so), so, so)).max())
+    return float(np.abs(fd_dbar(fn, off, so)).max())
 
 
 def fd_nodes(quad: QuadratureData, cfg: DbarConfig) -> np.ndarray:
@@ -626,7 +618,7 @@ def solve_diagnostics(sol: DbarSolution, g, g_zero: complex) -> SolveDiagnostics
     hy = sol.quad.hy
 
     nodes = fd_nodes(sol.quad, cfg)
-    dbar_fd = fd_dbar(_fd_values(sol.f, nodes, hy, hy), hy, hy)
+    dbar_fd = fd_dbar(sol.f, nodes, hy)
     _, phi_true = blend(g(nodes), g_zero, nodes.real, cfg.delta)
     fd_res = float(np.abs(dbar_fd - phi_true).max()) if nodes.size else 0.0
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ValidationError
 from .bounds import LogNumber
@@ -195,47 +195,58 @@ def l_plus(w: FreeWord) -> float:
 
 
 def cyclically_reduce(w: FreeWord) -> tuple[FreeWord, FreeWord]:
-    """Return (v, c) with w = c v c^-1 and v cyclically reduced."""
-    letters = list(w.letters())
-    pre: list[Letter] = []
-    while len(letters) >= 2 and letters[0][0] == letters[-1][0] \
-            and letters[0][1] == -letters[-1][1]:
-        pre.append(letters[0])
-        letters = letters[1:-1]
-    return reduce(letters), reduce(pre)
+    """Return (v, c) with w = c v c^-1 and v cyclically reduced, peeling
+    the cancelling end terms of w in O(terms)."""
+    terms = list(w.terms)
+    lo, hi, pre = 0, len(terms) - 1, []
+    while (lo < hi and terms[lo][0] == terms[hi][0]
+           and terms[lo][1] * terms[hi][1] < 0):
+        (gen, e1), (_, e2) = terms[lo], terms[hi]
+        k = min(e1, -e2) if e1 > 0 else max(e1, -e2)  # the cancelled part
+        pre.append((gen, k))
+        terms[lo], terms[hi] = (gen, e1 - k), (gen, e2 + k)
+        lo, hi = lo + (e1 == k), hi - (e2 == -k)
+    return reduce(terms[lo:hi + 1]), reduce(pre)
 
 
-def _rotations(letters: tuple[Letter, ...]) -> Iterator[tuple[Letter, ...]]:
-    n = len(letters)
-    for i in range(n):
-        yield letters[i:] + letters[:i]
+def _least_rotation(seq: Sequence) -> int:
+    """First index i minimizing seq[i:] + seq[:i], in O(len(seq)): the
+    two-pointer minimum-rotation scan, where a mismatch after k equal items
+    rules out k + 1 starting points of the losing candidate."""
+    n = len(seq)
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = seq[(i + k) % n], seq[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
 
 
 def cyclic_canonical(w: FreeWord) -> FreeWord:
     """Canonical conjugacy-class representative.
 
-    Cyclically reduce, then take the lexicographically least cyclic rotation
-    of the letter sequence.  Two words map to equal outputs iff they are
-    conjugate.
+    Cyclically reduce, then take the least letter rotation, in linear time.
+    Two words map to equal outputs iff they are conjugate.
     """
     v, _ = cyclically_reduce(w)
-    if v.is_identity:
-        return IDENTITY
-    best = min(_rotations(v.letters()))
-    return reduce(best)
+    letters = v.letters()
+    rot = _least_rotation(letters)
+    return reduce(letters[rot:] + letters[:rot])
 
 
 def is_primitive(w: FreeWord) -> bool:
     """True iff w is not a proper power u^k, k >= 2."""
     if w.is_identity:
         raise ValidationError("identity has no primitivity status")
-    v, _ = cyclically_reduce(w)
-    letters = v.letters()
-    n = len(letters)
-    for p in range(1, n):
-        if n % p == 0 and letters[p:] + letters[:p] == letters:
-            return False
-    return True
+    return primitive_root(w)[1] == 1
 
 
 def primitive_root(w: FreeWord) -> tuple[FreeWord, int]:
@@ -392,10 +403,9 @@ def tuple_canonical(t: MonodromyTuple) -> MonodromyTuple:
     i0 = next(i for i, w in enumerate(entries) if not w.is_identity)
     w0 = entries[i0]
     v, c = cyclically_reduce(w0)
-    target = cyclic_canonical(w0)
-    # rotation index taking v to target
     vlet = v.letters()
-    rot = min(range(len(vlet)), key=lambda i: vlet[i:] + vlet[:i])
+    rot = _least_rotation(vlet)
+    target = reduce(vlet[rot:] + vlet[:rot])
     p = reduce(vlet[:rot])
     # w0 = conj(c, v) = conj(c p, target)  =>  u0 = (c p)^-1
     u0 = invert(concat(c, p))

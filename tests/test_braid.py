@@ -309,6 +309,33 @@ def test_theta_preimages_are_preimages():
             assert theta(b) == w
 
 
+def test_preimage_forms_are_normal_forms():
+    from fbt.words import enumerate_words
+
+    for w in enumerate_words(3.5):
+        forms = B._preimage_forms(w)
+        assert len(forms) == (10 if w.is_identity else 8)
+        assert [expand(nf) for nf in forms] == theta_preimages(w)
+        for nf in forms:
+            b = expand(nf)
+            assert normal_form(b) == nf
+            assert theta(b) == w
+
+
+def test_census_matches_normal_form_dedup_route():
+    # the search the census replaced: the normal form of every preimage,
+    # deduplicated by the projective matrix image, then sorted
+    from fbt.words import enumerate_words
+
+    for budget in (0.0, LOG3, 2.5, 3.5):
+        seen = {}
+        for w in enumerate_words(budget):
+            for b in theta_preimages(w):
+                seen.setdefault(matrix_image(b).projective(), normal_form(b))
+        forms = sorted(seen.values(), key=B.BraidNormalForm.sort_key)
+        assert census(budget) == [expand(nf) for nf in forms]
+
+
 def test_grammar():
     rng = random.Random(4)
     for _ in range(300):

@@ -205,11 +205,50 @@ def test_exact_input_contract_exit_code(capsys, argv):
     ("conformal", "lambda", "--kind", "rectangle"),
     ("conformal", "torus-bounds", "--alpha", "nan", "--sigma", "0.1"),
     ("config3", "in-h", "--points=-1,0,0,0,1,0", "--tol", "nan"),
+    ("config3", "in-h", "--points=nan,0,0,0,1,0"),
+    ("config3", "in-h", "--points=inf,0,0,0,1,0"),
+    ("bounds", "thm1", "--g", "0", "--m", "1", "--lambda4", "1e308"),
+    ("bounds", "prop1a", "--alpha", "1", "--sigma", "1e-310"),
+    ("bounds", "table", "--formula", "thm1", "--lambdas", "1e308"),
 ], ids=lambda argv: " ".join(argv))
 def test_bounds_conformal_config3_input_contract_exit_code(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("error:") == 1
+
+
+@pytest.mark.parametrize("op,header,row", [
+    ("decode-word", "t,re,im", "{k},nan,0.5"),
+    ("decode-braid", "t,re1,im1,re2,im2,re3,im3", "{k},nan,0.0,0.0,0.0,1.0,0.0"),
+], ids=("decode-word", "decode-braid"))
+def test_config3_decoders_refuse_non_finite_rows(tmp_path, capsys, op, header, row):
+    import cmath
+
+    path = tmp_path / "loop.csv"
+    n = 16
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for k in range(n + 1):
+            if k == n // 2:
+                fh.write(row.format(k=k) + "\n")
+                continue
+            w = cmath.exp(1j * math.pi * k / n)
+            if op == "decode-word":
+                z = 1 + 0.4 * cmath.exp(1j * (math.pi + 2 * math.pi * k / n))
+                fh.write(f"{k},{z.real!r},{z.imag!r}\n")
+            else:
+                fh.write(f"{k},{(-w).real!r},{(-w).imag!r},0.0,0.0,"
+                         f"{w.real!r},{w.imag!r}\n")
+    code, out, err = run_cli(capsys, "config3", op, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("error:") == 1
+
+
+def test_word_canon_long_power(capsys):
+    code, out, _ = run_cli(capsys, "word", "canon", "a1^100000")
+    assert code == 0
+    assert json.loads(out) == {"word": "a1^100000", "canonical": "a1^100000",
+                               "primitive": False}
 
 
 def test_dbar_kernel_overflow_exit_code(capsys):

@@ -172,3 +172,18 @@ def test_grid_csv_dump(tmp_path):
     assert len(rows) - 1 == int(dom.inside.sum())
     marks = {r[2] for r in rows[1:]}
     assert {"a", "b"} <= marks
+    # each row's mark: a (else b) if one of its four lattice neighbours is
+    # a marked cell of that side, else none
+    ny, nx = dom.inside.shape
+    nodes = [(j, i) for j in range(ny) for i in range(nx) if dom.inside[j, i]]
+    for (j, i), row in zip(nodes, rows[1:]):
+        assert float(row[0]) == dom.x0 + (i + 0.5) * dom.h
+        assert float(row[1]) == dom.y0 + (j + 0.5) * dom.h
+        near = [(j + dj, i + di) for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0))
+                if 0 <= j + dj < ny and 0 <= i + di < nx]
+        want = "none"
+        if any(dom.marked_a[p] for p in near):
+            want = "a"
+        elif any(dom.marked_b[p] for p in near):
+            want = "b"
+        assert row[2] == want

@@ -214,6 +214,71 @@ def test_cyclic_canonical_conjugation_invariant():
         assert cyclic_canonical(conjugate(u, w)) == cyclic_canonical(w)
 
 
+def _cyclically_reduce_oracle(w):
+    # the letter-slicing reduction: strip one cancelling letter pair per step
+    letters = list(w.letters())
+    pre = []
+    while len(letters) >= 2 and letters[0][0] == letters[-1][0] \
+            and letters[0][1] == -letters[-1][1]:
+        pre.append(letters[0])
+        letters = letters[1:-1]
+    return reduce(letters), reduce(pre)
+
+
+def _least_rotation_oracle(seq):
+    # brute force: the first of all n rotations that is lexicographically least
+    return min(range(len(seq)), key=lambda i: seq[i:] + seq[:i]) if seq else 0
+
+
+def _heavy_random_word(rng):
+    """Random words with proper powers, heavy conjugates and big exponents."""
+    w = random_word(rng, 14)
+    kind = rng.randrange(4)
+    if kind == 1:
+        w = power(w, rng.randrange(2, 6))
+    elif kind == 2:
+        u = reduce([(rng.choice((1, 2)), rng.randrange(-9, 10))
+                    for _ in range(rng.randrange(1, 6))])
+        w = conjugate(u, power(w, rng.randrange(1, 4)))
+    elif kind == 3:
+        w = reduce([(rng.choice((1, 2)), rng.randrange(-6, 7))
+                    for _ in range(rng.randrange(1, 8))])
+    return w
+
+
+def test_cyclic_reduction_and_rotation_match_oracles():
+    rng = random.Random(2024)
+    for _ in range(2500):
+        w = _heavy_random_word(rng)
+        v, c = W.cyclically_reduce(w)
+        assert (v, c) == _cyclically_reduce_oracle(w)
+        assert conjugate(c, v) == w
+        letters = v.letters()
+        assert W._least_rotation(letters) == _least_rotation_oracle(letters)
+        rot = _least_rotation_oracle(letters)
+        assert cyclic_canonical(w) == reduce(letters[rot:] + letters[:rot])
+        if not w.is_identity:
+            r, s = W.primitive_root(w)
+            assert power(r, s) == w
+            assert is_primitive(w) == (s == 1)
+    # periodic sequences: the first of the equal least rotations
+    for seq in ("abab", "aaaa", "baba", "abcabcab", "ba", "a", "cabcab"):
+        assert W._least_rotation(seq) == _least_rotation_oracle(seq)
+
+
+def test_cyclic_canonical_long_words():
+    # linear time: the quadratic rotation scan takes minutes on these
+    n = 100000
+    big = word((1, n))
+    assert cyclic_canonical(big) == big
+    assert not is_primitive(big)
+    assert W.primitive_root(big) == (word((1, 1)), n)
+    conj = word((2, n), (1, 1), (2, -n))
+    assert W.cyclically_reduce(conj) == (word((1, 1)), word((2, n)))
+    assert cyclic_canonical(conj) == word((1, 1))
+    assert is_primitive(conj)
+
+
 def test_is_primitive():
     assert not is_primitive(word((1, 2)))
     assert is_primitive(word((1, 1), (2, 1)))
