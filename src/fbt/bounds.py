@@ -68,6 +68,8 @@ class LogNumber:
         """Scientific decimal rendering d.ddddddddddddE+exp."""
         if self.ln == float("-inf"):
             return "0"
+        if math.ulp(self.ln) >= 1.0:  # |ln| >= 2^52: not even the leading digit is known
+            raise ValidationError(f"bound too large to print as a decimal: ln = {self.ln}")
         e10 = math.floor(self.ln / LN10)
         mant = math.exp(self.ln - e10 * LN10)
         if mant >= 10.0:  # guard the floor/exp rounding edge

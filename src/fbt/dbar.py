@@ -22,7 +22,8 @@ wp_nu (`ThetaKernel`).  The solution
 
 is computed by a tensor midpoint rule with exact analytic integration of
 the Cauchy factor over cells near the evaluation point; the smooth kernel
-remainder wp_nu(w) - 1/w is summed over blocks of cells.
+remainder wp_nu(w) - 1/w is summed exactly over Chebyshev proxy sources
+in the two support boxes of phi, on which it is analytic.
 
 The cutoff profile chi0 integrates a C^1 trapezoid of height 3/2 (the
 least possible maximum slope): chi0' rises along the cubic ramp
@@ -61,14 +62,18 @@ class KernelParams:
         if self.nu is not None and not cmath.isfinite(self.nu):
             raise ValidationError("nu must be finite")
         nv = self.nu_value
-        n = round(nv.real)
-        m = round(nv.imag / self.alpha)
-        if abs(nv - (n + 1j * m * self.alpha)) < 1e-9:
+        if abs(nv - _nearest_lattice_point(nv, self.alpha)) < 1e-9:
             raise ValidationError("nu must avoid the lattice")
 
     @property
     def nu_value(self) -> complex:
         return self.nu if self.nu is not None else 0.5 + 0.5j * self.alpha
+
+
+def _nearest_lattice_point(z, alpha: float):
+    """The point n + i alpha m of the lattice nearest to z: the lattice is
+    rectangular, so each coordinate is rounded on its own."""
+    return np.round(np.real(z)) + 1j * alpha * np.round(np.imag(z) / alpha)
 
 
 def _lattice(params: KernelParams) -> np.ndarray:
@@ -78,22 +83,22 @@ def _lattice(params: KernelParams) -> np.ndarray:
     return u[np.abs(u) > 0.5]
 
 
-def _nearest_pole(z: complex, poles: np.ndarray) -> complex:
-    return complex(poles[np.argmin(np.abs(poles - z))])
-
-
 def _check_poles(params: KernelParams, z: np.ndarray, with_nu: bool) -> None:
-    lat = np.concatenate([_lattice(params), [0.0]])
-    poles = np.concatenate([lat, lat + params.nu_value]) if with_nu else lat
+    """Refuse points within 1e-6 of a box pole u (and u + nu when with_nu),
+    |n|, |m| <= N: poles lie 1 apart, so only the nearest can be that close."""
     flat = np.atleast_1d(z).ravel()
     if not np.isfinite(flat).all():
         raise ValidationError("evaluation points must be finite")
-    d = np.abs(flat[:, None] - poles[None, :]).min(axis=1)
-    if (d < 1e-6).any():
-        bad = complex(flat[int(np.argmin(d))])
-        raise ValidationError(
-            f"evaluation point {bad} too close to kernel pole "
-            f"{_nearest_pole(bad, poles)}")
+    a, n = params.alpha, params.trunc
+    for shift in (0.0, params.nu_value) if with_nu else (0.0,):
+        u = _nearest_lattice_point(flat - shift, a)
+        in_box = (np.abs(u.real) <= n) & (np.abs(u.imag) <= a * n)
+        d = np.where(in_box, np.abs(flat - (u + shift)), np.inf)
+        k = int(np.argmin(d))
+        if d[k] < 1e-6:
+            raise ValidationError(
+                f"evaluation point {complex(flat[k])} too close to kernel pole "
+                f"{complex(u[k] + shift)}")
 
 
 @contextlib.contextmanager
@@ -358,8 +363,7 @@ def blend_and_phi(xs: np.ndarray, ys: np.ndarray, values: np.ndarray,
 
 @dataclass
 class QuadratureData:
-    centers: np.ndarray    # complex cell centers with phi != 0
-    areas: np.ndarray
+    centers: np.ndarray    # complex cell centers with phi != 0 (each of area hx hy)
     phi: np.ndarray
     hx: float
     hy: float
@@ -390,32 +394,38 @@ def quadrature_phi(g, cfg: DbarConfig) -> QuadratureData:
     if not np.isfinite(phi).all():
         raise ValidationError("g is not finite on the blending window")
     keep = phi != 0.0
-    return QuadratureData(centers[keep], np.full(int(keep.sum()), hx * hy),
-                          phi[keep], hx, hy, centers)
+    return QuadratureData(centers[keep], phi[keep], hx, hy, centers)
 
 
-def rect_cauchy_integral(x0: float, x1: float, y0: float, y1: float,
-                         w: complex) -> complex:
+def rect_cauchy_integral(x0, x1, y0, y1, w):
     """Exact integral over the rectangle of dm(zeta)/(zeta - w), by the
-    Stokes identity with the bounded primitive (conj(zeta) - conj(w))/(zeta - w)."""
-    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-    total = 0.0 + 0.0j
+    Stokes identity with the bounded primitive (conj(zeta) - conj(w))/(zeta - w),
+    elementwise; a w within 1e-14 of a corner is moved by 1e-12 (1 + i)."""
+    corners = [x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1]
+    on_corner = np.any([np.abs(c - w) < 1e-14 for c in corners], axis=0)
+    w = np.where(on_corner, w + (1e-12 + 1e-12j), w)
+    total = 0.0
     for a, b in zip(corners, corners[1:] + corners[:1]):
         aa = a - w
         d = b - a
-        if abs(aa) < 1e-14 or abs(aa + d) < 1e-14:
-            w = w + (1e-12 + 1e-12j)
-            return rect_cauchy_integral(x0, x1, y0, y1, w)
-        ell = cmath.log((aa + d) / aa)
-        total += ell * (aa.conjugate() - aa * d.conjugate() / d)
+        total += np.log((aa + d) / aa) * (np.conj(aa) - aa * np.conj(d) / d)
     return total / 2j
 
 
 # ---------------------------------------------------------------------------
 # the dbar solution
 
-# Side, in cells, of the blocks that carry the smooth kernel remainder.
-_REMAINDER_BLOCK = 4
+# Chebyshev nodes per phi support box in each direction: 100 proxy sources a box.
+_PROXY_N = 10
+
+
+def _chebyshev(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes x_j = cos(pi (j + 1/2)/n) and their Lagrange basis at t,
+    ell_j(t) = (2/n) sum_{k<n} T_k(x_j) T_k(t), k = 0 halved (discrete orthogonality)."""
+    x = np.cos(math.pi * (np.arange(n) + 0.5) / n)
+    vx = np.polynomial.chebyshev.chebvander(x, n - 1)
+    vx[:, 0] = 0.5
+    return x, (2.0 / n) * np.polynomial.chebyshev.chebvander(t, n - 1) @ vx.T
 
 
 class DbarSolution:
@@ -425,7 +435,9 @@ class DbarSolution:
     lattice; then only the kernel pole at 0 can come near the support.  The
     kernel splits into that Cauchy term, integrated exactly over cells
     within `sing_radius` of the target, and the smooth remainder
-    wp_nu(w) - 1/w, summed over 4 x 4 blocks of cells.  Targets that bring
+    wp_nu(w) - 1/w, analytic over each support box delta/2 <= |Re| <= 3 delta/2,
+    |Im| <= sigma/2, summed over its tensor Chebyshev nodes xi_j with weights
+    W_j = sum_c phi_c hx hy ell_j(c).  Targets that bring
     a pole of the nu class within reach of the support are refused.
     """
 
@@ -435,38 +447,26 @@ class DbarSolution:
         self.params = params
         self.cfg = cfg
         self.kernel = ThetaKernel(params)
-        self._blocks = self._aggregate_blocks(_REMAINDER_BLOCK)
-
-    def _aggregate_blocks(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Group cells into b x b blocks for the smooth remainder part
-        (mass-weighted centroids; the resulting error is holomorphic in the
-        evaluation point and quartically small in the block size)."""
-        c = self.quad.centers
-        pa = self.quad.phi * self.quad.areas
-        if c.size == 0:
-            return c, pa
-        kx = np.round(c.real / (b * self.quad.hx)).astype(np.int64)
-        ky = np.round(c.imag / (b * self.quad.hy)).astype(np.int64)
-        keys = kx * 10 ** 6 + ky
-        order = np.argsort(keys, kind="stable")
-        keys, c, pa = keys[order], c[order], pa[order]
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        sums = np.add.reduceat(pa, starts)
-        weights = np.abs(pa) + 1e-300
-        centroids = (np.add.reduceat(c * weights, starts)
-                     / np.add.reduceat(weights, starts))
-        return centroids, sums
+        # box coordinates (|Re| - delta)/(delta/2), Im/(sigma/2); Re < 0 is the mirror
+        d, s, c = cfg.delta, cfg.sigma, quad.centers
+        xn, lx = _chebyshev((np.abs(c.real) - d) / (d / 2), _PROXY_N)
+        yn, ly = _chebyshev(c.imag / (s / 2), _PROXY_N)
+        pa = quad.phi * (quad.hx * quad.hy)
+        right = c.real > 0
+        weights = [lx[m].T @ (pa[m, None] * ly[m]) for m in (~right, right)]
+        box = (d + d / 2 * xn)[:, None] + 1j * s / 2 * yn
+        self._proxies = (np.concatenate([-box.conj(), box]).ravel(),
+                         np.concatenate(weights).ravel())
 
     def _reduce(self, z: np.ndarray) -> np.ndarray:
         """z minus the nearest lattice point."""
-        a = self.params.alpha
-        z = z - 1j * a * np.round(z.imag / a)
-        return z - np.round(z.real)
+        return z - _nearest_lattice_point(z, self.params.alpha)
 
     def _check_nu_poles(self, zr: np.ndarray) -> None:
         """Refuse reduced targets z for which wp_nu(zeta - z) has a pole of
-        the nu class, at zeta = z + nu (mod the lattice), within block or
-        singular-cell reach of the bounding box of the support."""
+        the nu class, at zeta = z + nu (mod the lattice), within delta/2 of the
+        support's bounding box, where the proxies converge slowly (like
+        (1 + 2h/delta)^-10 for a pole at height h above a box)."""
         c, hx, hy = self.quad.centers, self.quad.hx, self.quad.hy
         if c.size == 0:
             return
@@ -476,7 +476,7 @@ class DbarSolution:
         half = 0.5 * (hi - lo)
         dist = np.hypot(np.maximum(np.abs(p.real) - half.real, 0.0),
                         np.maximum(np.abs(p.imag) - half.imag, 0.0))
-        reach = max(2.5 * max(hx, hy), _REMAINDER_BLOCK * math.hypot(hx, hy))
+        reach = 0.5 * self.cfg.delta
         if (dist < reach).any():
             k = int(np.argmin(dist))
             raise ValidationError(
@@ -509,23 +509,21 @@ class DbarSolution:
         flat = self._reduce(zz.ravel())
         self._check_nu_poles(flat)
         out = np.zeros(flat.shape, dtype=complex)
-        centers = self.quad.centers
-        phi_a = self.quad.phi * self.quad.areas
+        centers, phi = self.quad.centers, self.quad.phi
         hx, hy = self.quad.hx, self.quad.hy
-        blk_c, blk_pa = self._blocks
+        nodes, weights = self._proxies
         sing_radius = 2.5 * max(hx, hy)
         chunk = max(1, int(4e6 // max(1, centers.size)))
         for lo in range(0, flat.size, chunk):
             zc = flat[lo:lo + chunk]
-            acc = (blk_pa * self.kernel.regular(blk_c[None, :] - zc[:, None])).sum(axis=1)
             w0 = centers[None, :] - zc[:, None]
             near = np.abs(w0) < sing_radius
-            terms = phi_a[None, :] / np.where(near, 1.0, w0)
-            for r, c in zip(*np.nonzero(near)):
-                x, y = centers[c].real, centers[c].imag
-                terms[r, c] = self.quad.phi[c] * rect_cauchy_integral(
-                    x - hx / 2, x + hx / 2, y - hy / 2, y + hy / 2, zc[r])
-            acc += terms.sum(axis=1)
+            terms = phi * (hx * hy) / np.where(near, 1.0, w0)
+            r, c = np.nonzero(near)
+            x, y = centers.real[c], centers.imag[c]
+            terms[r, c] = phi[c] * rect_cauchy_integral(
+                x - hx / 2, x + hx / 2, y - hy / 2, y + hy / 2, zc[r])
+            acc = terms.sum(axis=1) + self.kernel.regular(nodes - zc[:, None]) @ weights
             out[lo:lo + chunk] = -acc / math.pi
         out = out.reshape(zz.shape)
         return out if out.shape != (1,) or np.ndim(z) else complex(out[0])
@@ -533,8 +531,10 @@ class DbarSolution:
 
 def solve_dbar(quad: QuadratureData, params: KernelParams,
                cfg: DbarConfig) -> DbarSolution:
-    if quad.centers.size and (np.abs(quad.centers.real) > 1.5 * cfg.delta + 1e-12).any():
-        raise ValidationError("phi support must lie inside Q")
+    c, d = quad.centers, cfg.delta
+    outside = np.maximum(np.abs(np.abs(c.real) - d) - d / 2, np.abs(c.imag) - cfg.sigma / 2)
+    if (outside > 1e-12).any():
+        raise ValidationError("phi support must lie inside the two blending boxes")
     min_h = min(quad.hx, quad.hy)
     if min_h > cfg.sigma / 2:
         raise NumericalError(

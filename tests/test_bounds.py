@@ -60,6 +60,11 @@ def test_lognumber_decimal_round_trip():
         back = LogNumber.parse_decimal(x.decimal())
         assert back.ln == pytest.approx(ln, abs=1e-12 * max(1.0, abs(ln)))
     assert LogNumber.zero().decimal() == "0"
+    # from |ln| = 2^52 on, ulp(ln) >= 1 and the mantissa would be noise
+    LogNumber(math.nextafter(2.0 ** 52, 0)).decimal()
+    for ln in (2.0 ** 52, 1e16, -1e16, 7.5e307):
+        with pytest.raises(ValidationError, match="too large to print"):
+            LogNumber(ln).decimal()
 
 
 def test_trivial_lambda_values_exact():

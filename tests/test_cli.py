@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -210,11 +212,22 @@ def test_exact_input_contract_exit_code(capsys, argv):
     ("bounds", "thm1", "--g", "0", "--m", "1", "--lambda4", "1e308"),
     ("bounds", "prop1a", "--alpha", "1", "--sigma", "1e-310"),
     ("bounds", "table", "--formula", "thm1", "--lambdas", "1e308"),
+    # |ln| >= 2^52: the stored logarithm no longer fixes even the leading digit
+    ("bounds", "thm1", "--g", "0", "--m", "1", "--lambda4", "1e306"),
+    ("bounds", "thm1", "--g", "0", "--m", "1", "--lambda4", "1e14"),
+    ("bounds", "table", "--formula", "thm1", "--lambdas", "1e306"),
 ], ids=lambda argv: " ".join(argv))
 def test_bounds_conformal_config3_input_contract_exit_code(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("error:") == 1
+
+
+def test_bounds_largest_printable_lambda(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "thm1", "--g", "0", "--m", "1",
+                           "--lambda4", "1e13")
+    assert code == 0
+    assert json.loads(out)["bound"]["decimal"].endswith("E+327450324922042")
 
 
 @pytest.mark.parametrize("op,header,row", [
@@ -286,3 +299,41 @@ def test_json_round_trip(capsys):
     _, out, _ = run_cli(capsys, "word", "linv", "a1^3 a2^-1 a1")
     data = json.loads(out)
     assert json.loads(json.dumps(data)) == data
+
+
+def _readme_cli_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.strip() for line in block.splitlines() if line.startswith("fbt ")]
+
+
+def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
+    import cmath
+
+    n = 128
+    with open(tmp_path / "loop.csv", "w") as fh:
+        fh.write("t,re,im\n")
+        for k in range(n + 1):
+            z = 1 + 0.4 * cmath.exp(1j * (math.pi + 2 * math.pi * k / n))
+            fh.write(f"{k},{z.real!r},{z.imag!r}\n")
+    with open(tmp_path / "strands.csv", "w") as fh:
+        fh.write("t,re1,im1,re2,im2,re3,im3\n")
+        for k in range(n + 1):
+            w = cmath.exp(1j * math.pi * k / n)
+            fh.write(f"{k},{(-w).real!r},{(-w).imag!r},0.0,0.0,{w.real!r},{w.imag!r}\n")
+    (tmp_path / "domain.json").write_text('{"kind": "round", "params": {"r": 1.0, "R": 2.0}}')
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_cli_commands()
+    assert len(commands) == 20
+    for command in commands:
+        code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+        assert code == 0, (command, err)
+        if "--table" in command or " table " in command:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert len(rows) >= 2 and all(len(r) == len(rows[0]) for r in rows), command
+            assert not any(cell.replace(".", "").isdigit() for cell in rows[0]), command
+        else:
+            assert out.endswith("\n") and out.count("\n") == 1, command
+            json.loads(out)
+    with open(tmp_path / "circle.csv") as fh:
+        assert fh.readline() == "re_z,im_z,re_f,im_f\n"

@@ -1,4 +1,6 @@
+import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -144,6 +146,41 @@ def test_pole_proximity_error():
         wp_nu(p, p.nu_value + 1e-8)
 
 
+def _all_poles_scan(params, z, with_nu):
+    """The nearest box pole of the truncated sum to z and its distance, by
+    measuring z against every pole (the former guard, kept as the oracle)."""
+    lat = np.concatenate([D._lattice(params), [0.0]])
+    poles = np.concatenate([lat, lat + params.nu_value]) if with_nu else lat
+    k = int(np.argmin(np.abs(poles - z)))
+    return complex(poles[k]), float(abs(poles[k] - z))
+
+
+def test_pole_guard_matches_all_poles_scan():
+    # points at and around every lattice and nu-class point of the box and
+    # of the ring just outside it, on both sides of the 1e-6 threshold
+    p = KernelParams(1.3, trunc=6)
+    n = p.trunc + 1
+    offsets = (0.0, 4e-7 + 3e-7j, -9.99e-7j, 1.0001e-6, -2e-6 + 1e-6j)
+    refused = 0
+    for with_nu in (False, True):
+        for shift in (0.0, p.nu_value) if with_nu else (0.0,):
+            for i in range(-n, n + 1):
+                for j in range(-n, n + 1):
+                    for off in offsets:
+                        z = i + 1j * p.alpha * j + shift + off
+                        pole, dist = _all_poles_scan(p, z, with_nu)
+                        if dist < 1e-6:
+                            refused += 1
+                            msg = re.escape(f"{z} too close to kernel pole {pole}")
+                            with pytest.raises(ValidationError, match=msg):
+                                D._check_poles(p, np.array([0.2 + 0.3j, z]), with_nu)
+                        else:
+                            D._check_poles(p, np.array([0.2 + 0.3j, z]), with_nu)
+    assert refused == 3 * (2 * p.trunc + 1) ** 2 * 3
+    with pytest.raises(ValidationError, match="finite"):
+        D._check_poles(p, np.array([0.2, np.nan]), False)
+
+
 def test_kernel_params_validation():
     with pytest.raises(ValidationError):
         KernelParams(0.5)
@@ -271,6 +308,79 @@ def test_rect_cauchy_integral_against_midpoint():
         zz = xs[None, :] + 1j * ys[:, None]
         brute = (1.0 / (zz - w)).sum() * (1.0 / n) * (0.5 / (n // 2))
         assert abs(exact - brute) < 5e-3 * max(1.0, abs(brute))
+
+
+def _rect_cauchy_scalar(x0, x1, y0, y1, w):
+    """The former scalar rect_cauchy_integral (cmath, recursive retry off a
+    corner), kept as the oracle for the elementwise one."""
+    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+    total = 0.0 + 0.0j
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        aa = a - w
+        d = b - a
+        if abs(aa) < 1e-14 or abs(aa + d) < 1e-14:
+            return _rect_cauchy_scalar(x0, x1, y0, y1, w + (1e-12 + 1e-12j))
+        total += cmath.log((aa + d) / aa) * (aa.conjugate() - aa * d.conjugate() / d)
+    return total / 2j
+
+
+def test_rect_cauchy_integral_elementwise():
+    rng = np.random.default_rng(5)
+    x0, y0 = rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40)
+    x1, y1 = x0 + rng.uniform(0.01, 0.5, 40), y0 + rng.uniform(0.01, 0.5, 40)
+    w = x0 + rng.uniform(-0.5, 1, 40) + 1j * (y0 + rng.uniform(-0.5, 1, 40))
+    w[:4] = [x0[0] + 1j * y0[0], x1[1] + 1j * y1[1],  # on a corner
+             0.5 * (x0[2] + x1[2]) + 1j * y0[2], x1[3] + 1j * (0.3 * y0[3] + 0.7 * y1[3])]
+    vals = rect_cauchy_integral(x0, x1, y0, y1, w)
+    assert vals.shape == w.shape
+    for k in range(w.size):
+        args = (x0[k], x1[k], y0[k], y1[k], w[k])
+        # one dtype rounding apart: numpy's array and scalar loops may differ
+        assert abs(vals[k] - rect_cauchy_integral(*args)) <= 1e-15 * max(1.0, abs(vals[k]))
+        assert abs(vals[k] - _rect_cauchy_scalar(*args)) <= 1e-13 * max(1.0, abs(vals[k]))
+
+
+def _per_cell_f(sol, z):
+    """f with the exact smooth remainder on every cell and the exact Cauchy
+    integral (scalar oracle) on every cell the solver treats as near."""
+    q = sol.quad
+    hx, hy = q.hx, q.hy
+    w0 = q.centers[None, :] - z[:, None]
+    near = np.abs(w0) < 2.5 * max(hx, hy)
+    terms = q.phi * hx * hy * (sol.kernel.regular(w0) + 1.0 / np.where(near, 1.0, w0))
+    for r, c in zip(*np.nonzero(near)):
+        x, y = q.centers[c].real, q.centers[c].imag
+        terms[r, c] = q.phi[c] * (hx * hy * sol.kernel.regular(w0[r, c]) + _rect_cauchy_scalar(
+            x - hx / 2, x + hx / 2, y - hy / 2, y + hy / 2, z[r]))
+    return -terms.sum(axis=1) / math.pi
+
+
+def test_f_matches_per_cell_reference():
+    cfg = DbarConfig(eps=0.05, delta=0.1, quad_n=120)
+    params = KernelParams(1.0)
+    sol = solve_dbar(quadrature_phi(demo_g(1.0, 1, 1, 0.2), cfg), params, cfg)
+    z = D.cross_grid(params, cfg, along=41, across=5)
+    assert sol.quad.centers.size == 480 and z.size == 410
+    f = sol.f(z)
+    assert np.abs(f - _per_cell_f(sol, z)).max() <= 1e-12 * np.abs(f).max()
+
+
+def test_f_near_nu_pole_accurate_or_refused():
+    # targets whose nu-class pole lies at height h above the middle of the
+    # support: refused below delta/2, where the proxy sums converge slowly,
+    # and close to the per-cell sum just beyond it
+    cfg = DbarConfig(eps=0.05, delta=0.1, quad_n=120)
+    params = KernelParams(1.0)
+    sol = solve_dbar(quadrature_phi(demo_g(1.0, 1, 1, 0.2), cfg), params, cfg)
+    top = sol.quad.centers.imag.max() + sol.quad.hy / 2
+    for h in (0.45, 0.55, 0.8):
+        z = np.array([0.1 + 1j * (top + h * cfg.delta)]) - params.nu_value
+        if h < 0.5:
+            with pytest.raises(ValidationError, match="too close to kernel pole"):
+                sol.f(z)
+            continue
+        f = sol.f(z)
+        assert np.abs(f - _per_cell_f(sol, z)).max() <= 1e-5 * np.abs(f).max()
 
 
 def test_phi_zero_gives_f_zero():
