@@ -8,7 +8,8 @@ Subcommands:
   dbar kernel|solve|demo
   bounds thm1|thm2|thm3|prop1a|prop1b|table
 
-Exit codes: 0 success, 2 validation error, 3 numeric non-convergence.
+Exit codes: 0 success, 2 validation error (including a file that cannot
+be read or written), 3 numeric non-convergence.
 Output is JSON (or CSV for tables); identical argv give byte-identical
 stdout.  FBT_THREADS caps the BLAS thread pools used by
 the numeric backends.
@@ -171,7 +172,11 @@ def _cmd_conformal(args) -> int:
     if args.op == "lambda":
         if getattr(args, "spec_file", None):
             with open(args.spec_file) as fh:
-                spec = Cf.spec_from_json(json.load(fh))
+                try:
+                    data = json.load(fh)
+                except ValueError as exc:
+                    raise ValidationError(f"bad domain file: {exc}") from None
+            spec = Cf.spec_from_json(data)
         elif args.kind:
             spec = _spec_from_args(args)
         else:
@@ -437,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _DISPATCH[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except NumericalError as exc:

@@ -14,21 +14,24 @@ with the segment acting as the spanning-tree edge (no letter emitted).
 A counterclockwise loop around -1 crosses (-inf,-1) once downward and
 reads a1; around 1 it crosses (1,inf) once upward and reads a2.
 
-decode_braid reads a geometric braid from strand trajectories: after a
-generic rotation of the plane, x-coordinate coincidences of linearly
-interpolated strands give the crossing events; the strand arriving from
-the right passing above the other yields a positive Artin letter.
-Simultaneous events (a collinear configuration rotating through vertical)
-are resolved by bubble decomposition, which is well defined up to the
-braid relation.
+decode_braid reads a geometric braid from an (n, 3) array of strands,
+labelled by matching each point to the nearest point of the next sample.
+After a generic rotation, sign changes of the pairwise x-differences give
+the crossing events of all steps in one pass; the strand arriving from the
+right passing above the other yields a positive Artin letter.  Simultaneous
+events (a collinear configuration rotating through vertical) are resolved
+by bubble decomposition, well defined up to the braid relation.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .braid import B3, BraidWord
 from .errors import ValidationError
@@ -38,6 +41,18 @@ CLEARANCE = 1e-9
 IN_H_TOL = 1e-9
 CLOSE_TOL = 1e-12
 _RETRIES = 8  # generic projection angles tried by decode_braid
+
+
+def _refuse_overflow(fn):
+    """Refuse finite coordinates whose differences or quotients overflow."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return fn(*args, **kwargs)
+        except (OverflowError, FloatingPointError):
+            raise ValidationError("coordinates too large: the arithmetic overflows") from None
+    return checked
 
 
 @dataclass(frozen=True)
@@ -53,10 +68,6 @@ class Triple:
         object.__setattr__(self, "points", pts)
         if len({(z.real, z.imag) for z in pts}) != 3:
             raise ValidationError("triple points must be pairwise distinct")
-
-    def min_gap(self) -> float:
-        a, b, c = self.points
-        return min(abs(a - b), abs(a - c), abs(b - c))
 
 
 def triple(z1: complex, z2: complex, z3: complex) -> Triple:
@@ -109,6 +120,7 @@ def affine_normalize(t: Triple, anchors: tuple[complex, complex]) -> tuple[Tripl
 class PlaneLoop:
     samples: tuple[complex, ...]
 
+    @_refuse_overflow
     def __post_init__(self):
         if len(self.samples) < 2:
             raise ValidationError("loop needs at least two samples")
@@ -125,6 +137,7 @@ def plane_loop(samples: Sequence[complex]) -> PlaneLoop:
     return PlaneLoop(tuple(complex(z) for z in samples))
 
 
+@_refuse_overflow
 def compose_loops(l1: PlaneLoop, l2: PlaneLoop) -> PlaneLoop:
     if abs(l1.samples[-1] - l2.samples[0]) > CLOSE_TOL:
         raise ValidationError("loops do not share a base point")
@@ -135,37 +148,32 @@ def reverse_loop(l: PlaneLoop) -> PlaneLoop:
     return PlaneLoop(tuple(reversed(l.samples)))
 
 
+@_refuse_overflow
 def decode_word(loop: PlaneLoop) -> FreeWord:
     """Reduced word of the loop in pi_1 of the twice punctured plane."""
-    letters: list[tuple[int, int]] = []
-    prev = loop.samples[0]
-    prev_state = 1 if prev.imag >= 0 else -1
-    for z in loop.samples[1:]:
-        state = 1 if z.imag >= 0 else -1
-        if state != prev_state:
-            t = prev.imag / (prev.imag - z.imag)
-            x = prev.real + t * (z.real - prev.real)
-            if abs(x - 1.0) < CLEARANCE or abs(x + 1.0) < CLEARANCE:
-                raise ValidationError("crossing too close to a puncture")
-            down = prev_state > 0
-            if x < -1.0:
-                letters.append((1, 1 if down else -1))
-            elif x > 1.0:
-                letters.append((2, -1 if down else 1))
-            # the middle segment is the spanning-tree edge: no letter
-        prev, prev_state = z, state
-    return reduce_word(letters)
+    z = np.array(loop.samples)
+    up = z.imag >= 0
+    k = np.flatnonzero(up[:-1] != up[1:])
+    a, b = z[k], z[k + 1]
+    t = a.imag / (a.imag - b.imag)
+    x = a.real + t * (b.real - a.real)
+    if np.any((np.abs(x - 1.0) < CLEARANCE) | (np.abs(x + 1.0) < CLEARANCE)):
+        raise ValidationError("crossing too close to a puncture")
+    # a downward crossing reads a1 on (-inf,-1) and a2^-1 on (1,inf); the
+    # middle segment is the spanning-tree edge: no letter
+    sign, left = np.where(up[k], 1, -1), x < -1.0
+    keep = left | (x > 1.0)
+    return reduce_word(list(zip(np.where(left, 1, 2)[keep].tolist(),
+                                np.where(left, sign, -sign)[keep].tolist())))
 
 
+@_refuse_overflow
 def winding_numbers(loop: PlaneLoop) -> tuple[int, int]:
     """Winding numbers about -1 and 1 (an independent abelianized oracle)."""
-    out = []
-    for p in (-1.0, 1.0):
-        total = 0.0
-        for za, zb in zip(loop.samples, loop.samples[1:]):
-            total += cmath.phase((zb - p) / (za - p))
-        out.append(round(total / (2 * math.pi)))
-    return out[0], out[1]
+    z = np.array(loop.samples)
+    w1, w2 = (np.angle((z[1:] - p) / (z[:-1] - p)).sum() / (2 * math.pi)
+              for p in (-1.0, 1.0))
+    return round(w1), round(w2)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +184,7 @@ def winding_numbers(loop: PlaneLoop) -> tuple[int, int]:
 class ConfigLoop:
     samples: tuple[Triple, ...]
 
+    @_refuse_overflow
     def __post_init__(self):
         if len(self.samples) < 2:
             raise ValidationError("loop needs at least two samples")
@@ -188,6 +197,7 @@ def config_loop(samples: Sequence[Triple]) -> ConfigLoop:
     return ConfigLoop(tuple(samples))
 
 
+@_refuse_overflow
 def compose_config_loops(l1: ConfigLoop, l2: ConfigLoop) -> ConfigLoop:
     a, b = l1.samples[-1].points, l2.samples[0].points
     if any(abs(x - y) > 1e-9 for x, y in zip(a, b)):
@@ -199,62 +209,50 @@ def reverse_config_loop(l: ConfigLoop) -> ConfigLoop:
     return ConfigLoop(tuple(reversed(l.samples)))
 
 
-_PERMS3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _track_strands(samples: Sequence[Triple]) -> list[tuple[complex, complex, complex]]:
-    """Assign consistent strand labels by nearest-point matching."""
-    tracks = [samples[0].points]
-    for idx in range(1, len(samples)):
-        prev = tracks[-1]
-        cur = samples[idx].points
-        gap = min(samples[idx].min_gap(), samples[idx - 1].min_gap())
-        best, best_cost = None, None
-        for perm in _PERMS3:
-            cost = max(abs(prev[i] - cur[perm[i]]) for i in range(3))
-            if best_cost is None or cost < best_cost:
-                best, best_cost = perm, cost
-        if best_cost >= gap / 2:
-            raise ValidationError(f"tracking condition violated at sample {idx}")
-        tracks.append(tuple(cur[best[i]] for i in range(3)))
-    return tracks
-
-
-def _crossing_events(p0: Sequence[complex], p1: Sequence[complex]):
-    """Pairwise x-coincidence times of linearly interpolated strands."""
-    events = []
-    for u in range(3):
-        for v in range(u + 1, 3):
-            d0 = p0[u].real - p0[v].real
-            d1 = p1[u].real - p1[v].real
-            if d0 == 0.0 and d1 == 0.0:
-                raise _NonGeneric("parallel strands in projection")
-            if d0 == 0.0:
-                raise _NonGeneric("coincidence at a sample time")
-            if d0 * d1 < 0.0:
-                tau = d0 / (d0 - d1)
-                events.append((tau, u, v))
-    events.sort(key=lambda e: e[0])
-    return events
+def _track_strands(samples: Sequence[Triple]) -> np.ndarray:
+    """Strands as rows of samples.  A step must match points to their nearest
+    points bijectively, each moving less than half the smaller minimum gap
+    of the two triples: then it is the only matching within that bound."""
+    pts = np.array([t.points for t in samples])
+    a, b, c = pts.T
+    gap = np.minimum(np.minimum(np.abs(a - b), np.abs(a - c)), np.abs(b - c))
+    dist = np.abs(pts[:-1, :, None] - pts[1:, None, :])
+    nearest = dist.argmin(axis=2)
+    ok = (np.sort(nearest, axis=1) == (0, 1, 2)).all(axis=1) & \
+        (dist.min(axis=2).max(axis=1) < np.minimum(gap[:-1], gap[1:]) / 2)
+    if not ok.all():
+        raise ValidationError(f"tracking condition violated at sample {ok.argmin() + 1}")
+    # compose the labels only where the matching permutes the points
+    moved = (nearest != (0, 1, 2)).any(axis=1)
+    perms = [np.arange(3)]
+    for k in np.flatnonzero(moved):
+        perms.append(nearest[k][perms[-1]])
+    labels = np.array(perms)[np.r_[0, np.cumsum(moved)]]
+    return np.take_along_axis(pts, labels, axis=1)
 
 
 class _NonGeneric(Exception):
     pass
 
 
+@_refuse_overflow
 def decode_braid(loop: ConfigLoop, ambient: str = B3) -> BraidWord:
     """Braid of a sampled loop in the symmetrized configuration space."""
     tracks = _track_strands(loop.samples)
     for attempt in range(_RETRIES):
         # deterministic pseudo-random generic angles (golden-angle sequence)
         beta = 0.7548776662466927 + attempt * 2.399963229728653
-        rot = cmath.exp(-1j * beta)
-        rotated = [tuple(rot * z for z in tri) for tri in tracks]
+        rotated = tracks * cmath.exp(-1j * beta)
         try:
             letters, start_order, final_order = _read_crossings(rotated)
             # closure consistency: the final x-order must be the initial one
             # relabelled by the strand permutation of the closed loop
-            perm = _closure_permutation(rotated[0], rotated[-1])
+            perm = np.abs(rotated[-1][:, None] - rotated[0]).argmin(axis=1).tolist()
+            if sorted(perm) != [0, 1, 2]:
+                raise ValidationError("loop endpoints do not match as configurations")
             if [perm[i] for i in final_order] != start_order:
                 raise _NonGeneric("crossing count inconsistent with closure")
         except _NonGeneric:
@@ -263,52 +261,45 @@ def decode_braid(loop: ConfigLoop, ambient: str = B3) -> BraidWord:
     raise ValidationError(f"non-generic projection after {_RETRIES} retries")
 
 
-def _closure_permutation(first, last) -> tuple[int, int, int]:
-    perm = []
-    for z in last:
-        j = min(range(3), key=lambda i: abs(z - first[i]))
-        perm.append(j)
-    if sorted(perm) != [0, 1, 2]:
-        raise ValidationError("loop endpoints do not match as configurations")
-    return tuple(perm)
-
-
-def _read_crossings(tracks: list[tuple[complex, complex, complex]]):
-    order = sorted(range(3), key=lambda i: tracks[0][i].real)
-    if tracks[0][order[0]].real == tracks[0][order[1]].real or \
-            tracks[0][order[1]].real == tracks[0][order[2]].real:
-        raise _NonGeneric("x-tie at the base point")
+def _read_crossings(tracks: np.ndarray):
+    """Letters of the x-crossings, and the first and last x-orders of strands."""
+    d = tracks.real[:, [0, 0, 1]] - tracks.real[:, [1, 2, 2]]  # the _PAIRS
+    if not d[:-1].all():
+        raise _NonGeneric("x-tie at a sample time")
+    step, pair = np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
+    tau = d[step, pair] / (d[step, pair] - d[step + 1, pair])
+    events = sorted(zip(step.tolist(), tau.tolist(), pair.tolist()))
+    order = tracks[0].real.argsort().tolist()
     start_order = list(order)
     letters: list[tuple[str, int]] = []
-    for p0, p1 in zip(tracks, tracks[1:]):
-        events = _crossing_events(p0, p1)
-        i = 0
-        while i < len(events):
-            # group events at equal times (collinear configurations rotating
-            # through vertical) and resolve the block by bubble swaps
-            j = i + 1
-            while j < len(events) and events[j][0] - events[i][0] < 1e-12:
-                j += 1
-            block = {frozenset(e[1:]) for e in events[i:j]}
-            tau = events[i][0]
-            progressed = True
-            while block and progressed:
-                progressed = False
-                for pos in range(2):
-                    u, v = order[pos], order[pos + 1]
-                    if frozenset((u, v)) in block:
-                        yu = (1 - tau) * p0[u].imag + tau * p1[u].imag
-                        yv = (1 - tau) * p0[v].imag + tau * p1[v].imag
-                        if yu == yv:
-                            raise _NonGeneric("y-tie at a crossing")
-                        sign = 1 if yv > yu else -1
-                        letters.append((f"s{pos + 1}", sign))
-                        order[pos], order[pos + 1] = v, u
-                        block.remove(frozenset((u, v)))
-                        progressed = True
-            if block:
-                raise _NonGeneric("non-adjacent swap; sampling too coarse")
-            i = j
+    i = 0
+    while i < len(events):
+        # group events at equal times of a step (collinear configurations
+        # rotating through vertical) and resolve the block by bubble swaps
+        k, tau, _ = events[i]
+        j = i + 1
+        while j < len(events) and events[j][0] == k and events[j][1] - tau < 1e-12:
+            j += 1
+        block = {frozenset(_PAIRS[e[2]]) for e in events[i:j]}
+        y0, y1 = tracks[k].imag.tolist(), tracks[k + 1].imag.tolist()
+        progressed = True
+        while block and progressed:
+            progressed = False
+            for pos in range(2):
+                u, v = order[pos], order[pos + 1]
+                if frozenset((u, v)) in block:
+                    yu = (1 - tau) * y0[u] + tau * y1[u]
+                    yv = (1 - tau) * y0[v] + tau * y1[v]
+                    if yu == yv:
+                        raise _NonGeneric("y-tie at a crossing")
+                    sign = 1 if yv > yu else -1
+                    letters.append((f"s{pos + 1}", sign))
+                    order[pos], order[pos + 1] = v, u
+                    block.remove(frozenset((u, v)))
+                    progressed = True
+        if block:
+            raise _NonGeneric("non-adjacent swap; sampling too coarse")
+        i = j
     return _merge_syllables(letters), start_order, order
 
 
@@ -317,33 +308,41 @@ def _read_crossings(tracks: list[tuple[complex, complex, complex]]):
 
 
 def load_plane_loop(path: str) -> PlaneLoop:
-    rows = _read_csv(path, ("t", "re", "im"))
-    if abs(rows[0][1] - rows[-1][1]) > CLOSE_TOL or \
-            abs(rows[0][2] - rows[-1][2]) > CLOSE_TOL:
+    pts = _read_csv(path, ("t", "re", "im"))[:, 0].tolist()
+    if abs(pts[0].real - pts[-1].real) > CLOSE_TOL or \
+            abs(pts[0].imag - pts[-1].imag) > CLOSE_TOL:
         raise ValidationError("first and last rows must agree")
-    return plane_loop([complex(r[1], r[2]) for r in rows])
+    return plane_loop(pts)
 
 
 def load_config_loop(path: str) -> ConfigLoop:
     # closure is checked on unordered triples (strands may permute)
     rows = _read_csv(path, ("t", "re1", "im1", "re2", "im2", "re3", "im3"))
-    return config_loop([
-        triple(complex(r[1], r[2]), complex(r[3], r[4]), complex(r[5], r[6]))
-        for r in rows])
+    return config_loop([triple(*pts) for pts in rows.tolist()])
 
 
-def _read_csv(path: str, header: tuple[str, ...]) -> list[list[float]]:
+def _read_csv(path: str, header: tuple[str, ...]) -> np.ndarray:
+    """The points of a loop file: one row of complex numbers per sample."""
     import csv
+    from array import array
 
+    vals = array("d")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        head = next(reader, None)
-        if head is None or [h.strip() for h in head] != list(header):
-            raise ValidationError(f"expected CSV header {','.join(header)}")
-        rows = [[float(x) for x in row] for row in reader if row]
+        try:
+            reader = csv.reader(fh)
+            head = next(reader, None)
+            if head is None or [h.strip() for h in head] != list(header):
+                raise ValueError(f"expected CSV header {','.join(header)}")
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ValueError(f"rows need {len(header)} fields")
+                vals.extend(map(float, row))
+        except (ValueError, csv.Error) as exc:  # also undecodable bytes
+            raise ValidationError(f"bad loop file: {exc}") from None
+    rows = np.frombuffer(vals).reshape(-1, len(header))
     if len(rows) < 2:
         raise ValidationError("loop file needs at least two rows")
-    ts = [r[0] for r in rows]
-    if any(b <= a for a, b in zip(ts, ts[1:])):
+    ts = rows[:, 0].tolist()
+    if not all(b > a for a, b in zip(ts, ts[1:])):
         raise ValidationError("t column must be strictly increasing")
-    return rows
+    return np.ascontiguousarray(rows[:, 1:]).view(complex)

@@ -433,7 +433,9 @@ def spec_from_json(data: dict) -> AnnulusSpec:
             return rectangle(float(p["a"]), float(p["b"]))
         if kind == "flat-cylinder":
             return flat_cylinder(float(p["circumference"]), float(p["height"]))
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad domain file: {exc}") from None
     raise ValidationError(f"unknown annulus kind {data.get('kind')!r}")
 

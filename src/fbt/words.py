@@ -394,8 +394,8 @@ def tuple_canonical(t: MonodromyTuple) -> MonodromyTuple:
 
     Strategy: send the first non-identity entry to its cyclic canonical form;
     the remaining freedom is the centralizer of that form (powers of its
-    primitive root), which is scanned for the key-minimal tuple.  Outputs are
-    equal iff the tuples are simultaneously conjugate.
+    primitive root), searched for the key-minimal tuple.  Outputs are equal
+    iff the tuples are simultaneously conjugate.
     """
     entries = t.entries
     if all(w.is_identity for w in entries):
@@ -410,33 +410,25 @@ def tuple_canonical(t: MonodromyTuple) -> MonodromyTuple:
     # w0 = conj(c, v) = conj(c p, target)  =>  u0 = (c p)^-1
     u0 = invert(concat(c, p))
     root, _ = primitive_root(target)
-
-    def conj_all(u: FreeWord) -> tuple[FreeWord, ...]:
-        return tuple(conjugate(u, w) for w in entries)
-
-    base = conj_all(u0)
+    base = tuple(conjugate(u0, w) for w in entries)
     if all(conjugate(root, cw) == cw for cw in base):
-        # everything commutes with the root: the scan is constant
+        # everything commutes with the root: the search is constant
         return MonodromyTuple(base, t.genus, t.holes_minus_one)
 
-    window = max(2, sum(w.letter_length() for w in base)) + 1
-    best = None
-    best_k = 0
-    k_lo, k_hi = -window, window
-    while True:
-        for k in range(k_lo, k_hi + 1):
-            cand = conj_all(concat(power(root, k), u0))
-            key = _tuple_key(cand)
-            if best is None or key < best[0]:
-                best = (key, cand)
-                best_k = k
-        if k_lo < best_k < k_hi:
-            break
-        # widen until the minimizer is interior
-        k_lo, k_hi = k_lo - window, k_hi + window
-        if k_hi > 64 * window:
-            raise AssertionError("conjugator scan failed to stabilize")
-    return MonodromyTuple(best[1], t.genus, t.holes_minus_one)
+    # k -> total letter length of the tuple conjugated by root^k is convex:
+    # each term is the distance between two points moving at equal speed
+    # along geodesics of the Cayley tree.  Walk downhill both ways from
+    # k = 0 over the flat minimum, then take the key-minimal tuple.
+    def length(tup: tuple[FreeWord, ...]) -> int:
+        return sum(w.letter_length() for w in tup)
+
+    seen = [base]
+    for r in (root, invert(root)):
+        cur = base
+        while length(nxt := tuple(conjugate(r, w) for w in cur)) <= length(cur):
+            seen.append(nxt)
+            cur = nxt
+    return MonodromyTuple(min(seen, key=_tuple_key), t.genus, t.holes_minus_one)
 
 
 # ---------------------------------------------------------------------------

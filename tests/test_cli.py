@@ -6,6 +6,7 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbt.cli import main
 
@@ -233,7 +234,17 @@ def test_bounds_largest_printable_lambda(capsys):
 @pytest.mark.parametrize("op,header,row", [
     ("decode-word", "t,re,im", "{k},nan,0.5"),
     ("decode-braid", "t,re1,im1,re2,im2,re3,im3", "{k},nan,0.0,0.0,0.0,1.0,0.0"),
-], ids=("decode-word", "decode-braid"))
+    ("decode-word", "t,re,im", "{k},abc,0.5"),
+    ("decode-word", "t,re,im", "{k},0.5"),
+    ("decode-word", "t,re,im", "{k},1.5,0.5,7"),
+    ("decode-braid", "t,re1,im1,re2,im2,re3,im3", "{k},0.0,-1.0,0.0,0.0,0.0,x"),
+    ("decode-braid", "t,re1,im1,re2,im2,re3,im3", "{k},0.0,-1.0,0.0,0.0,0.0"),
+    ("decode-braid", "t,re1,im1,re2,im2,re3,im3", "{k},0.0,-1.0,0.0,0.0,0.0,1.0,0.0"),
+    ("decode-word", "t,re,im", "{k},1.7e308,1.7e308"),
+    ("decode-braid", "t,re1,im1,re2,im2,re3,im3", "{k},1.5e308,1.5e308,0.0,0.0,0.0,1.0"),
+], ids=("decode-word", "decode-braid", "word-non-numeric", "word-short-row",
+        "word-long-row", "braid-non-numeric", "braid-short-row", "braid-long-row",
+        "word-huge", "braid-huge"))
 def test_config3_decoders_refuse_non_finite_rows(tmp_path, capsys, op, header, row):
     import cmath
 
@@ -255,6 +266,32 @@ def test_config3_decoders_refuse_non_finite_rows(tmp_path, capsys, op, header, r
     code, out, err = run_cli(capsys, "config3", op, str(path))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("error:") == 1
+
+
+@pytest.mark.parametrize("argv,files", [
+    (["conformal", "lambda", "--spec-file", "dom.json"],
+     {"dom.json": '{"kind": "round", "params": {"r": "one", "R": 2.0}}'}),
+    (["conformal", "lambda", "--spec-file", "dom.json"],
+     {"dom.json": '{"kind": "round", '}),
+    (["conformal", "lambda", "--spec-file", "missing.json"], {}),
+    (["config3", "decode-word", "missing.csv"], {}),
+    (["config3", "decode-braid", "missing.csv"], {}),
+    (["dbar", "demo", "--sigma", "0.01", "--target", "a1^2",
+      "--dump", "missing-dir/samples.csv"], {}),
+    (["config3", "decode-word", "loop.csv"],
+     {"loop.csv": b"t,re,im\n0,0.6,0\n\xff\xfe,1,2\n0,0.6,0\n"}),
+    (["config3", "decode-word", "loop.csv"],
+     {"loop.csv": "t,re,im\n0," + "1" * 200000 + ",0\n1,0.6,0\n"}),
+], ids=("spec-non-numeric", "spec-malformed-json", "spec-missing",
+        "word-missing", "braid-missing", "dump-unwritable", "csv-undecodable",
+        "csv-huge-field"))
+def test_file_input_contract_exit_code(tmp_path, monkeypatch, capsys, argv, files):
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_word_canon_long_power(capsys):
@@ -337,3 +374,54 @@ def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
             json.loads(out)
     with open(tmp_path / "circle.csv") as fh:
         assert fh.readline() == "re_z,im_z,re_f,im_f\n"
+
+
+def _loop_rows(op, n):
+    """A well-formed loop file's rows: a circle about 1, or the strands
+    (-1, 0, 1) turned by 2 pi."""
+    import cmath
+
+    rows = []
+    for k in range(n + 1):
+        w = cmath.exp(2j * math.pi * k / n)
+        pts = [1 - 0.4 * w] if op == "decode-word" else [-w, 0j, w]
+        rows.append([str(k)] + [repr(x) for z in pts for x in (z.real, z.imag)])
+    return rows
+
+
+_CELLS = st.one_of(st.floats().map(repr), st.integers(-3, 3).map(str),
+                   st.sampled_from(["nan", "-inf", "inf", "", "abc", "1e", "0x1"]))
+# an edit replaces a cell (t included), drops a row's last field or adds one
+_EDITS = st.lists(st.tuples(st.integers(0, 40), st.sampled_from(["set", "drop", "add"]),
+                            st.integers(0, 6), _CELLS), max_size=4)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(op=st.sampled_from(["decode-word", "decode-braid"]),
+       n=st.integers(1, 40), edits=_EDITS)
+def test_config3_csv_exit_code_property(op, n, edits):
+    import contextlib
+    import tempfile
+
+    rows = _loop_rows(op, n)
+    for row, action, col, cell in edits:
+        cells = rows[row % len(rows)]
+        if action == "set":
+            cells[col % len(cells)] = cell
+        elif action == "drop":
+            cells.pop()
+        else:
+            cells.append(cell)
+    header = "t,re,im" if op == "decode-word" else "t,re1,im1,re2,im2,re3,im3"
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "loop.csv"
+        path.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["config3", op, str(path)])
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1

@@ -268,3 +268,247 @@ def test_loop_csv_round_trip(tmp_path):
         fh.write("x,y\n0,1\n")
     with pytest.raises(ValidationError, match="header"):
         C.load_plane_loop(str(bad))
+
+
+# ---------------------------------------------------------------------------
+# the per-sample decoders, kept as references for the array decoders
+
+_PERMS3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+
+def _ref_track_strands(samples):
+    """Min-max matching over the six strand permutations, sample by sample."""
+    def min_gap(t):
+        a, b, c = t.points
+        return min(abs(a - b), abs(a - c), abs(b - c))
+
+    tracks = [samples[0].points]
+    for idx in range(1, len(samples)):
+        prev, cur = tracks[-1], samples[idx].points
+        gap = min(min_gap(samples[idx]), min_gap(samples[idx - 1]))
+        best, best_cost = None, None
+        for perm in _PERMS3:
+            cost = max(abs(prev[i] - cur[perm[i]]) for i in range(3))
+            if best_cost is None or cost < best_cost:
+                best, best_cost = perm, cost
+        if best_cost >= gap / 2:
+            raise ValidationError(f"tracking condition violated at sample {idx}")
+        tracks.append(tuple(cur[best[i]] for i in range(3)))
+    return tracks
+
+
+def _ref_crossing_events(p0, p1):
+    events = []
+    for u in range(3):
+        for v in range(u + 1, 3):
+            d0 = p0[u].real - p0[v].real
+            d1 = p1[u].real - p1[v].real
+            if d0 == 0.0:
+                raise C._NonGeneric("coincidence at a sample time")
+            if d0 * d1 < 0.0:
+                events.append((d0 / (d0 - d1), u, v))
+    events.sort(key=lambda e: e[0])
+    return events
+
+
+def _ref_read_crossings(tracks):
+    order = sorted(range(3), key=lambda i: tracks[0][i].real)
+    if tracks[0][order[0]].real == tracks[0][order[1]].real or \
+            tracks[0][order[1]].real == tracks[0][order[2]].real:
+        raise C._NonGeneric("x-tie at the base point")
+    start_order = list(order)
+    letters = []
+    for p0, p1 in zip(tracks, tracks[1:]):
+        events = _ref_crossing_events(p0, p1)
+        i = 0
+        while i < len(events):
+            j = i + 1
+            while j < len(events) and events[j][0] - events[i][0] < 1e-12:
+                j += 1
+            block = {frozenset(e[1:]) for e in events[i:j]}
+            tau = events[i][0]
+            progressed = True
+            while block and progressed:
+                progressed = False
+                for pos in range(2):
+                    u, v = order[pos], order[pos + 1]
+                    if frozenset((u, v)) in block:
+                        yu = (1 - tau) * p0[u].imag + tau * p1[u].imag
+                        yv = (1 - tau) * p0[v].imag + tau * p1[v].imag
+                        if yu == yv:
+                            raise C._NonGeneric("y-tie at a crossing")
+                        letters.append((f"s{pos + 1}", 1 if yv > yu else -1))
+                        order[pos], order[pos + 1] = v, u
+                        block.remove(frozenset((u, v)))
+                        progressed = True
+            if block:
+                raise C._NonGeneric("non-adjacent swap; sampling too coarse")
+            i = j
+    return C._merge_syllables(letters), start_order, order
+
+
+def _ref_decode_braid(loop):
+    tracks = _ref_track_strands(loop.samples)
+    for attempt in range(C._RETRIES):
+        rot = cmath.exp(-1j * (0.7548776662466927 + attempt * 2.399963229728653))
+        rotated = [tuple(rot * z for z in tri) for tri in tracks]
+        try:
+            letters, start_order, final_order = _ref_read_crossings(rotated)
+            perm = [min(range(3), key=lambda i: abs(z - rotated[0][i]))
+                    for z in rotated[-1]]
+            if sorted(perm) != [0, 1, 2]:
+                raise ValidationError("loop endpoints do not match as configurations")
+            if [perm[i] for i in final_order] != start_order:
+                raise C._NonGeneric("crossing count inconsistent with closure")
+        except C._NonGeneric:
+            continue
+        return B.BraidWord(letters)
+    raise ValidationError(f"non-generic projection after {C._RETRIES} retries")
+
+
+def _ref_decode_word(loop):
+    letters = []
+    prev = loop.samples[0]
+    prev_state = 1 if prev.imag >= 0 else -1
+    for z in loop.samples[1:]:
+        state = 1 if z.imag >= 0 else -1
+        if state != prev_state:
+            t = prev.imag / (prev.imag - z.imag)
+            x = prev.real + t * (z.real - prev.real)
+            if abs(x - 1.0) < C.CLEARANCE or abs(x + 1.0) < C.CLEARANCE:
+                raise ValidationError("crossing too close to a puncture")
+            down = prev_state > 0
+            if x < -1.0:
+                letters.append((1, 1 if down else -1))
+            elif x > 1.0:
+                letters.append((2, -1 if down else 1))
+        prev, prev_state = z, state
+    return word(*letters)
+
+
+def _ref_winding_numbers(loop):
+    out = []
+    for p in (-1.0, 1.0):
+        total = 0.0
+        for za, zb in zip(loop.samples, loop.samples[1:]):
+            total += cmath.phase((zb - p) / (za - p))
+        out.append(round(total / (2 * math.pi)))
+    return tuple(out)
+
+
+def _outcome(fn, loop):
+    try:
+        return fn(loop)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _half_twists(letters, per):
+    """Strands in slots i, i+1 of (-1, 0, 1) turned by +-pi about their
+    midpoint in `per` steps for each letter s_i^{+-1}."""
+    base = (-1 + 0j, 0j, 1 + 0j)
+    out = [base]
+    for gen, exp in letters:
+        mid = (base[gen - 1] + base[gen]) / 2
+        for _ in range(abs(exp)):
+            for step in range(1, per):
+                rot = cmath.exp(1j * math.copysign(math.pi, exp) * step / per)
+                pts = list(base)
+                pts[gen - 1] = mid + (base[gen - 1] - mid) * rot
+                pts[gen] = mid + (base[gen] - mid) * rot
+                out.append(tuple(pts))
+            out.append(base)
+    return out
+
+
+def _random_motion(rng):
+    """Half twists of a random word, wobbled by a closed random path and
+    sampled finely or coarsely (coarse samples break the tracking)."""
+    letters = [(rng.choice((1, 2)), rng.choice((-2, -1, 1, 2)))
+               for _ in range(rng.randrange(1, 5))]
+    samples = _half_twists(letters, rng.choice((3, 8, 16, 32)))
+    n = len(samples) - 1
+    amp = rng.choice((0.0, 0.02, 0.06, 0.2))
+    modes = [[complex(rng.gauss(0, amp), rng.gauss(0, amp)) for _ in range(3)]
+             for _ in range(3)]
+    out = []
+    for k, pts in enumerate(samples):
+        s = 2 * math.pi * k / n
+        out.append(triple(*(z + sum(m[i] * (cmath.exp(1j * (f + 1) * s) - 1)
+                                    for f, m in enumerate(modes))
+                            for i, z in enumerate(pts))))
+    return config_loop(out)
+
+
+def test_decode_braid_matches_per_sample_reference():
+    rng = random.Random(2024)
+    decoded = failed = 0
+    for _ in range(240):
+        loop = _random_motion(rng)
+        got, ref = _outcome(decode_braid, loop), _outcome(_ref_decode_braid, loop)
+        if isinstance(ref, str):
+            assert got == ref
+            failed += 1
+        else:
+            assert got.letters == ref.letters
+            decoded += 1
+    assert decoded >= 100 and failed >= 100
+    # the half-twist motions of the benchmark: collinear configurations
+    # rotating through vertical give simultaneous events
+    for per in (8, 9, 16, 60):
+        letters = [(1 + k % 2, (-1) ** k * (1 + k % 3)) for k in range(7)]
+        loop = config_loop([triple(*pts) for pts in _half_twists(letters, per)])
+        got = decode_braid(loop)
+        assert got.letters == _ref_decode_braid(loop).letters
+        assert B.equal(got, B.BraidWord(tuple((f"s{g}", e) for g, e in letters)))
+
+
+def test_decode_word_matches_per_sample_reference():
+    rng = random.Random(77)
+    for _ in range(320):
+        n = rng.randrange(3, 60)
+        pts = [complex(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(n)]
+        if rng.random() < 0.3:
+            pts = [z.real + 0j if abs(z.real) > 0.5 else z for z in pts]
+        loop = plane_loop(pts + pts[:1])
+        assert _outcome(decode_word, loop) == _outcome(_ref_decode_word, loop)
+        assert winding_numbers(loop) == _ref_winding_numbers(loop)
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, C._RETRIES - 1])
+def test_decode_braid_retries_next_angle(monkeypatch, k):
+    loop = rotation_loop(math.pi, n=90)
+    read, seen = C._read_crossings, []
+
+    def non_generic_first_k(rotated):
+        seen.append(rotated[0])
+        if len(seen) <= k:
+            raise C._NonGeneric("forced")
+        return read(rotated)
+
+    monkeypatch.setattr(C, "_read_crossings", non_generic_first_k)
+    assert B.equal(decode_braid(loop), B.parse_braid("d"))
+    beta = 0.7548776662466927 + k * 2.399963229728653
+    assert len(seen) == k + 1
+    assert seen[-1].tolist() == [z * cmath.exp(-1j * beta) for z in loop.samples[0].points]
+
+
+def test_decode_braid_gives_up_after_all_angles(monkeypatch, tmp_path, capsys):
+    def never_generic(rotated):
+        raise C._NonGeneric("forced")
+
+    monkeypatch.setattr(C, "_read_crossings", never_generic)
+    loop = rotation_loop(math.pi, n=90)
+    with pytest.raises(ValidationError, match="non-generic projection after 8 retries"):
+        decode_braid(loop)
+    path = tmp_path / "strands.csv"
+    with open(path, "w") as fh:
+        fh.write("t,re1,im1,re2,im2,re3,im3\n")
+        for k, t in enumerate(loop.samples):
+            fh.write(",".join([str(k)] + [repr(x) for z in t.points
+                                          for x in (z.real, z.imag)]) + "\n")
+    from fbt import cli
+
+    assert cli.main(["config3", "decode-braid", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: non-generic projection after 8 retries\n"

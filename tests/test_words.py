@@ -320,6 +320,67 @@ def test_tuple_canonical_invariant_and_idempotent():
         assert tuple_canonical(canon).entries == canon.entries
 
 
+def _scan_tuple_canonical(t):
+    """The conjugator scan over a window of powers of the root, widened
+    until the key-minimal k is interior (cubic in the letter length)."""
+    entries = t.entries
+    if all(w.is_identity for w in entries):
+        return t
+    w0 = next(w for w in entries if not w.is_identity)
+    v, c = W.cyclically_reduce(w0)
+    vlet = v.letters()
+    rot = W._least_rotation(vlet)
+    u0 = invert(concat(c, reduce(vlet[:rot])))
+    root, _ = W.primitive_root(reduce(vlet[rot:] + vlet[:rot]))
+
+    def conj_all(u):
+        return tuple(conjugate(u, w) for w in entries)
+
+    base = conj_all(u0)
+    if all(conjugate(root, cw) == cw for cw in base):
+        return MonodromyTuple(base, t.genus, t.holes_minus_one)
+    window = max(2, sum(w.letter_length() for w in base)) + 1
+    best, best_k = None, 0
+    k_lo, k_hi = -window, window
+    while True:
+        for k in range(k_lo, k_hi + 1):
+            cand = conj_all(concat(power(root, k), u0))
+            key = W._tuple_key(cand)
+            if best is None or key < best[0]:
+                best, best_k = (key, cand), k
+        if k_lo < best_k < k_hi:
+            return MonodromyTuple(best[1], t.genus, t.holes_minus_one)
+        k_lo, k_hi = k_lo - window, k_hi + window
+
+
+def test_tuple_canonical_matches_scan():
+    rng = random.Random(59)
+    for _ in range(420):
+        genus = rng.randrange(3)
+        holes = rng.randrange(2) if genus else 1 + rng.randrange(2)
+        entries = [random_word(rng, 6) for _ in range(2 * genus + holes)]
+        if rng.random() < 0.5:
+            # entries sharing a root, and a conjugator far along its axis
+            r = random_word(rng, 3)
+            entries[0] = power(r, rng.randrange(1, 4))
+            u = concat(power(r, rng.randrange(-6, 7)), random_word(rng, 3))
+            entries = [conjugate(u, w) for w in entries]
+        t = MonodromyTuple(tuple(entries), genus, holes)
+        assert tuple_canonical(t).entries == _scan_tuple_canonical(t).entries
+
+
+def test_tuple_canonical_long_tuple():
+    # a genus-2 tuple of about 160 letters: the window scan takes seconds here
+    rng = random.Random(2)
+    entries = tuple(random_word(rng, 30) for _ in range(4))
+    u = concat(power(word((1, 1), (2, -1)), 8), random_word(rng, 10))
+    t = MonodromyTuple(tuple(conjugate(u, w) for w in entries), genus=2)
+    assert 140 <= sum(w.letter_length() for w in t.entries) <= 180
+    canon = tuple_canonical(t)
+    assert tuple_canonical(MonodromyTuple(entries, genus=2)).entries == canon.entries
+    assert tuple_canonical(canon).entries == canon.entries
+
+
 def test_tuple_validation():
     with pytest.raises(ValidationError):
         MonodromyTuple((IDENTITY,), genus=1)
