@@ -65,17 +65,21 @@ class LogNumber:
         return math.exp(self.ln)
 
     def decimal(self) -> str:
-        """Scientific decimal rendering d.ddddddddddddE+exp."""
+        """Scientific decimal rendering d.ddddddddddddE+exp.  One ulp of ln is
+        a relative step of the value, so the mantissa keeps the decimals down
+        to the place of ulp(ln), at most 12 (all 12 up to |ln| = 2^16)."""
         if self.ln == float("-inf"):
             return "0"
-        if math.ulp(self.ln) >= 1.0:  # |ln| >= 2^52: not even the leading digit is known
+        ulp = math.ulp(self.ln)
+        if ulp >= 1.0:  # |ln| >= 2^52: not even the leading digit is known
             raise ValidationError(f"bound too large to print as a decimal: ln = {self.ln}")
+        digits = min(12, math.ceil(-math.log10(ulp)))
         e10 = math.floor(self.ln / LN10)
         mant = math.exp(self.ln - e10 * LN10)
-        if mant >= 10.0:  # guard the floor/exp rounding edge
+        if round(mant, digits) >= 10.0:  # the floor/exp edge, or rounding up to 10
             mant /= 10.0
             e10 += 1
-        return f"{mant:.12f}E{e10:+d}"
+        return f"{mant:.{digits}f}E{e10:+d}"
 
     @staticmethod
     def parse_decimal(text: str) -> "LogNumber":

@@ -18,6 +18,7 @@ the numeric backends.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -230,14 +231,16 @@ def _cmd_dbar(args) -> int:
         from . import words as W
 
         target = W.parse_word(args.target)
-        res = D.demo_construct(args.alpha, args.sigma, target)
-        if args.dump:
-            rows = [[z.real, z.imag, f.real, f.imag]
-                    for z, f in zip(res.circle_samples, res.map_samples)]
-            with open(args.dump, "w", newline="") as fh:
+        # open the dump target before the construction, so that an unwritable
+        # path fails at once; append mode keeps an existing file until success
+        with open(args.dump, "a", newline="") if args.dump else contextlib.nullcontext() as fh:
+            res = D.demo_construct(args.alpha, args.sigma, target)
+            if fh is not None:
+                fh.truncate(0)
                 wr = csv.writer(fh, lineterminator="\n")
                 wr.writerow(["re_z", "im_z", "re_f", "im_f"])
-                wr.writerows(rows)
+                wr.writerows([z.real, z.imag, f.real, f.imag]
+                             for z, f in zip(res.circle_samples, res.map_samples))
         _emit(res.to_json())
     return 0
 

@@ -82,8 +82,13 @@ def in_h(t: Triple, tol: float = IN_H_TOL) -> bool:
     return collinearity_defect(t) <= tol
 
 
+@_refuse_overflow
 def collinearity_defect(t: Triple) -> float:
     a, b, c = t.points
+    # Python complex arithmetic overflows to inf or nan without raising; with
+    # finite differences the minimizing quotient (longest side below) is at most 1
+    if not all(cmath.isfinite(d) for d in (b - a, c - a, c - b)):
+        raise OverflowError("point differences overflow")
     vals = []
     for z1, z2, z3 in ((a, b, c), (b, c, a), (c, a, b),
                        (a, c, b), (b, a, c), (c, b, a)):

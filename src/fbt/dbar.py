@@ -20,10 +20,14 @@ wp_nu (`ThetaKernel`).  The solution
 
   f(z) = -(1/pi) * int_{Q_eps} phi(zeta) wp_nu(zeta - z) dm(zeta)
 
-is computed by a tensor midpoint rule with exact analytic integration of
-the Cauchy factor over cells near the evaluation point; the smooth kernel
-remainder wp_nu(w) - 1/w is summed exactly over Chebyshev proxy sources
-in the two support boxes of phi, on which it is analytic.
+is computed by a tensor midpoint rule in O(cells + targets).  The Cauchy
+factor 1/(zeta - z) is summed by a one-level Laurent multipole of order
+p = 30 over sub-boxes of the support of phi (Greengard-Rokhlin), directly
+for the sub-boxes near the target and by exact analytic integration over
+the cells nearest to it.  The smooth kernel remainder wp_nu(w) - 1/w is
+summed exactly over Chebyshev proxy sources in the two support boxes of
+phi, on which it is analytic (Fong-Darve), its theta q-series separated
+into moments of the sources.
 
 The cutoff profile chi0 integrates a C^1 trapezoid of height 3/2 (the
 least possible maximum slope): chi0' rises along the cubic ramp
@@ -223,6 +227,49 @@ class ThetaKernel:
         out -= math.pi * self.dlog_theta1(v - math.pi * self.nu)
         return out + 2.0 * self.eta1 * self.nu
 
+    def regular_sum(self, nodes: np.ndarray, weights: np.ndarray):
+        """The function z -> sum_j W_j regular(xi_j - z) of reduced targets z
+        (|Re z| <= 1/2, |Im z| <= alpha/2) away from the nu-class poles, for
+        sources xi_j with |Re xi_j| < 1/2 and |Im xi_j| small against alpha.
+
+        With E_j = e^{2 pi i xi_j} and e_z = e^{2 pi i z}, e^{2iv} = E_j/e_z
+        at v = pi (xi_j - z), and the sine series of L separates:
+        sum_j W_j (P(E_j/e_z) - P(e_z/E_j))/(2i) = sum_n c_n (A_n e_z^-n - B_n e_z^n)/(2i)
+        with the moments A_n = sum_j W_j E_j^n, B_n = sum_j W_j E_j^-n taken
+        here once.  Per (target, source) pair only the two cot terms are
+        left, cot v = i + 2i/(e^{2iv} - 1) from the outer product E_j/e_z;
+        their constants i cancel, and cot v - 1/v is summed from its Taylor
+        series where |v| < _SMALL_V.  The nu term takes z + nu reduced per
+        target to z' = z + nu - (n + i alpha m), where
+        L(pi (xi_j - z - nu)) = L(pi (xi_j - z')) + 2i m."""
+        n = np.arange(len(self.coef), 0, -1)  # the order of self.coef
+        big_e = np.exp(2j * math.pi * nodes)
+        a_n = self.coef * (big_e ** n[:, None] @ weights)
+        b_n = self.coef * ((1.0 / big_e) ** n[:, None] @ weights)
+        total = weights.sum()
+
+        def series(e_z):
+            """sum_j W_j (P(E_j/e_z) - P(e_z/E_j))/(2i), by Horner in 1/e_z and e_z."""
+            return (np.polyval(a_n, 1.0 / e_z) / e_z - np.polyval(b_n, e_z) * e_z) / 2j
+
+        def evaluate(z: np.ndarray) -> np.ndarray:
+            z_nu = z + self.nu - _nearest_lattice_point(z + self.nu, self.alpha)
+            m = np.round((z + self.nu).imag / self.alpha)
+            e_z, e_nu = np.exp(2j * math.pi * z), np.exp(2j * math.pi * z_nu)
+            w = nodes - z[:, None]
+            e = big_e * (1.0 / e_z)[:, None]
+            r, c = np.nonzero(np.abs(w) < _SMALL_V / math.pi)
+            w[r, c], e[r, c] = 1.0, 0.0  # replaced below
+            pair = 2j * math.pi * (1.0 / (e - 1.0)
+                                   - 1.0 / (big_e * (1.0 / e_nu)[:, None] - 1.0)) - 1.0 / w
+            v = math.pi * (nodes[c] - z[r])
+            pair[r, c] = (math.pi * (v * np.polyval(_COT_TAYLOR, v * v) - 1j)
+                          - 2j * math.pi / (big_e[c] / e_nu[r] - 1.0))
+            return (pair @ weights + math.pi * (series(e_z) - series(e_nu))
+                    + (2.0 * self.eta1 * self.nu - 2j * math.pi * m) * total)
+
+        return evaluate
+
 
 # ---------------------------------------------------------------------------
 # cutoff
@@ -417,6 +464,11 @@ def rect_cauchy_integral(x0, x1, y0, y1, w):
 
 # Chebyshev nodes per phi support box in each direction: 100 proxy sources a box.
 _PROXY_N = 10
+# Order of the Laurent expansion of the Cauchy sum about each sub-box centre;
+# beyond three sub-box radii the tail is below about 1.5 * 3^-(p+1) of sum |a_c|/d.
+_MULTIPOLE_P = 30
+# Targets per chunk of f: bounds the (target, source) temporaries.
+_TARGET_CHUNK = 512
 
 
 def _chebyshev(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -433,12 +485,20 @@ class DbarSolution:
 
     wp_nu is doubly periodic, so each target is first reduced modulo the
     lattice; then only the kernel pole at 0 can come near the support.  The
-    kernel splits into that Cauchy term, integrated exactly over cells
-    within `sing_radius` of the target, and the smooth remainder
+    kernel splits into that Cauchy term and the smooth remainder
     wp_nu(w) - 1/w, analytic over each support box delta/2 <= |Re| <= 3 delta/2,
-    |Im| <= sigma/2, summed over its tensor Chebyshev nodes xi_j with weights
-    W_j = sum_c phi_c hx hy ell_j(c).  Targets that bring
-    a pole of the nu class within reach of the support are refused.
+    |Im| <= sigma/2.
+
+    The Cauchy sum sum_c a_c/(c - z), a_c = phi_c hx hy, runs over a grid of
+    sub-boxes b of each support box, about square: a sub-box with
+    |z - z_b| > 3 r_b + sing_radius is summed from its Laurent moments
+    M_{b,k} = sum_{c in b} a_c (c - z_b)^k, k <= _MULTIPOLE_P, as
+    -sum_k M_{b,k}/(z - z_b)^{k+1}; the cells of nearer sub-boxes are summed
+    directly, with the Cauchy factor integrated exactly over cells within
+    `sing_radius` of the target.  The smooth remainder is summed over the
+    tensor Chebyshev nodes xi_j of each box with weights
+    W_j = sum_c phi_c hx hy ell_j(c) (`ThetaKernel.regular_sum`).  Targets
+    that bring a pole of the nu class within reach of the support are refused.
     """
 
     def __init__(self, quad: QuadratureData, params: KernelParams,
@@ -457,6 +517,29 @@ class DbarSolution:
         box = (d + d / 2 * xn)[:, None] + 1j * s / 2 * yn
         self._proxies = (np.concatenate([-box.conj(), box]).ravel(),
                          np.concatenate(weights).ravel())
+        self._smooth = self.kernel.regular_sum(*self._proxies)
+
+        # nx x ny sub-boxes per box, about square, their count balancing the
+        # p terms of each far sub-box against the direct pairs of the near ones
+        count = math.sqrt(3.0 * c.size / 2 / _MULTIPOLE_P)
+        ny = max(1, round(math.sqrt(count * s / d)))
+        nx = max(1, round(count / ny))
+        kx = np.clip(np.floor((np.abs(c.real) - d / 2) / (d / nx)), 0, nx - 1)
+        ky = np.clip(np.floor((c.imag + s / 2) / (s / ny)), 0, ny - 1)
+        sub = ((right * nx + kx) * ny + ky).astype(int)
+        order = np.argsort(sub, kind="stable")
+        sub = sub[order]
+        self._cells = (c[order], quad.phi[order], pa[order])
+        self._offsets = np.searchsorted(sub, np.arange(2 * nx * ny + 1))
+        mid_x = d / 2 + (np.arange(nx) + 0.5) * d / nx
+        mid_y = -s / 2 + (np.arange(ny) + 0.5) * s / ny
+        self._sub_centers = (np.concatenate([-mid_x, mid_x])[:, None] + 1j * mid_y).ravel()
+        dc = c[order] - self._sub_centers[sub]
+        self._sub_radii = np.zeros(2 * nx * ny)
+        np.maximum.at(self._sub_radii, sub, np.abs(dc))
+        self._moments = np.zeros((2 * nx * ny, _MULTIPOLE_P + 1), dtype=complex)
+        np.add.at(self._moments, sub,
+                  pa[order, None] * np.vander(dc, _MULTIPOLE_P + 1, increasing=True))
 
     def _reduce(self, z: np.ndarray) -> np.ndarray:
         """z minus the nearest lattice point."""
@@ -504,27 +587,43 @@ class DbarSolution:
             bound = max(bound, float(np.abs(self.kernel.regular(w)).max()))
         return 1.1 * bound
 
+    def _cauchy_sum(self, z: np.ndarray) -> np.ndarray:
+        """sum_c a_c/(c - z) at reduced targets z: Laurent moments for the far
+        sub-boxes, direct pairs (exact within sing_radius) for the near ones."""
+        centers, phi, pa = self._cells
+        hx, hy = self.quad.hx, self.quad.hy
+        sing_radius = 2.5 * max(hx, hy)
+        w = z[:, None] - self._sub_centers
+        far = np.abs(w) > 3.0 * self._sub_radii + sing_radius
+        u = 1.0 / np.where(far, w, 1.0)
+        acc = np.zeros_like(u)
+        for m in self._moments.T[::-1]:  # Horner in u from the highest order
+            acc = acc * u + m
+        out = -np.where(far, acc * u, 0.0).sum(axis=1)
+
+        # the cells of every near (target, sub-box) pair, from the CSR offsets
+        t, b = np.nonzero(~far)
+        start, count = self._offsets[b], self._offsets[b + 1] - self._offsets[b]
+        rows = np.repeat(t, count)
+        cols = np.arange(rows.size) + np.repeat(start - (np.cumsum(count) - count), count)
+        w0 = centers[cols] - z[rows]
+        near = np.abs(w0) < sing_radius
+        terms = pa[cols] / np.where(near, 1.0, w0)
+        cn = cols[near]
+        x, y = centers.real[cn], centers.imag[cn]
+        terms[near] = phi[cn] * rect_cauchy_integral(
+            x - hx / 2, x + hx / 2, y - hy / 2, y + hy / 2, z[rows[near]])
+        return out + (np.bincount(rows, terms.real, z.size)
+                      + 1j * np.bincount(rows, terms.imag, z.size))
+
     def f(self, z) -> np.ndarray | complex:
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
         flat = self._reduce(zz.ravel())
         self._check_nu_poles(flat)
-        out = np.zeros(flat.shape, dtype=complex)
-        centers, phi = self.quad.centers, self.quad.phi
-        hx, hy = self.quad.hx, self.quad.hy
-        nodes, weights = self._proxies
-        sing_radius = 2.5 * max(hx, hy)
-        chunk = max(1, int(4e6 // max(1, centers.size)))
-        for lo in range(0, flat.size, chunk):
-            zc = flat[lo:lo + chunk]
-            w0 = centers[None, :] - zc[:, None]
-            near = np.abs(w0) < sing_radius
-            terms = phi * (hx * hy) / np.where(near, 1.0, w0)
-            r, c = np.nonzero(near)
-            x, y = centers.real[c], centers.imag[c]
-            terms[r, c] = phi[c] * rect_cauchy_integral(
-                x - hx / 2, x + hx / 2, y - hy / 2, y + hy / 2, zc[r])
-            acc = terms.sum(axis=1) + self.kernel.regular(nodes - zc[:, None]) @ weights
-            out[lo:lo + chunk] = -acc / math.pi
+        out = np.empty(flat.shape, dtype=complex)
+        for lo in range(0, flat.size, _TARGET_CHUNK):
+            zc = flat[lo:lo + _TARGET_CHUNK]
+            out[lo:lo + _TARGET_CHUNK] = -(self._cauchy_sum(zc) + self._smooth(zc)) / math.pi
         out = out.reshape(zz.shape)
         return out if out.shape != (1,) or np.ndim(z) else complex(out[0])
 

@@ -67,6 +67,19 @@ def test_lognumber_decimal_round_trip():
             LogNumber(ln).decimal()
 
 
+def test_lognumber_decimal_keeps_supported_digits():
+    # the mantissa keeps the decimals down to the place of ulp(ln), at most 12
+    for ln, digits in ((36193.093279503475, 12), (2.0 ** 16 - 0.1, 12), (2.0 ** 16, 11),
+                       (1e13, 3), (-1e13, 3), (7.539822368615519e14, 1),
+                       (2.0 ** 52 - 1, 1)):
+        text = LogNumber(ln).decimal()
+        assert len(text.split("E")[0].split(".")[1]) == digits, (ln, text)
+        back = LogNumber.parse_decimal(text).ln
+        assert abs(back - ln) <= 10.0 ** -digits + 4 * math.ulp(ln), (ln, text)
+    # rounding the mantissa up to 10 carries into the exponent
+    assert LogNumber(math.log(9.99999999999999) + 10 * Bd.LN10).decimal() == "1.000000000000E+11"
+
+
 def test_trivial_lambda_values_exact():
     assert thm1_bound(SurfaceTopology(0, 1), 0.0).to_float() == pytest.approx(4.5, rel=1e-12)
     assert thm1_bound(SurfaceTopology(1, 0), 0.0).to_float() == pytest.approx(6.75, rel=1e-12)

@@ -210,6 +210,7 @@ def test_exact_input_contract_exit_code(capsys, argv):
     ("config3", "in-h", "--points=-1,0,0,0,1,0", "--tol", "nan"),
     ("config3", "in-h", "--points=nan,0,0,0,1,0"),
     ("config3", "in-h", "--points=inf,0,0,0,1,0"),
+    ("config3", "in-h", "--points=1.7e308,1.7e308,-1.7e308,0,0,1e308"),
     ("bounds", "thm1", "--g", "0", "--m", "1", "--lambda4", "1e308"),
     ("bounds", "prop1a", "--alpha", "1", "--sigma", "1e-310"),
     ("bounds", "table", "--formula", "thm1", "--lambdas", "1e308"),
@@ -292,6 +293,28 @@ def test_file_input_contract_exit_code(tmp_path, monkeypatch, capsys, argv, file
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_dbar_demo_dump_opened_before_construction(tmp_path, monkeypatch, capsys):
+    def construct(*args, **kwargs):
+        raise AssertionError("demo_construct ran before the dump target was opened")
+
+    monkeypatch.setattr("fbt.dbar.demo_construct", construct)
+    code, out, err = run_cli(capsys, "dbar", "demo", "--sigma", "0.01", "--target", "a1^2",
+                             "--dump", str(tmp_path / "missing-dir" / "x.csv"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_dbar_demo_dump_replaces_existing_file(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    path.write_text("stale contents\n" * 3)
+    code, _, _ = run_cli(capsys, "dbar", "demo", "--sigma", "0.02", "--target", "a2",
+                         "--dump", str(path))
+    assert code == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == "re_z,im_z,re_f,im_f" and "stale contents" not in lines
+    assert len(lines) == 1 + 1024 + 1  # header, the circle samples and the closing one
 
 
 def test_word_canon_long_power(capsys):

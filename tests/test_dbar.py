@@ -383,6 +383,113 @@ def test_f_near_nu_pole_accurate_or_refused():
         assert np.abs(f - _per_cell_f(sol, z)).max() <= 1e-5 * np.abs(f).max()
 
 
+def _dense_f(sol, z):
+    """The former DbarSolution.f, kept as the reference: every target
+    against every cell in chunks of 4e6 pairs (exact Cauchy integral within
+    sing_radius) plus the theta kernel on every (target, proxy) pair."""
+    flat = sol._reduce(np.asarray(z, dtype=complex).ravel())
+    out = np.zeros(flat.shape, dtype=complex)
+    centers, phi = sol.quad.centers, sol.quad.phi
+    hx, hy = sol.quad.hx, sol.quad.hy
+    nodes, weights = sol._proxies
+    sing_radius = 2.5 * max(hx, hy)
+    chunk = max(1, int(4e6 // max(1, centers.size)))
+    for lo in range(0, flat.size, chunk):
+        zc = flat[lo:lo + chunk]
+        w0 = centers[None, :] - zc[:, None]
+        near = np.abs(w0) < sing_radius
+        terms = phi * (hx * hy) / np.where(near, 1.0, w0)
+        r, c = np.nonzero(near)
+        x, y = centers.real[c], centers.imag[c]
+        terms[r, c] = phi[c] * rect_cauchy_integral(
+            x - hx / 2, x + hx / 2, y - hy / 2, y + hy / 2, zc[r])
+        acc = terms.sum(axis=1) + sol.kernel.regular(nodes - zc[:, None]) @ weights
+        out[lo:lo + chunk] = -acc / math.pi
+    return out
+
+
+def _geometry(name):
+    """(solution, alpha, cfg) for the bench solve, three demo maps and a wide lath."""
+    if name == "bench":
+        alpha, cfg, g = 1.0, DbarConfig(eps=0.01, delta=0.1, quad_n=300), demo_g(1.0, 1, 1, 0.2)
+    elif name == "wide":
+        alpha, cfg, g = 1.0, DbarConfig(eps=0.9, delta=0.2, quad_n=120), demo_g(1.0, 1, 1, 0.2)
+    else:  # a demo map, as demo_construct builds it
+        alpha, sigma, target = {"demo a1^2": (1.0, 0.01, "a1^2"),
+                                "demo a2^-2": (1.0, 0.01, "a2^-2"),
+                                "demo alpha 2": (2.0, 0.02, "a2^2")}[name]
+        gen, n = parse_word(target).terms[0]
+        cfg = D.demo_config(alpha, sigma, n)
+        rho = 0.5 / math.exp(2.0 * math.pi * abs(n) * 1.5 * cfg.delta / alpha)
+        g = demo_g(alpha, gen, n, rho)
+    return solve_dbar(quadrature_phi(g, cfg), KernelParams(alpha), cfg), alpha, cfg
+
+
+def _f_targets(sol, alpha, cfg):
+    """The cross and its sigma/8 shifts, the demo circle, the fd nodes,
+    lattice shifts, targets whose z + nu reduces with m = 0 and m = 1, and
+    targets on the sub-box edges and inside the support; those the nu-pole
+    guard refuses are dropped."""
+    s, d = cfg.sigma, cfg.delta
+    cross = D.cross_grid(sol.params, cfg, along=48, across=3)
+    xs = np.linspace(-0.3, 0.3, 13)
+    edges = np.unique(np.concatenate([sol._sub_centers.real + sol._sub_radii,
+                                      sol._sub_centers.real - sol._sub_radii]))
+    rng = np.random.default_rng(11)
+    inside = (rng.choice((-1, 1), 64) * rng.uniform(d / 2, 1.5 * d, 64)
+              + 1j * rng.uniform(-s / 2, s / 2, 64))
+    z = np.concatenate([
+        cross, cross + s / 8, cross - s / 8, cross + 1j * s / 8, cross - 1j * s / 8,
+        1j * np.linspace(0.0, alpha, 128, endpoint=False),
+        D.fd_nodes(sol.quad, cfg)[::4],
+        cross[::9] + 1.0 - 2j * alpha, cross[::9] - 3.0 + 1j * alpha,
+        xs + 1j * (alpha / 2 - 1e-3), xs - 1j * (alpha / 2 - 1e-3),
+        xs + 1j * alpha / 2, xs - 1j * alpha / 2,
+        (edges[:, None] + 1j * np.array([-s / 2, 0.0, s / 4, s / 2])).ravel(),
+        sol._sub_centers, sol.quad.centers[::37], inside])
+    keep = []
+    for k, zk in enumerate(z):
+        try:
+            sol._check_nu_poles(sol._reduce(np.array([zk])))
+            keep.append(k)
+        except ValidationError:
+            pass
+    return z[keep]
+
+
+@pytest.mark.parametrize("name", ["bench", "demo a1^2", "demo a2^-2", "demo alpha 2", "wide"])
+def test_f_matches_dense_reference(name):
+    sol, alpha, cfg = _geometry(name)
+    z = _f_targets(sol, alpha, cfg)
+    assert z.size > 1500
+    f = sol.f(z)
+    ref = _dense_f(sol, z)
+    assert np.abs(f - ref).max() <= 1e-12 * np.abs(ref).max()
+    # scalars and shaped arrays go through the same chunks
+    assert sol.f(complex(z[5])) == pytest.approx(complex(f[5]), abs=1e-15 * np.abs(ref).max())
+    assert np.array_equal(sol.f(z[:600].reshape(20, 30)), f[:600].reshape(20, 30))
+
+
+def test_theta_kernel_regular_sum_matches_regular():
+    rng = np.random.default_rng(2)
+    for alpha in (1.0, 1.3, 2.0):
+        ker = D.ThetaKernel(KernelParams(alpha))
+        nodes = (rng.choice((-1, 1), 200) * rng.uniform(0.05, 0.3, 200)
+                 + 1j * rng.uniform(-0.1, 0.1, 200))
+        weights = rng.normal(size=200) + 1j * rng.normal(size=200)
+        z = np.concatenate([
+            rng.uniform(-0.5, 0.5, 400) + 1j * alpha * rng.uniform(-0.5, 0.5, 400),
+            nodes[:20], nodes[20:40] + 0.06, nodes[40:60] - 0.07j,  # |pi w| < _SMALL_V and not
+            np.linspace(-0.5, 0.5, 11) + 0.5j * alpha, np.linspace(-0.5, 0.5, 11) - 0.5j * alpha])
+        # targets whose nu-class pole z + nu (mod the lattice) lies near a
+        # node are outside the contract: the guard of f keeps them delta/2 away
+        z_nu = z + ker.nu - D._nearest_lattice_point(z + ker.nu, alpha)
+        z = z[np.abs(z_nu[:, None] - nodes).min(axis=1) > 0.05]
+        want = ker.regular(nodes - z[:, None]) @ weights
+        got = ker.regular_sum(nodes, weights)(z)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_phi_zero_gives_f_zero():
     cfg = DbarConfig(eps=0.1, quad_n=64)
     quad = quadrature_phi(lambda z: np.full(np.shape(z), 0.5 + 0.0j), cfg)
