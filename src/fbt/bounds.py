@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import ValidationError
 
@@ -101,6 +102,10 @@ class SurfaceTopology:
     def __post_init__(self):
         if self.g < 0 or self.m < 0:
             raise ValidationError("g and m must be nonnegative")
+        # beyond 2^53 the rank is no exact float, and every bound's logarithm
+        # is past 2^52, where not even its leading decimal digit is known
+        if self.rank > 2 ** 53:
+            raise ValidationError("2g+m must be at most 2^53")
 
     @property
     def rank(self) -> int:
@@ -139,6 +144,20 @@ def thm3_bound_factored(t: SurfaceTopology, lambda8: float) -> LogNumber:
     """The same bound written as (15 e^{6 pi lambda8})^{6(2g+m)}."""
     _check_lambda(lambda8)
     return LogNumber(6.0 * t.rank * (math.log(15.0) + 6.0 * PI * lambda8))
+
+
+class Theorem(NamedTuple):
+    bound: Callable[[SurfaceTopology, float], LogNumber]
+    flag: str     # the name of its extremal-length input
+    formula: str
+
+
+#: the headline bounds of Theorems 1-3
+THEOREMS = {
+    "thm1": Theorem(thm1_bound, "lambda4", "3*(3/2*e^{24 pi lambda4})^{2g+m}"),
+    "thm2": Theorem(thm2_bound, "lambda8", "(2*3^6*5^6*e^{36 pi lambda8})^{2g+m}"),
+    "thm3": Theorem(thm3_bound, "lambda8", "(3^6*5^6*e^{36 pi lambda8})^{2g+m}"),
+}
 
 
 def prop1a_upper(alpha: float, sigma: float) -> LogNumber:

@@ -30,6 +30,7 @@ from .bounds import LogNumber
 from .errors import ValidationError
 from .words import (
     ENUM_BUDGET_CAP,
+    EXPONENT_DIGITS_MAX,
     FreeWord,
     IDENTITY,
     check_budget,
@@ -188,7 +189,10 @@ def _matrix_to_word(m: tuple[int, int, int, int]) -> FreeWord:
     Continued-fraction peeling: while the lower-left entry is nonzero, strip
     the power of a1 or a2 that shrinks whichever of |a|, |c| dominates; the
     leftovers form the next letter.  Entries of the congruence subgroup have
-    a, d odd and b, c even, so there are never ties.
+    a, d odd and b, c even, so there are never ties.  A stretch of n pairs
+    a1^eps a2^eps, where the entries shrink only linearly, is peeled in one
+    step as T^n = (-1)^n (I - n (T + I)), so that a normal form longer than
+    PEEL_LIMIT terms is refused without peeling them one by one.
     """
     a, b, c, d = m
     if a < 0 or (a == 0 and b < 0):
@@ -196,11 +200,23 @@ def _matrix_to_word(m: tuple[int, int, int, int]) -> FreeWord:
     if a % 2 == 0 or d % 2 == 0 or b % 2 or c % 2:
         raise ValidationError("matrix is not in the pure-braid image")
     terms: list[tuple[int, int]] = []
+    too_long = f"normal form has more than {PEEL_LIMIT} terms in a1, a2"
     while c != 0:
         if len(terms) >= PEEL_LIMIT:
-            raise ValidationError(
-                f"normal form has more than {PEEL_LIMIT} terms in a1, a2")
-        if abs(a) > abs(c):
+            raise ValidationError(too_long)
+        if abs(a) > abs(c) and 3 * abs(a) < 5 * abs(c):
+            # n pairs a1^eps a2^eps, eps the sign of a c: each is the parabolic
+            # T = [[1, -2 eps], [2 eps, -3]], which shrinks |a| and |c| by
+            # 2 (|a| - |c|), and is taken while 1 < |a|/|c| < 5/3
+            eps = 1 if (a > 0) == (c > 0) else -1
+            n = (abs(a) + abs(c) - 1) // (4 * (abs(a) - abs(c)))
+            if len(terms) + 2 * n > PEEL_LIMIT:
+                raise ValidationError(too_long)
+            sign = -1 if n % 2 else 1
+            a, b, c, d = (sign * (a - 2 * n * (a - eps * c)), sign * (b - 2 * n * (b - eps * d)),
+                          sign * (c - 2 * n * (eps * a - c)), sign * (d - 2 * n * (eps * b - d)))
+            terms += [(1, eps), (2, eps)] * n
+        elif abs(a) > abs(c):
             k = _nearest_int(a, 2 * c)
             terms.append((1, k))
             a, b = a - 2 * k * c, b - 2 * k * d
@@ -447,25 +463,20 @@ def parse_braid(text: str, ambient: str | None = None) -> BraidWord:
     for tok in toks:
         if "^" in tok:
             gen, _, etext = tok.partition("^")
+            if len(etext.lstrip("+-")) > EXPONENT_DIGITS_MAX:
+                raise ValidationError(f"braid exponent of more than {EXPONENT_DIGITS_MAX} digits")
             try:
                 exp = int(etext)
             except ValueError:
                 raise ValidationError(f"bad braid token {tok!r}") from None
         else:
             gen, exp = tok, 1
-        if gen not in GENS:
-            raise ValidationError(f"bad braid token {tok!r}")
-        if exp == 0:
-            raise ValidationError(f"zero exponent in token {tok!r}")
         letters.append((gen, exp))
-    return BraidWord(tuple(letters), amb)
+    return BraidWord(tuple(letters), amb)  # refuses unknown generators, zero exponents
 
 
-def format_braid(b: BraidWord, directive: bool = False) -> str:
-    body = " ".join(f"{g}" if e == 1 else f"{g}^{e}" for g, e in b.letters)
-    if directive and b.ambient == MOD_CENTER:
-        return f"@mod-center {body}".rstrip()
-    return body
+def format_braid(b: BraidWord) -> str:
+    return " ".join(f"{g}" if e == 1 else f"{g}^{e}" for g, e in b.letters)
 
 
 def normal_form_json(nf: BraidNormalForm) -> dict:

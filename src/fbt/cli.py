@@ -40,7 +40,11 @@ from .errors import NumericalError, ValidationError  # noqa: E402
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # NaN or +-inf in the result: the input is out of range
+        raise ValidationError(f"result cannot be printed: {exc}") from None
+    sys.stdout.write(text + "\n")
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> None:
@@ -52,8 +56,10 @@ def _emit_csv(header: list[str], rows: list[list]) -> None:
 
 
 def _floats(text: str) -> list[float]:
-    items = [t for t in text.split(",") if t.strip()]
-    return [float(t) for t in items]
+    try:
+        return [float(t) for t in text.split(",") if t.strip()]
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +163,6 @@ def _cmd_config3(args) -> int:
 # conformal
 
 
-def _spec_from_args(args):
-    from . import conformal as Cf
-
-    if args.kind == "round":
-        return Cf.round_annulus(args.r, args.R)
-    if args.kind == "rectangle":
-        return Cf.rectangle(args.a, args.b)
-    return Cf.flat_cylinder(args.circumference, args.height)
-
-
 def _cmd_conformal(args) -> int:
     from . import conformal as Cf
 
@@ -179,7 +175,8 @@ def _cmd_conformal(args) -> int:
                     raise ValidationError(f"bad domain file: {exc}") from None
             spec = Cf.spec_from_json(data)
         elif args.kind:
-            spec = _spec_from_args(args)
+            names = Cf.KINDS[args.kind].params
+            spec = Cf.AnnulusSpec(args.kind, tuple(getattr(args, n) for n in names))
         else:
             raise ValidationError("need --kind or --spec-file")
         _emit({"kind": spec.kind, "lambda": Cf.lambda_closed_form(spec)})
@@ -205,6 +202,8 @@ def _cmd_conformal(args) -> int:
 
 
 def _cmd_dbar(args) -> int:
+    from dataclasses import asdict
+
     from . import dbar as D
 
     if args.op == "kernel":
@@ -221,12 +220,7 @@ def _cmd_dbar(args) -> int:
         quad = D.quadrature_phi(g, cfg)
         sol = D.solve_dbar(quad, params, cfg)
         diag = D.solve_diagnostics(sol, g, complex(g(0j)))
-        _emit({"alpha": args.alpha, "sigma": cfg.sigma,
-               "sup_f": diag.sup_f, "budget": diag.budget,
-               "c1": diag.c1, "c2": diag.c2,
-               "fd_dbar_residual": diag.fd_dbar_residual,
-               "off_support_residual": diag.off_support_residual,
-               "periodic_defect": diag.periodic_defect})
+        _emit({"alpha": args.alpha, "sigma": cfg.sigma, **asdict(diag)})
     else:  # demo
         from . import words as W
 
@@ -252,18 +246,11 @@ def _cmd_dbar(args) -> int:
 def _cmd_bounds(args) -> int:
     from . import bounds as Bd
 
-    if args.op == "thm1":
-        t = Bd.SurfaceTopology(args.g, args.m)
-        val = Bd.thm1_bound(t, args.lambda4)
-        _emit(Bd.bound_json(val, "3*(3/2*e^{24 pi lambda4})^{2g+m}",
-                            {"g": args.g, "m": args.m, "lambda4": args.lambda4}))
-    elif args.op in ("thm2", "thm3"):
-        t = Bd.SurfaceTopology(args.g, args.m)
-        fn = Bd.thm2_bound if args.op == "thm2" else Bd.thm3_bound
-        pre = "2*" if args.op == "thm2" else ""
-        val = fn(t, args.lambda8)
-        _emit(Bd.bound_json(val, f"({pre}3^6*5^6*e^{{36 pi lambda8}})^{{2g+m}}",
-                            {"g": args.g, "m": args.m, "lambda8": args.lambda8}))
+    if args.op in Bd.THEOREMS:
+        thm = Bd.THEOREMS[args.op]
+        lam = getattr(args, thm.flag)
+        val = thm.bound(Bd.SurfaceTopology(args.g, args.m), lam)
+        _emit(Bd.bound_json(val, thm.formula, {"g": args.g, "m": args.m, thm.flag: lam}))
     elif args.op == "prop1a":
         up = Bd.prop1a_upper(args.alpha, args.sigma)
         out = Bd.bound_json(up, "7*e^{192 pi (2 alpha+1)/sigma}",
@@ -298,13 +285,12 @@ def _bounds_table(args) -> None:
             v = Bd.prop1a_upper(args.alpha, s)
             rows.append([args.alpha, s, v.ln, v.decimal()])
         _emit_csv(["alpha", "sigma", "ln", "decimal"], rows)
-    elif args.formula in ("thm1", "thm2", "thm3"):
+    elif args.formula in Bd.THEOREMS:
         lams = _floats(args.lambdas or "")
         if not lams:
             raise ValidationError("empty sweep")
         t = Bd.SurfaceTopology(args.g, args.m)
-        fn = {"thm1": Bd.thm1_bound, "thm2": Bd.thm2_bound,
-              "thm3": Bd.thm3_bound}[args.formula]
+        fn = Bd.THEOREMS[args.formula].bound
         for lam in lams:
             v = fn(t, lam)
             rows.append([args.g, args.m, lam, v.ln, v.decimal()])
@@ -317,6 +303,8 @@ def _bounds_table(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .bounds import THEOREMS
+
     p = argparse.ArgumentParser(prog="fbt")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -397,15 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     bd = sub.add_parser("bounds")
     bdsub = bd.add_subparsers(dest="op", required=True)
-    q = bdsub.add_parser("thm1")
-    q.add_argument("--g", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--lambda4", type=float, required=True)
-    for name in ("thm2", "thm3"):
+    for name, thm in THEOREMS.items():
         q = bdsub.add_parser(name)
         q.add_argument("--g", type=int, required=True)
         q.add_argument("--m", type=int, required=True)
-        q.add_argument("--lambda8", type=float, required=True)
+        q.add_argument(f"--{thm.flag}", type=float, required=True)
     q = bdsub.add_parser("prop1a")
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--sigma", type=float, required=True)

@@ -32,7 +32,8 @@ effective conductance depending on the family orientation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,23 +49,31 @@ def _check_positive(**values) -> None:
             raise ValidationError(f"{name} must be given, finite and positive")
 
 
+class Kind(NamedTuple):
+    params: tuple[str, str]  # the names of the two parameters, in order
+    closed_form: Callable[[float, float], float]  # the extremal length
+
+
+#: the analytic annulus kinds; the parameter names are also the CLI flags
+#: and the keys of a JSON domain file
+KINDS = {
+    "round": Kind(("r", "R"), lambda r, big_r: 2.0 * math.pi / math.log(big_r / r)),
+    "rectangle": Kind(("a", "b"), lambda a, b: a / b),
+    "flat-cylinder": Kind(("circumference", "height"), lambda c, height: c / height),
+}
+
+
 @dataclass(frozen=True)
 class AnnulusSpec:
-    kind: str  # "round" | "rectangle" | "flat-cylinder"
+    kind: str  # a key of KINDS
     params: tuple[float, float]
 
     def __post_init__(self):
-        a, b = self.params
-        if self.kind == "round":
-            _check_positive(r=a, R=b)
-            if not a < b:
-                raise ValidationError("round annulus needs 0 < r < R")
-        elif self.kind == "rectangle":
-            _check_positive(a=a, b=b)
-        elif self.kind == "flat-cylinder":
-            _check_positive(circumference=a, height=b)
-        else:
+        if self.kind not in KINDS:
             raise ValidationError(f"unknown annulus kind {self.kind!r}")
+        _check_positive(**dict(zip(KINDS[self.kind].params, self.params)))
+        if self.kind == "round" and not self.params[0] < self.params[1]:
+            raise ValidationError("round annulus needs 0 < r < R")
 
 
 def round_annulus(r: float, big_r: float) -> AnnulusSpec:
@@ -81,14 +90,7 @@ def flat_cylinder(circumference: float, height: float) -> AnnulusSpec:
 
 
 def lambda_closed_form(spec: AnnulusSpec) -> float:
-    if spec.kind == "round":
-        r, big_r = spec.params
-        return 2.0 * math.pi / math.log(big_r / r)
-    if spec.kind == "rectangle":
-        a, b = spec.params
-        return a / b
-    circ, height = spec.params
-    return circ / height
+    return KINDS[spec.kind].closed_form(*spec.params)
 
 
 @dataclass(frozen=True)
@@ -208,11 +210,8 @@ def _cg(a: sp.csr_matrix, rhs: np.ndarray, x0: np.ndarray | None,
 
     mg = _Multigrid(a, inside)
     precond = spla.LinearOperator(a.shape, matvec=mg.vcycle, dtype=float)
-    kw = {"maxiter": _MAX_ITER, "M": precond, "x0": x0, "callback": cb}
-    try:
-        x, info = spla.cg(a, rhs, rtol=_RTOL, atol=0.0, **kw)
-    except TypeError:  # scipy < 1.12 spelling
-        x, info = spla.cg(a, rhs, tol=_RTOL, atol=0.0, **kw)
+    x, info = spla.cg(a, rhs, x0=x0, rtol=_RTOL, atol=0.0, maxiter=_MAX_ITER,
+                      M=precond, callback=cb)
     res = float(np.linalg.norm(rhs - a @ x) / np.linalg.norm(rhs))
     if info != 0 or not np.isfinite(res) or res > 10 * _RTOL:
         raise NumericalError(
@@ -349,6 +348,18 @@ class _Multigrid:
 # ---------------------------------------------------------------------------
 # domain builders
 
+#: most lattice cells of a grid domain: the solve peaks at about 190 bytes a
+#: cell (480 MB for annulus(1, 4, h = 1/200), 1604^2 cells)
+GRID_CELLS_MAX = 3_000_000
+
+
+def _check_cells(*sides: float) -> None:
+    """Refuse a lattice with sides (in cells, as floats, so that an
+    overflowing length/h is refused too) of more than GRID_CELLS_MAX cells,
+    before anything is allocated."""
+    if not math.prod(sides) <= GRID_CELLS_MAX:
+        raise ValidationError(f"grid larger than {GRID_CELLS_MAX} cells: increase h")
+
 
 def annulus_grid(r: float, big_r: float, h: float,
                  family: str = "separating") -> GridDomain:
@@ -358,6 +369,7 @@ def annulus_grid(r: float, big_r: float, h: float,
     round_annulus(r, big_r)  # checks 0 < r < R
     _check_positive(h=h)
     half = big_r + 2 * h
+    _check_cells(2 * half / h, 2 * half / h)
     m = int(math.ceil(2 * half / h))
     xs = (np.arange(m) + 0.5) * h - half
     xx, yy = np.meshgrid(xs, xs)
@@ -380,6 +392,7 @@ def rectangle_grid(a: float, b: float, h: float,
     joining family runs vertically and has extremal length a/b.
     """
     _check_positive(a=a, b=b, h=h)
+    _check_cells(b / h + 3, a / h + 3)
     nx = max(2, int(round(b / h)))
     ny = max(2, int(round(a / h)))
     inside = np.zeros((ny + 2, nx + 2), dtype=bool)
@@ -403,6 +416,7 @@ def rectangle_grid(a: float, b: float, h: float,
 def cylinder_grid(circumference: float, height: float, h: float) -> GridDomain:
     """Flat cylinder, periodic in y (the circumference direction)."""
     _check_positive(circumference=circumference, height=height, h=h)
+    _check_cells(height / h + 1, circumference / h + 1)
     nx = max(2, int(round(height / h)))
     ny = max(2, int(round(circumference / h)))
     inside = np.ones((ny, nx), dtype=bool)
@@ -414,30 +428,17 @@ def cylinder_grid(circumference: float, height: float, h: float) -> GridDomain:
 
 
 def spec_to_json(spec: AnnulusSpec) -> dict:
-    if spec.kind == "round":
-        params = {"r": spec.params[0], "R": spec.params[1]}
-    elif spec.kind == "rectangle":
-        params = {"a": spec.params[0], "b": spec.params[1]}
-    else:
-        params = {"circumference": spec.params[0], "height": spec.params[1]}
-    return {"kind": spec.kind, "params": params}
+    return {"kind": spec.kind, "params": dict(zip(KINDS[spec.kind].params, spec.params))}
 
 
 def spec_from_json(data: dict) -> AnnulusSpec:
     try:
-        kind = data["kind"]
-        p = data["params"]
-        if kind == "round":
-            return round_annulus(float(p["r"]), float(p["R"]))
-        if kind == "rectangle":
-            return rectangle(float(p["a"]), float(p["b"]))
-        if kind == "flat-cylinder":
-            return flat_cylinder(float(p["circumference"]), float(p["height"]))
-    except ValidationError:
-        raise
+        kind, p = data["kind"], data["params"]
+        # an unknown kind is refused by the spec
+        params = tuple(float(p[n]) for n in KINDS[kind].params) if kind in KINDS else ()
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad domain file: {exc}") from None
-    raise ValidationError(f"unknown annulus kind {data.get('kind')!r}")
+    return AnnulusSpec(kind, params)
 
 
 def dump_grid_csv(dom: GridDomain, path: str) -> None:

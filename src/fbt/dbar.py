@@ -38,7 +38,6 @@ chi0(0) = 0, chi0(1) = 1 and |chi0'| <= 3/2.
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 import math
 from dataclasses import dataclass
@@ -55,7 +54,6 @@ QUAD_N_MAX = 1000  # quad_n^2 quadrature cells
 @dataclass(frozen=True)
 class KernelParams:
     alpha: float
-    nu: complex | None = None
     trunc: int = 50
 
     def __post_init__(self):
@@ -63,15 +61,11 @@ class KernelParams:
             raise ValidationError("alpha must be finite and >= 1")
         if not 2 <= self.trunc <= TRUNC_MAX:
             raise ValidationError(f"truncation order must lie in [2, {TRUNC_MAX}]")
-        if self.nu is not None and not cmath.isfinite(self.nu):
-            raise ValidationError("nu must be finite")
-        nv = self.nu_value
-        if abs(nv - _nearest_lattice_point(nv, self.alpha)) < 1e-9:
-            raise ValidationError("nu must avoid the lattice")
 
     @property
     def nu_value(self) -> complex:
-        return self.nu if self.nu is not None else 0.5 + 0.5j * self.alpha
+        """The half period nu = (1 + i alpha)/2."""
+        return 0.5 + 0.5j * self.alpha
 
 
 def _nearest_lattice_point(z, alpha: float):
@@ -171,6 +165,9 @@ def wp_nu_tail_bound(params: KernelParams, wmax: float) -> float:
 _COT_TAYLOR = (-1382.0 / 638512875.0, -2.0 / 93555.0, -1.0 / 4725.0,
                -2.0 / 945.0, -1.0 / 45.0, -1.0 / 3.0)
 _SMALL_V = 0.2
+# Arguments are reduced to |Im v| <= pi alpha/2, so e^{2iv} and its reciprocal
+# reach e^{pi alpha}: about 1/30 of the float maximum at alpha = 225.
+THETA_ALPHA_MAX = 225.0
 
 
 class ThetaKernel:
@@ -188,8 +185,13 @@ class ThetaKernel:
 
     def __init__(self, params: KernelParams):
         a = params.alpha
+        if a > THETA_ALPHA_MAX:
+            raise NumericalError(
+                f"theta kernel needs alpha <= {THETA_ALPHA_MAX}: the reduced exponentials "
+                f"e^(pi alpha) overflow from about alpha = 225.9")
         n = np.arange(1, math.ceil(38.0 / (math.pi * a)) + 1)
-        ratio = 1.0 / np.expm1(2.0 * math.pi * a * n)  # q^{2n}/(1 - q^{2n})
+        with np.errstate(over="ignore"):  # beyond e^709, 1/inf = 0 is the exact limit
+            ratio = 1.0 / np.expm1(2.0 * math.pi * a * n)  # q^{2n}/(1 - q^{2n})
         self.alpha, self.nu = a, params.nu_value
         self.coef = (4.0 * ratio)[::-1]  # highest order first, for np.polyval
         self.eta1 = math.pi ** 2 / 6.0 * (1.0 - 24.0 * float((n * ratio).sum()))
@@ -203,9 +205,11 @@ class ThetaKernel:
         """L(v) = theta_1'(v)/theta_1(v) for the nome q = e^{-pi alpha}."""
         v = np.asarray(v, dtype=complex)
         m = np.round(v.imag / (math.pi * self.alpha))
-        em1 = np.expm1(2j * v + 2.0 * math.pi * self.alpha * m)  # e^{2iv} - 1, reduced
-        # cot v = i (e^{2iv} + 1)/(e^{2iv} - 1)
-        return 1j * (em1 + 2.0) / em1 + self._sine_series(em1 + 1.0) - 2j * m
+        x = 2j * v + 2.0 * math.pi * self.alpha * m  # 2iv, reduced
+        em1 = np.expm1(x)
+        # cot v = i (e^{2iv} + 1)/(e^{2iv} - 1); the series takes e^{2iv} itself,
+        # since em1 + 1 loses it (down to 0) where |e^{2iv}| < 1e-16
+        return 1j * (em1 + 2.0) / em1 + self._sine_series(np.exp(x)) - 2j * m
 
     def wp_nu(self, z) -> np.ndarray:
         """The exact kernel wp_nu(z) (infinite at its poles)."""
@@ -364,44 +368,6 @@ def blend(g_values, g_zero: complex, x, delta: float) -> tuple[np.ndarray, np.nd
     c = chi(delta, np.where(inside, x, 0.0))
     g1 = np.where(inside, c * g_values + (1.0 - c) * g_zero, g_zero)
     return g1, 0.5 * chi_prime(delta, x) * (g_values - g_zero)
-
-
-def validate_analytic(xs: np.ndarray, ys: np.ndarray, values: np.ndarray,
-                      tol: float = 1e-8) -> float:
-    """Cauchy-Riemann finite-difference residual of samples on a grid;
-    raises when it exceeds the second-order FD allowance (floor tol)."""
-    if values.shape != (ys.size, xs.size):
-        raise ValidationError("value grid shape mismatch")
-    if xs.size < 3 or ys.size < 3:
-        raise ValidationError("analyticity check needs a 3x3 grid")
-    hx = xs[1] - xs[0]
-    hy = ys[1] - ys[0]
-    gx = (values[1:-1, 2:] - values[1:-1, :-2]) / (2 * hx)
-    gy = (values[2:, 1:-1] - values[:-2, 1:-1]) / (2 * hy)
-    res = float(np.abs(0.5 * (gx + 1j * gy)).max())
-    scale = max(float(np.abs(values).max()), 1.0)
-    # holomorphic samples leave an O(h^2 g''') discretization residual
-    h2 = max(hx, hy) ** 2
-    third = _third_difference_scale(values, hx, hy)
-    if res > max(tol * scale, h2 * third):
-        raise ValidationError(
-            f"samples fail the analyticity check (CR residual {res:.3e})")
-    return res
-
-
-def _third_difference_scale(values: np.ndarray, hx: float, hy: float) -> float:
-    dx = np.diff(values, n=3, axis=1) / hx ** 3 if values.shape[1] > 3 else np.zeros(1)
-    dy = np.diff(values, n=3, axis=0) / hy ** 3 if values.shape[0] > 3 else np.zeros(1)
-    return float(max(np.abs(dx).max(), np.abs(dy).max()))
-
-
-def blend_and_phi(xs: np.ndarray, ys: np.ndarray, values: np.ndarray,
-                  cfg: DbarConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Blend a holomorphic sample grid on the strip |Re z| < 3 delta/2 and
-    return (g1, phi) on the same grid, after checking analyticity."""
-    validate_analytic(xs, ys, values)
-    g_zero = values[int(np.argmin(np.abs(ys))), int(np.argmin(np.abs(xs)))]
-    return blend(values, g_zero, xs, cfg.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +550,10 @@ class DbarSolution:
                                  np.linspace(-im_h, im_h, 40))
             w = (xx + 1j * yy).ravel()
             w = w[(np.abs(w[:, None] - poles) > 0.24).all(axis=1)]
-            bound = max(bound, float(np.abs(self.kernel.regular(w)).max()))
+            sample = np.abs(self.kernel.regular(w))
+            if not np.isfinite(sample).all():
+                raise NumericalError("c2 sample of the theta kernel is not finite")
+            bound = max(bound, float(sample.max()))
         return 1.1 * bound
 
     def _cauchy_sum(self, z: np.ndarray) -> np.ndarray:

@@ -230,16 +230,56 @@ def _least_rotation(seq: Sequence) -> int:
     return min(i, j)
 
 
+def _split(w: FreeWord, k: int) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
+    """The terms of the first k letters of w and those of the other letters."""
+    pos = 0
+    for i, (gen, exp) in enumerate(w.terms):
+        if pos + abs(exp) > k:
+            cut = (k - pos) * (1 if exp > 0 else -1)
+            return (w.terms[:i] + (((gen, cut),) if cut else ()),
+                    ((gen, exp - cut),) + w.terms[i + 1:])
+        pos += abs(exp)
+    return w.terms, ()
+
+
+def _cyclic_terms(v: FreeWord) -> tuple[list[Term], list[int]]:
+    """The terms of the cyclically reduced v read as a cyclic word (the last
+    term merged into the first when they share a generator, and then placed
+    last) and the index in v of the first letter of each."""
+    terms, starts, pos = list(v.terms), [], 0
+    for _, exp in terms:
+        starts.append(pos)
+        pos += abs(exp)
+    if len(terms) > 2 and terms[0][0] == terms[-1][0]:
+        terms = terms[1:-1] + [(terms[0][0], terms[0][1] + terms[-1][1])]
+        starts = starts[1:]
+    return terms, starts
+
+
+def _least_rotation_start(v: FreeWord) -> int:
+    """The first letter index of the least letter rotation of the cyclically
+    reduced v, in O(terms).  A least rotation starts a cyclic term (starting
+    inside a run of the least letter is larger), and after two runs of the
+    same letter the shorter one is followed by the other generator, larger
+    after a1 and smaller after a2: so the runs compare by (generator, sign,
+    -length for a1, length for a2)."""
+    terms, starts = _cyclic_terms(v)
+    if len(terms) < 2:
+        return 0
+    keys = [(gen, exp > 0, -abs(exp) if gen == 1 else abs(exp)) for gen, exp in terms]
+    return starts[_least_rotation(keys)]
+
+
 def cyclic_canonical(w: FreeWord) -> FreeWord:
     """Canonical conjugacy-class representative.
 
-    Cyclically reduce, then take the least letter rotation, in linear time.
-    Two words map to equal outputs iff they are conjugate.
+    Cyclically reduce, then take the least letter rotation, in linear time
+    in the number of terms.  Two words map to equal outputs iff they are
+    conjugate.
     """
     v, _ = cyclically_reduce(w)
-    letters = v.letters()
-    rot = _least_rotation(letters)
-    return reduce(letters[rot:] + letters[:rot])
+    head, tail = _split(v, _least_rotation_start(v))
+    return reduce(tail + head)
 
 
 def is_primitive(w: FreeWord) -> bool:
@@ -250,17 +290,21 @@ def is_primitive(w: FreeWord) -> bool:
 
 
 def primitive_root(w: FreeWord) -> tuple[FreeWord, int]:
-    """Return (r, s) with w = r^s, s maximal (so r is primitive)."""
+    """Return (r, s) with w = r^s, s maximal (so r is primitive): s is the
+    number of periods of the cyclic term sequence of w, or |k| for w
+    conjugate to a single term g^k."""
     v, c = cyclically_reduce(w)
-    letters = v.letters()
-    n = len(letters)
-    if n == 0:
+    if v.is_identity:
         raise ValidationError("identity has no primitive root")
-    for p in range(1, n + 1):
-        if n % p == 0 and letters[p:] + letters[:p] == letters:
-            root = reduce(letters[:p])
-            return conjugate(c, root), n // p
-    raise AssertionError("unreachable: trivial period always matches")
+    terms, _ = _cyclic_terms(v)
+    t = len(terms)
+    if t == 1:
+        s = abs(terms[0][1])
+    else:
+        s = t // next(p for p in range(1, t + 1)
+                      if t % p == 0 and terms[p:] + terms[:p] == terms)
+    root, _ = _split(v, v.letter_length() // s)
+    return conjugate(c, reduce(root)), s
 
 
 def _fits_budget(degrees: Sequence[int], budget: float) -> bool:
@@ -270,6 +314,14 @@ def _fits_budget(degrees: Sequence[int], budget: float) -> bool:
     for d in degrees:
         prod *= 3 * d
     return prod <= math.exp(budget) * (1.0 + 1e-12)
+
+
+def _max_degree(budget: float) -> int:
+    """One more than the largest syllable degree d with log(3 d) <= budget."""
+    try:
+        return int(math.exp(budget) / 3 * (1 + 1e-12)) + 1
+    except OverflowError:
+        raise ValidationError(f"enumeration budget {budget} overflows e^budget") from None
 
 
 def check_budget(budget: float, what: str = "enumeration budget") -> None:
@@ -286,27 +338,27 @@ def enumerate_words(budget: float, cap: float = ENUM_BUDGET_CAP) -> list[FreeWor
     Deterministic order: (syllable count, letter sequence) lexicographic.
     """
     check_budget(budget)
-    if not budget <= cap:  # a NaN cap refuses every budget
+    if not math.isfinite(cap):
+        raise ValidationError("enumeration cap must be finite")
+    if budget > cap:
         raise ValidationError("enumeration budget exceeded")
     found: list[FreeWord] = [IDENTITY]
-    max_deg = int(math.exp(budget) / 3 * (1 + 1e-12)) + 1
-
-    def extend(terms: list[Term]):
+    max_deg = _max_degree(budget)
+    stack = [IDENTITY]  # words whose one-term extensions are still to be tried
+    while stack:
+        terms = stack.pop().terms
         last_gen = terms[-1][0] if terms else 0
         for gen in (1, 2):
             if gen == last_gen:
                 continue
             for sign in (1, -1):
                 for n in range(1, max_deg + 1):
-                    cand = terms + [(gen, sign * n)]
-                    w = FreeWord(tuple(cand))
+                    w = FreeWord(terms + ((gen, sign * n),))
                     if not _fits_budget(syllable_degrees(w), budget):
                         # appending letters only grows L-, so larger n is hopeless
                         break
                     found.append(w)
-                    extend(cand)
-
-    extend([])
+                    stack.append(w)
     found.sort(key=lambda w: (len(syllables(w)), w.letters()))
     return found
 
@@ -319,13 +371,11 @@ def count_words_by_patterns(budget: float) -> int:
     writing the words down.  Used as an oracle against enumerate_words.
     """
     check_budget(budget)
-    max_deg = int(math.exp(budget) / 3 * (1 + 1e-12)) + 1
+    max_deg = _max_degree(budget)
 
     # syllable choices: ("big", sign, d>=2) with one generator choice fixed by
     # the boundary, ("run", sign, d) whose letters alternate generators, so a
     # run is pinned by its first generator.
-    total = 0
-
     def count_from(prev_kind: str | None, prev_sign: int, prev_end_gen: int,
                    degrees: list[int]) -> int:
         # returns number of admissible continuations (including stopping here)
@@ -353,8 +403,7 @@ def count_words_by_patterns(budget: float) -> int:
                     n += count_from("run", sign, end_gen, degrees + [d])
         return n
 
-    total = count_from(None, 0, 0, [])
-    return total
+    return count_from(None, 0, 0, [])
 
 
 def word_count_bound(budget: float) -> LogNumber:
@@ -403,10 +452,9 @@ def tuple_canonical(t: MonodromyTuple) -> MonodromyTuple:
     i0 = next(i for i, w in enumerate(entries) if not w.is_identity)
     w0 = entries[i0]
     v, c = cyclically_reduce(w0)
-    vlet = v.letters()
-    rot = _least_rotation(vlet)
-    target = reduce(vlet[rot:] + vlet[:rot])
-    p = reduce(vlet[:rot])
+    head, tail = _split(v, _least_rotation_start(v))
+    target = reduce(tail + head)
+    p = reduce(head)
     # w0 = conj(c, v) = conj(c p, target)  =>  u0 = (c p)^-1
     u0 = invert(concat(c, p))
     root, _ = primitive_root(target)
@@ -434,7 +482,10 @@ def tuple_canonical(t: MonodromyTuple) -> MonodromyTuple:
 # ---------------------------------------------------------------------------
 # text grammar and JSON emission
 
-_TOKEN = re.compile(r"^a([12])(?:\^(-?\d+))?$")
+#: most digits of an exponent in word or braid text: a sum of a few of them
+#: still prints (int and str convert at most 4300 digits)
+EXPONENT_DIGITS_MAX = 4000
+_TOKEN = re.compile(rf"^a([12])(?:\^(-?\d{{1,{EXPONENT_DIGITS_MAX}}}))?$")
 
 
 def parse_word(text: str) -> FreeWord:
@@ -443,19 +494,10 @@ def parse_word(text: str) -> FreeWord:
     for tok in text.split():
         m = _TOKEN.match(tok)
         if not m:
-            raise ValidationError(f"bad word token {tok!r}")
+            raise ValidationError(f"bad word token {tok[:60]!r}")
         exp = int(m.group(2)) if m.group(2) is not None else 1
-        if exp == 0:
-            raise ValidationError(f"zero exponent in token {tok!r}")
         terms.append((int(m.group(1)), exp))
-    w = FreeWord(tuple(terms)) if _is_reduced(terms) else None
-    if w is None:
-        raise ValidationError("word text is not reduced")
-    return w
-
-
-def _is_reduced(terms: Sequence[Term]) -> bool:
-    return all(g1 != g2 for (g1, _), (g2, _) in zip(terms, terms[1:]))
+    return FreeWord(tuple(terms))  # refuses zero exponents and unreduced text
 
 
 def format_word(w: FreeWord) -> str:

@@ -178,13 +178,24 @@ def test_dbar_input_contract_exit_code(capsys, argv):
     assert err.startswith("error:") and err.count("error:") == 1
 
 
+def _argv_id(argv):
+    return " ".join(a if len(a) < 100 else f"{a[:12]}...({len(a)} chars)" for a in argv)
+
+
 @pytest.mark.parametrize("argv", [
     ("word", "enum", "--budget", "nan"),
     ("word", "enum", "--budget", "5", "--cap", "nan"),
     ("braid", "census", "--budgets", "nan"),
     ("braid", "census", "--budgets", "4.0,nan"),
     ("braid", "nf", "s1^1000000 s2^-3"),
-], ids=lambda argv: " ".join(argv))
+    ("braid", "nf", "s2^35976124383057076 s1^-21"),  # refused without peeling 1e6 terms
+    ("word", "enum", "--budget", "1", "--cap", "inf"),
+    ("word", "enum", "--budget", "800", "--cap", "inf"),
+    ("braid", "census", "--budgets", "800", "--cap", "1e308"),
+    ("braid", "census", "--budgets", "abc"),
+    ("word", "linv", "a1^" + "9" * 4001),
+    ("braid", "nf", "s1^" + "9" * 4001),
+], ids=_argv_id)
 def test_exact_input_contract_exit_code(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -218,7 +229,13 @@ def test_exact_input_contract_exit_code(capsys, argv):
     ("bounds", "thm1", "--g", "0", "--m", "1", "--lambda4", "1e306"),
     ("bounds", "thm1", "--g", "0", "--m", "1", "--lambda4", "1e14"),
     ("bounds", "table", "--formula", "thm1", "--lambdas", "1e306"),
-], ids=lambda argv: " ".join(argv))
+    ("bounds", "table", "--formula", "thm1", "--lambdas", "x"),
+    ("bounds", "thm1", "--g", "9" * 400, "--m", "1", "--lambda4", "0"),
+    ("conformal", "grid", "--kind", "round", "--r", "1", "--R", "2", "--h", "4e-6"),
+    ("conformal", "grid", "--kind", "rectangle", "--a", "1", "--b", "1", "--h", "1e-320"),
+    ("conformal", "lambda", "--kind", "rectangle", "--a", "1e308", "--b", "1e-10"),
+    ("conformal", "torus-bounds", "--alpha", "1e308", "--sigma", "1e-300"),
+], ids=_argv_id)
 def test_bounds_conformal_config3_input_contract_exit_code(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -322,6 +339,28 @@ def test_word_canon_long_power(capsys):
     assert code == 0
     assert json.loads(out) == {"word": "a1^100000", "canonical": "a1^100000",
                                "primitive": False}
+
+
+def test_word_canon_huge_exponent(capsys):
+    code, out, _ = run_cli(capsys, "word", "canon", "a1^-9999999999999999999999")
+    assert code == 0
+    assert json.loads(out) == {"word": "a1^-9999999999999999999999",
+                               "canonical": "a1^-9999999999999999999999", "primitive": False}
+    # the longest exponents, merged by the cyclic reduction, still print
+    big = "9" * 4000
+    code, out, _ = run_cli(capsys, "word", "canon", f"a1^{big} a2 a1^{big}")
+    assert code == 0 and json.loads(out)["canonical"] == f"a1^{2 * int(big)} a2"
+
+
+def test_dbar_solve_alpha_edge(capsys):
+    code, out, err = run_cli(capsys, "dbar", "solve", "--eps", "0.01", "--alpha", "120",
+                             "--quad", "300")
+    assert code == 0 and err == ""
+    assert all(math.isfinite(v) and v >= 0 for v in json.loads(out).values())
+    code, out, err = run_cli(capsys, "dbar", "solve", "--eps", "0.01", "--alpha", "250",
+                             "--quad", "300")
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_dbar_kernel_overflow_exit_code(capsys):
@@ -448,3 +487,112 @@ def test_config3_csv_exit_code_property(op, n, edits):
     else:
         assert out.getvalue() == "" and err.getvalue().startswith("error:")
         assert err.getvalue().count("\n") == 1
+
+
+# argv for the commands that answer at once.  Each flag takes a plausible
+# value or a wild one: left out, any float (NaN and +-inf included), zero,
+# negative, huge or not a number.  Budgets stay <= 4.5; exponents reach past
+# int()'s digit limit.
+_ANY = st.one_of(st.floats(0.01, 0.99), st.floats(1.0, 100.0)).map(repr)
+_SIGMA = st.floats(0.01, 0.99).map(repr)
+_LARGE = st.floats(1.0, 100.0).map(repr)
+_WILD = st.one_of(
+    st.sampled_from(["0", "-0.0", "-1", "1e308", "-1e308", "5e-324", "1e-300",
+                     "nan", "inf", "-inf", "", "x", None]),
+    st.floats().map(repr), st.integers(-10 ** 40, 10 ** 40).map(str))
+_BUDGET = st.one_of(st.floats(0.0, 4.5).map(repr), st.floats(0.0, 4.5).map(repr),
+                    st.floats(max_value=4.5).map(repr),
+                    st.sampled_from(["nan", "inf", "-inf", "1.0986122886681098"]))
+_WILD_INT = st.one_of(st.sampled_from(["-1", "1e3", "nan", "9" * 400, "9" * 5000, None]),
+                      st.integers(-10 ** 400, 10 ** 400).map(str))
+_EXPONENT = st.one_of(st.integers(-40, 40), st.integers(-10 ** 30, 10 ** 30),
+                      st.integers(1, 5000).map(lambda n: int("9" * n) if n <= 4300 else "9" * n))
+
+
+@st.composite
+def _flags(draw, wild=_WILD, **plausible):
+    """--name=value for each name, a draw of its plausible strategy or,
+    about one time in four, of the wild one; a None value leaves the flag out."""
+    values = {n: draw(st.one_of(s, s, s, wild)) for n, s in plausible.items()}
+    return [f"--{n}={v}" for n, v in values.items() if v is not None]
+
+
+@st.composite
+def _word_text(draw, gens):
+    """Terms on alternating generators (the first drawn), or on any."""
+    exps = draw(st.lists(_EXPONENT, max_size=4))
+    first = draw(st.integers(0, len(gens) - 1))
+    if draw(st.booleans()):
+        names = [gens[(first + i) % 2] for i in range(len(exps))]
+    else:
+        names = draw(st.lists(st.sampled_from(gens), min_size=len(exps), max_size=len(exps)))
+    return " ".join(f"{g}^{e}" for g, e in zip(names, exps))
+
+
+@st.composite
+def _argv(draw):
+    command, op = draw(st.sampled_from([
+        ("word", "linv"), ("word", "canon"), ("word", "enum"), ("braid", "nf"),
+        ("braid", "theta"), ("braid", "bracket"), ("braid", "census"), ("bounds", "thm1"),
+        ("bounds", "thm2"), ("bounds", "thm3"), ("bounds", "prop1a"), ("bounds", "prop1b"),
+        ("bounds", "table"), ("conformal", "lambda"), ("conformal", "torus-bounds"),
+        ("config3", "in-h")]))
+    table = ["--table"] if draw(st.booleans()) else []
+    cap = draw(_flags(cap=st.floats(4.5, 10.0).map(repr)))
+    topology = draw(_flags(_WILD_INT, g=st.integers(0, 4).map(str), m=st.integers(0, 4).map(str)))
+    if op == "enum":
+        return ["word", "enum", *draw(_flags(st.none(), budget=_BUDGET)), *cap, *table]
+    if op == "census":
+        budgets = ",".join(draw(st.lists(_BUDGET, max_size=3)))
+        return ["braid", "census", f"--budgets={budgets}", *cap, *table]
+    if command == "word":
+        return ["word", op, draw(_word_text(["a1", "a2"]))]
+    if command == "braid":
+        prefix = "@mod-center " if draw(st.booleans()) else ""
+        return ["braid", op, prefix + draw(_word_text(["s1", "s2", "d"]))]
+    if op in ("thm1", "thm2", "thm3"):
+        lam = "lambda4" if op == "thm1" else "lambda8"
+        return ["bounds", op, *topology, *draw(_flags(**{lam: _ANY}))]
+    if op == "prop1a":
+        return ["bounds", op, *draw(_flags(alpha=_LARGE, sigma=_SIGMA, C=_ANY, c=_ANY))]
+    if op == "prop1b":
+        return ["bounds", op, *draw(_flags(sigma=_SIGMA, C1=_ANY, C2=_ANY, C1p=_ANY, C2p=_ANY))]
+    if op == "table":
+        formula = draw(st.sampled_from(["thm1", "thm2", "thm3", "prop1a-upper", "thm4"]))
+        sweep = ",".join(draw(st.lists(st.one_of(_SIGMA, _SIGMA, _WILD.filter(bool)),
+                                       min_size=1, max_size=3)))
+        return ["bounds", "table", f"--formula={formula}", f"--sigmas={sweep}",
+                f"--lambdas={sweep}", *topology, *draw(_flags(alpha=_LARGE))]
+    if op == "torus-bounds":
+        return ["conformal", "torus-bounds", *draw(_flags(alpha=_LARGE, sigma=_SIGMA))]
+    if op == "lambda":
+        kind = draw(st.sampled_from(["round", "rectangle", "flat-cylinder", "oval", None]))
+        return ["conformal", "lambda", *([f"--kind={kind}"] if kind else []),
+                *draw(_flags(**{k: _ANY for k in ("r", "R", "a", "b", "circumference", "height")}))]
+    names = ("re1", "im1", "re2", "im2", "re3", "im3")
+    points = [v.split("=", 1)[1]
+              for v in draw(_flags(_WILD.filter(bool), **{k: _ANY for k in names}))]
+    if draw(st.booleans()):
+        points = points[:draw(st.integers(0, 7))]
+    return ["config3", "in-h", f"--points={','.join(points)}", *draw(_flags(tol=_ANY))]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(argv=_argv())
+def test_cli_exit_code_property(argv):
+    import contextlib
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), err
+    assert err.count("error:") <= 1
+    if code != 0:
+        assert out == "" and "error:" in err
+    elif "--table" in argv or argv[:2] == ["bounds", "table"]:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert err == "" and len(rows) >= 2 and len({len(r) for r in rows}) == 1
+    else:
+        assert err == "" and out.count("\n") == 1
+        json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in {out}"))

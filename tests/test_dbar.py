@@ -10,7 +10,7 @@ from fbt import dbar as D
 from fbt.dbar import (
     DbarConfig,
     KernelParams,
-    blend_and_phi,
+    blend,
     chi,
     chi0,
     chi0_prime,
@@ -23,7 +23,6 @@ from fbt.dbar import (
     rect_cauchy_integral,
     solve_dbar,
     solve_diagnostics,
-    validate_analytic,
     wp,
     wp_nu,
     wp_nu_tail_bound,
@@ -138,6 +137,26 @@ def test_exact_kernel_double_periodicity():
             assert np.abs(ker.wp_nu(TEST_POINTS + shift) - base).max() <= 1e-12
 
 
+def test_theta_kernel_large_alpha():
+    # up to THETA_ALPHA_MAX the reduced exponentials e^(pi alpha) stay finite,
+    # also on the edges |Im v| = pi alpha/2 of the reduction strip (L = -+i there)
+    for alpha in (20.0, 120.0, D.THETA_ALPHA_MAX):
+        ker = D.ThetaKernel(KernelParams(alpha))
+        edge = 1j * math.pi * alpha / 2
+        assert np.allclose(ker.dlog_theta1(np.array([edge, -edge, 0.3 + 0.999 * edge])),
+                           [-1j, 1j, -1j])
+        assert np.isfinite(ker.wp_nu(TEST_POINTS)).all() and math.isfinite(ker.eta1)
+    with pytest.raises(NumericalError, match="alpha"):
+        D.ThetaKernel(KernelParams(D.THETA_ALPHA_MAX + 0.5))
+
+
+def test_kernel_c2_refuses_non_finite_samples(acceptance_solution, monkeypatch):
+    sol, _ = acceptance_solution
+    monkeypatch.setattr(sol.kernel, "regular", lambda w: np.full(w.shape, np.nan))
+    with pytest.raises(NumericalError, match="c2"):
+        sol.kernel_c2()
+
+
 def test_pole_proximity_error():
     p = KernelParams(1.0, trunc=30)
     with pytest.raises(ValidationError, match="pole"):
@@ -184,8 +203,6 @@ def test_pole_guard_matches_all_poles_scan():
 def test_kernel_params_validation():
     with pytest.raises(ValidationError):
         KernelParams(0.5)
-    with pytest.raises(ValidationError):
-        KernelParams(1.0, nu=1.0 + 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -265,34 +282,19 @@ def _strip_grid(cfg, g, nx=121, ny=41):
 
 def test_blend_constant_g():
     cfg = DbarConfig(eps=0.1)
-    xs, ys, vals = _strip_grid(cfg, lambda z: np.full(np.shape(z), 0.7 + 0.2j))
-    g1, phi = blend_and_phi(xs, ys, vals, cfg)
+    xs, _, vals = _strip_grid(cfg, lambda z: np.full(np.shape(z), 0.7 + 0.2j))
+    g1, phi = blend(vals, 0.7 + 0.2j, xs, cfg.delta)
     assert np.abs(phi).max() == 0.0
     assert np.abs(g1 - (0.7 + 0.2j)).max() < 1e-12
 
 
 def test_blend_linear_g_bound_and_support():
     cfg = DbarConfig(eps=0.1)
-    xs, ys, vals = _strip_grid(cfg, lambda z: np.asarray(z))
-    g1, phi = blend_and_phi(xs, ys, vals, cfg)
+    xs, _, vals = _strip_grid(cfg, lambda z: np.asarray(z))
+    g1, phi = blend(vals, 0j, xs, cfg.delta)
     assert np.abs(phi).max() <= 1.5 * 0.2 / cfg.delta + 1e-12
     inner = np.abs(xs) < cfg.delta / 2
     assert np.abs(phi[:, inner]).max() == 0.0
-
-
-def test_blend_rejects_non_holomorphic():
-    cfg = DbarConfig(eps=0.1)
-    xs, ys, _ = _strip_grid(cfg, lambda z: np.asarray(z))
-    zz = xs[None, :] + 1j * ys[:, None]
-    with pytest.raises(ValidationError, match="analyticity"):
-        blend_and_phi(xs, ys, np.conj(zz), cfg)
-
-
-def test_validate_analytic_passes_holomorphic():
-    xs = np.linspace(-0.1, 0.1, 81)
-    ys = np.linspace(-0.05, 0.05, 41)
-    zz = xs[None, :] + 1j * ys[:, None]
-    validate_analytic(xs, ys, np.exp(2 * zz) + zz ** 3)
 
 
 # ---------------------------------------------------------------------------
