@@ -166,34 +166,33 @@ def _cmd_config3(args) -> int:
 def _cmd_conformal(args) -> int:
     from . import conformal as Cf
 
-    if args.op == "lambda":
-        if getattr(args, "spec_file", None):
-            with open(args.spec_file) as fh:
-                try:
-                    data = json.load(fh)
-                except ValueError as exc:
-                    raise ValidationError(f"bad domain file: {exc}") from None
-            spec = Cf.spec_from_json(data)
-        elif args.kind:
-            names = Cf.KINDS[args.kind].params
-            spec = Cf.AnnulusSpec(args.kind, tuple(getattr(args, n) for n in names))
-        else:
-            raise ValidationError("need --kind or --spec-file")
-        _emit({"kind": spec.kind, "lambda": Cf.lambda_closed_form(spec)})
-    elif args.op == "grid":
-        if args.kind == "round":
-            dom = Cf.annulus_grid(args.r, args.R, args.h, family=args.family)
-        elif args.kind == "rectangle":
-            dom = Cf.rectangle_grid(args.a, args.b, args.h,
-                                    marked=args.marked, family=args.family)
-        else:
-            dom = Cf.cylinder_grid(args.circumference, args.height, args.h)
-        _emit(Cf.grid_extremal_length(dom).to_json())
-    else:  # torus-bounds
+    if args.op == "torus-bounds":
         x = Cf.TorusWithHole(args.alpha, args.sigma)
         out = dict(Cf.generator_upper_bounds(x))
         out["lambda3_upper"] = Cf.prop1a_lambda3_upper(x)
         _emit(out)
+        return 0
+    if getattr(args, "spec_file", None):
+        with open(args.spec_file) as fh:
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ValidationError(f"bad domain file: {exc}") from None
+        spec = Cf.spec_from_json(data)
+    elif args.kind:
+        names = Cf.KINDS[args.kind].params
+        spec = Cf.AnnulusSpec(args.kind, tuple(getattr(args, n) for n in names))
+    else:
+        raise ValidationError("need --kind or --spec-file")
+    if args.op == "lambda":
+        _emit({"kind": spec.kind, "lambda": Cf.lambda_closed_form(spec)})
+        return 0
+    # grid: by default the family whose extremal length the closed form is
+    if args.marked is not None and spec.kind != "rectangle":
+        raise ValidationError("--marked is for --kind rectangle only")
+    marking = {} if args.marked is None else {"marked": args.marked}
+    dom = Cf.KINDS[spec.kind].grid(*spec.params, args.h, family=args.family, **marking)
+    _emit(Cf.grid_extremal_length(dom).to_json())
     return 0
 
 
@@ -355,9 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--height", type=float)
         if name == "grid":
             q.add_argument("--h", type=float, required=True)
-            q.add_argument("--family", default="separating",
+            q.add_argument("--family", default=None,
                            choices=["separating", "joining"])
-            q.add_argument("--marked", default="horizontal",
+            q.add_argument("--marked", default=None,
                            choices=["horizontal", "vertical"])
     q = fsub.add_parser("torus-bounds")
     q.add_argument("--alpha", type=float, required=True)

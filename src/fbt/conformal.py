@@ -18,15 +18,17 @@ of extremal length at most 2(2 alpha + 1)/sigma around ANY primitive
 class that is a product of at most three generators, hence the upper
 bound 4(2 alpha + 1)/sigma for lambda_3.
 
-The grid solver discretizes the Dirichlet energy with the 5-point
-Laplacian on cell centers (a node belongs to the domain iff its cell
-center does), unit interior conductances and conductance-2 half edges to
-Dirichlet boundary values, and solves by conjugate gradients to a `1e-10`
-relative residual, preconditioned by a plain-aggregation multigrid V-cycle
-(2x2 lattice aggregates, Galerkin coarse matrices, damped Jacobi smoothing,
-SuperLU on the coarsest level), whose iteration count grows only slowly
-as h shrinks.  The curve family extremal length is the direct or reciprocal
-effective conductance depending on the family orientation.
+The grid solver discretizes the Dirichlet energy between two marked cell
+sets, held at 1 and 0, with the 5-point Laplacian on cell centers (a node
+belongs to the domain iff its cell center does), unit interior conductances
+and conductance-2 half edges to the marked cells; the lattice may wrap
+around in y, which closes a strip into a flat cylinder.  It solves by
+conjugate gradients to a `1e-10` relative residual, preconditioned by a
+plain-aggregation multigrid V-cycle (2x2 lattice aggregates, Galerkin
+coarse matrices, damped Jacobi smoothing, SuperLU on the coarsest level),
+whose iteration count grows only slowly as h shrinks.  The minimal energy
+is the extremal length of the curves separating the marked sets, the
+reciprocal of that of the curves joining them.
 """
 
 from __future__ import annotations
@@ -52,15 +54,8 @@ def _check_positive(**values) -> None:
 class Kind(NamedTuple):
     params: tuple[str, str]  # the names of the two parameters, in order
     closed_form: Callable[[float, float], float]  # the extremal length
-
-
-#: the analytic annulus kinds; the parameter names are also the CLI flags
-#: and the keys of a JSON domain file
-KINDS = {
-    "round": Kind(("r", "R"), lambda r, big_r: 2.0 * math.pi / math.log(big_r / r)),
-    "rectangle": Kind(("a", "b"), lambda a, b: a / b),
-    "flat-cylinder": Kind(("circumference", "height"), lambda c, height: c / height),
-}
+    grid: Callable[..., GridDomain]  # builder(*params, h, family=...)
+    family: str  # the curve family whose extremal length closed_form is
 
 
 @dataclass(frozen=True)
@@ -132,26 +127,23 @@ _MAX_ITER = 20000
 class GridDomain:
     """Masked rectangular lattice of cell centers.
 
-    mode "dirichlet": marked_a / marked_b hold boundary values 1 / 0 on
-    cells OUTSIDE the domain mask (the Dirichlet contact happens across
-    half edges of conductance 2).  mode "periodic-y": the strip is closed
-    in y with a unit potential jump across the seam, which measures the
-    harmonic 1-form of the wrapping family.
+    marked_a / marked_b hold the boundary values 1 / 0 on cells OUTSIDE the
+    domain mask; the Dirichlet contact happens across half edges of
+    conductance 2.  With wrap_y the lattice closes up in y: the last row
+    neighbours the first.
     """
 
     h: float
     x0: float
     y0: float
     inside: np.ndarray            # bool (ny, nx)
-    mode: str = "dirichlet"
-    marked_a: np.ndarray | None = None
-    marked_b: np.ndarray | None = None
+    marked_a: np.ndarray          # bool (ny, nx)
+    marked_b: np.ndarray          # bool (ny, nx)
+    wrap_y: bool = False
     family: str = "separating"    # which curve family the caller asks about
     x_guess: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mode not in ("dirichlet", "periodic-y"):
-            raise ValidationError(f"unknown grid mode {self.mode!r}")
         if self.family not in ("separating", "joining"):
             raise ValidationError(f"unknown family {self.family!r}")
         if not self.inside.any():
@@ -161,13 +153,10 @@ class GridDomain:
         _, ncomp = label(self.inside)
         if ncomp != 1:
             raise ValidationError("grid domain must be connected")
-        if self.mode == "dirichlet":
-            if self.marked_a is None or self.marked_b is None:
-                raise ValidationError("dirichlet mode needs both marked families")
-            if not self.marked_a.any() or not self.marked_b.any():
-                raise ValidationError("marked families must be nonempty")
-            if (self.marked_a & self.marked_b).any():
-                raise ValidationError("marked families must be disjoint")
+        if not self.marked_a.any() or not self.marked_b.any():
+            raise ValidationError("marked families must be nonempty")
+        if (self.marked_a & self.marked_b).any():
+            raise ValidationError("marked families must be disjoint")
 
 
 @dataclass
@@ -176,7 +165,6 @@ class SolverReport:
     h: float
     iterations: int
     residual: float
-    conductance: float
 
     def to_json(self) -> dict:
         return {"lambda": self.lam, "h": self.h, "iterations": self.iterations,
@@ -185,20 +173,14 @@ class SolverReport:
 
 def grid_extremal_length(dom: GridDomain) -> SolverReport:
     """Solve the discrete Laplace problem to the relative residual _RTOL and
-    convert the effective conductance into the requested curve-family
-    extremal length."""
+    convert the effective conductance (the minimal energy) into the
+    requested curve-family extremal length."""
     a, rhs, const = _assemble(dom)
     x0 = None if dom.x_guess is None else dom.x_guess[dom.inside]
     u, iters, res = _cg(a, rhs, x0, dom.inside)
     energy = float(u @ (a @ u) - 2.0 * (rhs @ u)) + const
-    if dom.mode == "dirichlet":
-        lam = energy if dom.family == "separating" else 1.0 / energy
-    else:
-        energy -= float(u[0]) ** 2  # the gauge conductance holds no energy
-        # the jump form measures the conductance of the wrapping cycle, the
-        # reciprocal of the wrapping (separating) family's extremal length
-        lam = 1.0 / energy if dom.family == "separating" else energy
-    return SolverReport(lam, dom.h, iters, res, energy)
+    lam = energy if dom.family == "separating" else 1.0 / energy
+    return SolverReport(lam, dom.h, iters, res)
 
 
 def _cg(a: sp.csr_matrix, rhs: np.ndarray, x0: np.ndarray | None,
@@ -236,17 +218,12 @@ def _assemble(dom: GridDomain) -> tuple[sp.csr_matrix, np.ndarray, float]:
     """Matrix A, right-hand side b and constant c of the discrete Dirichlet
     energy E(u) = u.Au - 2 b.u + c over the inside nodes (row-major order).
 
-    Interior edges have unit conductance.  In dirichlet mode a node next to
-    a marked cell has a conductance-2 half edge to that cell's value.  In
-    periodic-y mode the edges across the seam carry the unit potential
-    jump, and node 0 is grounded through a unit conductance: that fixes the
-    free additive constant (the solution has u[0] = 0) without changing the
-    minimal edge energy.
+    Interior edges have unit conductance, and a node next to a marked cell
+    has a conductance-2 half edge to that cell's value.  With dom.wrap_y
+    the neighbours and marked cells above the last row are those of the
+    first row, and below the first row those of the last.
     """
     inside = dom.inside
-    periodic = dom.mode == "periodic-y"
-    if periodic and not (inside[0].any() and inside[-1].any()):
-        raise ValidationError("periodic direction must touch both edges")
     n = int(inside.sum())
     idx = np.full(inside.shape, -1, dtype=np.int32)
     idx[inside] = np.arange(n, dtype=np.int32)
@@ -257,24 +234,13 @@ def _assemble(dom: GridDomain) -> tuple[sp.csr_matrix, np.ndarray, float]:
     rhs = np.zeros(n)
     const = 0.0
     for k, (dy, dx) in zip((0, 1, 3, 4), ((-1, 0), (0, -1), (0, 1), (1, 0))):
-        nb = cols[:, k] = _shift(idx, dy, dx, -1, periodic and dy != 0)[inside]
+        nb = cols[:, k] = _shift(idx, dy, dx, -1, dom.wrap_y)[inside]
         diag += nb >= 0
-        if not periodic:
-            for marked, value in ((dom.marked_a, 1.0), (dom.marked_b, 0.0)):
-                touch = _shift(marked, dy, dx, False)[inside]
-                diag += 2.0 * touch
-                rhs += 2.0 * value * touch
-                const += 2.0 * value * value * int(touch.sum())
-        elif dy:
-            # nodes are numbered row by row, so the seam rows are the
-            # first and the last nodes
-            seam = (slice(n - int(inside[-1].sum()), n) if dy > 0
-                    else slice(0, int(inside[0].sum())))
-            crossing = nb[seam] >= 0
-            rhs[seam] += dy * crossing
-            const += 0.5 * int(crossing.sum())
-    if periodic:
-        diag[0] += 1.0
+        for marked, value in ((dom.marked_a, 1.0), (dom.marked_b, 0.0)):
+            touch = _shift(marked, dy, dx, False, dom.wrap_y)[inside]
+            diag += 2.0 * touch
+            rhs += 2.0 * value * touch
+            const += 2.0 * value * value * int(touch.sum())
     if (diag <= 0).any():
         raise ValidationError("grid has isolated nodes")
     keep = cols >= 0
@@ -361,8 +327,34 @@ def _check_cells(*sides: float) -> None:
         raise ValidationError(f"grid larger than {GRID_CELLS_MAX} cells: increase h")
 
 
+def _strip_cells(h: float, **sides: float) -> list[int]:
+    """round(side/h) for each side of a strip, refusing, before anything is
+    allocated, a lattice too large or an h that does not fit a side at
+    least twice."""
+    _check_positive(h=h, **sides)
+    _check_cells(*(side / h + 3 for side in sides.values()))
+    cells = [round(side / h) for side in sides.values()]
+    if min(cells) < 2:
+        raise ValidationError(f"h must fit each of {', '.join(sides)} at least twice")
+    return cells
+
+
+def _strip(nx: int, ny: int, pad: int) -> tuple[np.ndarray, ...]:
+    """inside, marked_a, marked_b and the exact (linear) potential of ny rows
+    of nx cells from a marked column b to a marked column a, between `pad`
+    empty rows above and below."""
+    shape = (ny + 2 * pad, nx + 2)
+    rows = slice(pad, pad + ny)
+    inside, marked_a, marked_b = (np.zeros(shape, dtype=bool) for _ in range(3))
+    inside[rows, 1:-1] = True
+    marked_a[rows, -1] = True
+    marked_b[rows, 0] = True
+    guess = np.clip((np.arange(nx + 2) - 0.5) / nx, 0.0, 1.0)
+    return inside, marked_a, marked_b, np.broadcast_to(guess, shape)
+
+
 def annulus_grid(r: float, big_r: float, h: float,
-                 family: str = "separating") -> GridDomain:
+                 family: str | None = None) -> GridDomain:
     """Round annulus r < |z| < R; marked families are the inner and outer
     complements.  The analytic potential log(R/|z|)/log(R/r) seeds the CG
     iteration."""
@@ -379,48 +371,48 @@ def annulus_grid(r: float, big_r: float, h: float,
     marked_b = rr >= big_r
     guess = np.clip(np.log(big_r / np.maximum(rr, 1e-12)) / math.log(big_r / r),
                     0.0, 1.0)
-    return GridDomain(h, -half, -half, inside, "dirichlet",
-                      marked_a, marked_b, family, x_guess=guess)
+    return GridDomain(h, -half, -half, inside, marked_a, marked_b,
+                      family=family or KINDS["round"].family, x_guess=guess)
 
 
 def rectangle_grid(a: float, b: float, h: float,
                    marked: str = "horizontal",
-                   family: str = "joining") -> GridDomain:
+                   family: str | None = None) -> GridDomain:
     """Rectangle with vertical side a and horizontal side b.
 
     marked="horizontal" marks the two horizontal sides (top/bottom), so the
     joining family runs vertically and has extremal length a/b.
     """
-    _check_positive(a=a, b=b, h=h)
-    _check_cells(b / h + 3, a / h + 3)
-    nx = max(2, int(round(b / h)))
-    ny = max(2, int(round(a / h)))
-    inside = np.zeros((ny + 2, nx + 2), dtype=bool)
-    inside[1:-1, 1:-1] = True
-    marked_a = np.zeros_like(inside)
-    marked_b = np.zeros_like(inside)
-    if marked == "horizontal":
-        marked_a[-1, 1:-1] = True
-        marked_b[0, 1:-1] = True
-        guess = np.tile(((np.arange(ny + 2) - 0.5) / ny)[:, None], (1, nx + 2))
+    nx, ny = _strip_cells(h, b=b, a=a)
+    if marked == "horizontal":  # the vertical marking, turned a quarter
+        inside, marked_a, marked_b, guess = (m.T for m in _strip(ny, nx, pad=1))
     elif marked == "vertical":
-        marked_a[1:-1, -1] = True
-        marked_b[1:-1, 0] = True
-        guess = np.tile((np.arange(nx + 2) - 0.5) / nx, (ny + 2, 1))
+        inside, marked_a, marked_b, guess = _strip(nx, ny, pad=1)
     else:
         raise ValidationError("marked must be horizontal or vertical")
-    return GridDomain(h, 0.0, 0.0, inside, "dirichlet", marked_a, marked_b,
-                      family, x_guess=np.clip(guess, 0.0, 1.0))
+    return GridDomain(h, 0.0, 0.0, inside, marked_a, marked_b,
+                      family=family or KINDS["rectangle"].family, x_guess=guess)
 
 
-def cylinder_grid(circumference: float, height: float, h: float) -> GridDomain:
-    """Flat cylinder, periodic in y (the circumference direction)."""
-    _check_positive(circumference=circumference, height=height, h=h)
-    _check_cells(height / h + 1, circumference / h + 1)
-    nx = max(2, int(round(height / h)))
-    ny = max(2, int(round(circumference / h)))
-    inside = np.ones((ny, nx), dtype=bool)
-    return GridDomain(h, 0.0, 0.0, inside, "periodic-y", family="separating")
+def cylinder_grid(circumference: float, height: float, h: float,
+                  family: str | None = None) -> GridDomain:
+    """Flat cylinder: a strip across the height, marked on both ends and
+    wrapped in y (the circumference direction)."""
+    nx, ny = _strip_cells(h, height=height, circumference=circumference)
+    inside, marked_a, marked_b, guess = _strip(nx, ny, pad=0)
+    return GridDomain(h, 0.0, 0.0, inside, marked_a, marked_b, wrap_y=True,
+                      family=family or KINDS["flat-cylinder"].family, x_guess=guess)
+
+
+#: the analytic annulus kinds; the parameter names are also the CLI flags
+#: and the keys of a JSON domain file
+KINDS = {
+    "round": Kind(("r", "R"), lambda r, big_r: 2.0 * math.pi / math.log(big_r / r),
+                  annulus_grid, "separating"),
+    "rectangle": Kind(("a", "b"), lambda a, b: a / b, rectangle_grid, "joining"),
+    "flat-cylinder": Kind(("circumference", "height"), lambda c, height: c / height,
+                          cylinder_grid, "separating"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +441,10 @@ def dump_grid_csv(dom: GridDomain, path: str) -> None:
     ys, xs = np.nonzero(dom.inside)
     mark = np.full(xs.shape, "none", dtype=object)
     for marked, name in ((dom.marked_b, "b"), (dom.marked_a, "a")):
-        if marked is not None:
-            touch = np.zeros(dom.inside.shape, dtype=bool)
-            for dy, dx in ((-1, 0), (0, -1), (0, 1), (1, 0)):
-                touch |= _shift(marked, dy, dx, False)
-            mark[touch[ys, xs]] = name
+        touch = np.zeros(dom.inside.shape, dtype=bool)
+        for dy, dx in ((-1, 0), (0, -1), (0, 1), (1, 0)):
+            touch |= _shift(marked, dy, dx, False, dom.wrap_y)
+        mark[touch[ys, xs]] = name
     x = (dom.x0 + (xs + 0.5) * dom.h).tolist()
     y = (dom.y0 + (ys + 0.5) * dom.h).tolist()
     with open(path, "w", newline="") as fh:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fbt.cli import main
+from fbt.conformal import KINDS
 
 
 def run_cli(capsys, *argv):
@@ -235,11 +236,34 @@ def test_exact_input_contract_exit_code(capsys, argv):
     ("conformal", "grid", "--kind", "rectangle", "--a", "1", "--b", "1", "--h", "1e-320"),
     ("conformal", "lambda", "--kind", "rectangle", "--a", "1e308", "--b", "1e-10"),
     ("conformal", "torus-bounds", "--alpha", "1e308", "--sigma", "1e-300"),
+    # an h that does not fit a side twice, and --marked where it means nothing
+    ("conformal", "grid", "--kind", "rectangle", "--a", "1", "--b", "2", "--h", "5"),
+    ("conformal", "grid", "--kind", "flat-cylinder", "--circumference", "1",
+     "--height", "0.5", "--h", "0.4"),
+    ("conformal", "grid", "--kind", "round", "--r", "1", "--R", "2", "--h", "0.05",
+     "--marked", "vertical"),
+    ("conformal", "grid", "--kind", "flat-cylinder", "--circumference", "1",
+     "--height", "0.5", "--h", "0.05", "--marked", "horizontal"),
 ], ids=_argv_id)
 def test_bounds_conformal_config3_input_contract_exit_code(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("error:") == 1
+
+
+@pytest.mark.parametrize("kind,h,other", [
+    (("--kind", "round", "--r", "1", "--R", "2"), "0.02", "joining"),
+    (("--kind", "rectangle", "--a", "1", "--b", "2"), "0.05", "separating"),
+    (("--kind", "flat-cylinder", "--circumference", "1", "--height", "0.5"), "0.05",
+     "joining"),
+], ids=lambda v: v[1] if isinstance(v, tuple) else v)
+def test_conformal_grid_default_family_is_the_closed_form_one(capsys, kind, h, other):
+    _, out, _ = run_cli(capsys, "conformal", "lambda", *kind)
+    exact = json.loads(out)["lambda"]
+    code, out, _ = run_cli(capsys, "conformal", "grid", *kind, "--h", h)
+    assert code == 0 and json.loads(out)["lambda"] == pytest.approx(exact, rel=2e-2)
+    code, out, _ = run_cli(capsys, "conformal", "grid", *kind, "--h", h, "--family", other)
+    assert code == 0 and json.loads(out)["lambda"] == pytest.approx(1 / exact, rel=2e-2)
 
 
 def test_bounds_largest_printable_lambda(capsys):
@@ -489,7 +513,8 @@ def test_config3_csv_exit_code_property(op, n, edits):
         assert err.getvalue().count("\n") == 1
 
 
-# argv for the commands that answer at once.  Each flag takes a plausible
+# argv for the commands that answer at once, and for conformal grid on small
+# lattices.  Each flag takes a plausible
 # value or a wild one: left out, any float (NaN and +-inf included), zero,
 # negative, huge or not a number.  Budgets stay <= 4.5; exponents reach past
 # int()'s digit limit.
@@ -505,6 +530,11 @@ _BUDGET = st.one_of(st.floats(0.0, 4.5).map(repr), st.floats(0.0, 4.5).map(repr)
                     st.sampled_from(["nan", "inf", "-inf", "1.0986122886681098"]))
 _WILD_INT = st.one_of(st.sampled_from(["-1", "1e3", "nan", "9" * 400, "9" * 5000, None]),
                       st.integers(-10 ** 400, 10 ** 400).map(str))
+# conformal grid: lengths and --h keep every lattice that gets allocated
+# below about 4e4 cells
+_GRID_LENGTH = st.floats(0.05, 2.0).map(repr)
+_GRID_H = st.floats(0.02, 0.25).map(repr)
+_GRID_WILD = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e308", None])
 _EXPONENT = st.one_of(st.integers(-40, 40), st.integers(-10 ** 30, 10 ** 30),
                       st.integers(1, 5000).map(lambda n: int("9" * n) if n <= 4300 else "9" * n))
 
@@ -535,8 +565,8 @@ def _argv(draw):
         ("word", "linv"), ("word", "canon"), ("word", "enum"), ("braid", "nf"),
         ("braid", "theta"), ("braid", "bracket"), ("braid", "census"), ("bounds", "thm1"),
         ("bounds", "thm2"), ("bounds", "thm3"), ("bounds", "prop1a"), ("bounds", "prop1b"),
-        ("bounds", "table"), ("conformal", "lambda"), ("conformal", "torus-bounds"),
-        ("config3", "in-h")]))
+        ("bounds", "table"), ("conformal", "lambda"), ("conformal", "grid"),
+        ("conformal", "torus-bounds"), ("config3", "in-h")]))
     table = ["--table"] if draw(st.booleans()) else []
     cap = draw(_flags(cap=st.floats(4.5, 10.0).map(repr)))
     topology = draw(_flags(_WILD_INT, g=st.integers(0, 4).map(str), m=st.integers(0, 4).map(str)))
@@ -569,6 +599,15 @@ def _argv(draw):
         kind = draw(st.sampled_from(["round", "rectangle", "flat-cylinder", "oval", None]))
         return ["conformal", "lambda", *([f"--kind={kind}"] if kind else []),
                 *draw(_flags(**{k: _ANY for k in ("r", "R", "a", "b", "circumference", "height")}))]
+    if op == "grid":
+        kind = draw(st.sampled_from(["round", "rectangle", "flat-cylinder", "oval", None]))
+        names = KINDS[kind].params if kind in KINDS else \
+            ("r", "R", "a", "b", "circumference", "height")
+        return ["conformal", "grid", *([f"--kind={kind}"] if kind else []),
+                *draw(_flags(_GRID_WILD, h=_GRID_H, **{k: _GRID_LENGTH for k in names})),
+                *[f"--{flag}={v}" for flag, v in zip(("family", "marked"), draw(st.tuples(
+                    st.sampled_from([None, "separating", "joining", "bogus"]),
+                    st.sampled_from([None, "horizontal", "vertical", "bogus"])))) if v]]
     names = ("re1", "im1", "re2", "im2", "re3", "im3")
     points = [v.split("=", 1)[1]
               for v in draw(_flags(_WILD.filter(bool), **{k: _ANY for k in names}))]

@@ -104,6 +104,22 @@ def test_cylinder_grid_matches_closed_form():
     assert rep.lam == pytest.approx(10.0, rel=1e-2)
 
 
+@pytest.mark.parametrize("family", ["separating", "joining"])
+@pytest.mark.parametrize("kind,params,h,marking", [
+    ("round", (1.0, 2.0), 1 / 50, {}),
+    ("rectangle", (1.7, 1.0), 1 / 20, {"marked": "horizontal"}),
+    ("rectangle", (1.7, 1.0), 1 / 20, {"marked": "vertical"}),
+    ("flat-cylinder", (2.0, 0.5), 1 / 20, {}),
+])
+def test_grid_family_matches_closed_form(kind, params, h, marking, family):
+    exact = lambda_closed_form(Cf.AnnulusSpec(kind, params))
+    if marking.get("marked") == "vertical":  # the sides a and b swap roles
+        exact = 1.0 / exact
+    want = exact if family == Cf.KINDS[kind].family else 1.0 / exact
+    rep = grid_extremal_length(Cf.KINDS[kind].grid(*params, h, family=family, **marking))
+    assert rep.lam == pytest.approx(want, rel=2e-2)
+
+
 def test_solver_report_json():
     rep = grid_extremal_length(rectangle_grid(1.0, 1.0, 1 / 20))
     data = rep.to_json()
@@ -144,11 +160,11 @@ def test_grid_domain_validation():
     marked[0, 1] = True
     marked_b[5, 4] = True
     with pytest.raises(ValidationError, match="connected"):
-        Cf.GridDomain(0.1, 0.0, 0.0, inside, "dirichlet", marked, marked_b)
+        Cf.GridDomain(0.1, 0.0, 0.0, inside, marked, marked_b)
     ok = np.zeros((6, 6), dtype=bool)
     ok[1:3, 1:3] = True
     with pytest.raises(ValidationError, match="disjoint"):
-        Cf.GridDomain(0.1, 0.0, 0.0, ok, "dirichlet", marked, marked)
+        Cf.GridDomain(0.1, 0.0, 0.0, ok, marked, marked)
 
 
 def test_spec_json_round_trip():
