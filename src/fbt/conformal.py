@@ -21,8 +21,9 @@ bound 4(2 alpha + 1)/sigma for lambda_3.
 The grid solver discretizes the Dirichlet energy between two marked cell
 sets, held at 1 and 0, with the 5-point Laplacian on cell centers (a node
 belongs to the domain iff its cell center does), unit interior conductances
-and conductance-2 half edges to the marked cells; the lattice may wrap
-around in y, which closes a strip into a flat cylinder.  It solves by
+and conductance-2 half edges to the marked cells.  A flat cylinder is
+solved as a rectangle marked on its two ends: its potential is constant
+along the circumference, so the seam carries no current.  It solves by
 conjugate gradients to a `1e-10` relative residual, preconditioned by a
 plain-aggregation multigrid V-cycle (2x2 lattice aggregates, Galerkin
 coarse matrices, damped Jacobi smoothing, SuperLU on the coarsest level),
@@ -129,8 +130,7 @@ class GridDomain:
 
     marked_a / marked_b hold the boundary values 1 / 0 on cells OUTSIDE the
     domain mask; the Dirichlet contact happens across half edges of
-    conductance 2.  With wrap_y the lattice closes up in y: the last row
-    neighbours the first.
+    conductance 2.
     """
 
     h: float
@@ -139,7 +139,6 @@ class GridDomain:
     inside: np.ndarray            # bool (ny, nx)
     marked_a: np.ndarray          # bool (ny, nx)
     marked_b: np.ndarray          # bool (ny, nx)
-    wrap_y: bool = False
     family: str = "separating"    # which curve family the caller asks about
     x_guess: np.ndarray | None = None
 
@@ -201,12 +200,8 @@ def _cg(a: sp.csr_matrix, rhs: np.ndarray, x0: np.ndarray | None,
     return x, count[0], res
 
 
-def _shift(a: np.ndarray, dy: int, dx: int, fill,
-           wrap_y: bool = False) -> np.ndarray:
-    """out[y, x] = a[y + dy, x + dx], `fill` off the lattice; with wrap_y
-    the y index wraps around instead."""
-    if wrap_y:
-        a, dy = np.roll(a, -dy, axis=0), 0
+def _shift(a: np.ndarray, dy: int, dx: int, fill) -> np.ndarray:
+    """out[y, x] = a[y + dy, x + dx], `fill` off the lattice."""
     ny, nx = a.shape
     out = np.full_like(a, fill)
     out[max(0, -dy):ny - max(0, dy), max(0, -dx):nx - max(0, dx)] = \
@@ -219,9 +214,7 @@ def _assemble(dom: GridDomain) -> tuple[sp.csr_matrix, np.ndarray, float]:
     energy E(u) = u.Au - 2 b.u + c over the inside nodes (row-major order).
 
     Interior edges have unit conductance, and a node next to a marked cell
-    has a conductance-2 half edge to that cell's value.  With dom.wrap_y
-    the neighbours and marked cells above the last row are those of the
-    first row, and below the first row those of the last.
+    has a conductance-2 half edge to that cell's value.
     """
     inside = dom.inside
     n = int(inside.sum())
@@ -234,10 +227,10 @@ def _assemble(dom: GridDomain) -> tuple[sp.csr_matrix, np.ndarray, float]:
     rhs = np.zeros(n)
     const = 0.0
     for k, (dy, dx) in zip((0, 1, 3, 4), ((-1, 0), (0, -1), (0, 1), (1, 0))):
-        nb = cols[:, k] = _shift(idx, dy, dx, -1, dom.wrap_y)[inside]
+        nb = cols[:, k] = _shift(idx, dy, dx, -1)[inside]
         diag += nb >= 0
         for marked, value in ((dom.marked_a, 1.0), (dom.marked_b, 0.0)):
-            touch = _shift(marked, dy, dx, False, dom.wrap_y)[inside]
+            touch = _shift(marked, dy, dx, False)[inside]
             diag += 2.0 * touch
             rhs += 2.0 * value * touch
             const += 2.0 * value * value * int(touch.sum())
@@ -327,28 +320,15 @@ def _check_cells(*sides: float) -> None:
         raise ValidationError(f"grid larger than {GRID_CELLS_MAX} cells: increase h")
 
 
-def _strip_cells(h: float, **sides: float) -> list[int]:
-    """round(side/h) for each side of a strip, refusing, before anything is
-    allocated, a lattice too large or an h that does not fit a side at
-    least twice."""
-    _check_positive(h=h, **sides)
-    _check_cells(*(side / h + 3 for side in sides.values()))
-    cells = [round(side / h) for side in sides.values()]
-    if min(cells) < 2:
-        raise ValidationError(f"h must fit each of {', '.join(sides)} at least twice")
-    return cells
-
-
-def _strip(nx: int, ny: int, pad: int) -> tuple[np.ndarray, ...]:
+def _strip(nx: int, ny: int) -> tuple[np.ndarray, ...]:
     """inside, marked_a, marked_b and the exact (linear) potential of ny rows
-    of nx cells from a marked column b to a marked column a, between `pad`
-    empty rows above and below."""
-    shape = (ny + 2 * pad, nx + 2)
-    rows = slice(pad, pad + ny)
+    of nx cells from a marked column b to a marked column a, between an
+    empty row above and below."""
+    shape = (ny + 2, nx + 2)
     inside, marked_a, marked_b = (np.zeros(shape, dtype=bool) for _ in range(3))
-    inside[rows, 1:-1] = True
-    marked_a[rows, -1] = True
-    marked_b[rows, 0] = True
+    inside[1:-1, 1:-1] = True
+    marked_a[1:-1, -1] = True
+    marked_b[1:-1, 0] = True
     guess = np.clip((np.arange(nx + 2) - 0.5) / nx, 0.0, 1.0)
     return inside, marked_a, marked_b, np.broadcast_to(guess, shape)
 
@@ -383,11 +363,15 @@ def rectangle_grid(a: float, b: float, h: float,
     marked="horizontal" marks the two horizontal sides (top/bottom), so the
     joining family runs vertically and has extremal length a/b.
     """
-    nx, ny = _strip_cells(h, b=b, a=a)
+    _check_positive(a=a, b=b, h=h)
+    _check_cells(b / h + 3, a / h + 3)
+    nx, ny = round(b / h), round(a / h)
+    if min(nx, ny) < 2:
+        raise ValidationError("h must fit each side at least twice")
     if marked == "horizontal":  # the vertical marking, turned a quarter
-        inside, marked_a, marked_b, guess = (m.T for m in _strip(ny, nx, pad=1))
+        inside, marked_a, marked_b, guess = (m.T for m in _strip(ny, nx))
     elif marked == "vertical":
-        inside, marked_a, marked_b, guess = _strip(nx, ny, pad=1)
+        inside, marked_a, marked_b, guess = _strip(nx, ny)
     else:
         raise ValidationError("marked must be horizontal or vertical")
     return GridDomain(h, 0.0, 0.0, inside, marked_a, marked_b,
@@ -396,12 +380,13 @@ def rectangle_grid(a: float, b: float, h: float,
 
 def cylinder_grid(circumference: float, height: float, h: float,
                   family: str | None = None) -> GridDomain:
-    """Flat cylinder: a strip across the height, marked on both ends and
-    wrapped in y (the circumference direction)."""
-    nx, ny = _strip_cells(h, height=height, circumference=circumference)
-    inside, marked_a, marked_b, guess = _strip(nx, ny, pad=0)
-    return GridDomain(h, 0.0, 0.0, inside, marked_a, marked_b, wrap_y=True,
-                      family=family or KINDS["flat-cylinder"].family, x_guess=guess)
+    """Flat cylinder: the rectangle of vertical side circumference and
+    horizontal side height, marked on its two ends.  Its potential is
+    constant along the circumference, so gluing the free sides would carry
+    no current and change no energy."""
+    flat_cylinder(circumference, height)  # checks the lengths
+    return rectangle_grid(circumference, height, h, marked="vertical",
+                          family=family or KINDS["flat-cylinder"].family)
 
 
 #: the analytic annulus kinds; the parameter names are also the CLI flags
@@ -443,7 +428,7 @@ def dump_grid_csv(dom: GridDomain, path: str) -> None:
     for marked, name in ((dom.marked_b, "b"), (dom.marked_a, "a")):
         touch = np.zeros(dom.inside.shape, dtype=bool)
         for dy, dx in ((-1, 0), (0, -1), (0, 1), (1, 0)):
-            touch |= _shift(marked, dy, dx, False, dom.wrap_y)
+            touch |= _shift(marked, dy, dx, False)
         mark[touch[ys, xs]] = name
     x = (dom.x0 + (xs + 0.5) * dom.h).tolist()
     y = (dom.y0 + (ys + 0.5) * dom.h).tolist()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -102,6 +103,18 @@ def test_cylinder_grid_matches_closed_form():
     assert rep.lam == pytest.approx(8.0, rel=1e-2)
     rep = grid_extremal_length(cylinder_grid(1.0, 0.1, 1 / 50))
     assert rep.lam == pytest.approx(10.0, rel=1e-2)
+
+
+@pytest.mark.parametrize("dom,exact", [
+    (cylinder_grid(2.0, 0.25, 1 / 40), 8.0),
+    (rectangle_grid(1.0, 2.0, 1 / 20), 0.5),
+])
+def test_strip_grid_unseeded_solve_is_exact(dom, exact):
+    # a strip's discrete conductance is rows/columns exactly; without the
+    # linear seed the conjugate gradients must find it themselves
+    rep = grid_extremal_length(dataclasses.replace(dom, x_guess=None))
+    assert rep.iterations > 0
+    assert rep.lam == pytest.approx(exact, rel=1e-9)
 
 
 @pytest.mark.parametrize("family", ["separating", "joining"])
