@@ -184,13 +184,21 @@ def grid_extremal_length(dom: GridDomain) -> SolverReport:
 
 def _cg(a: sp.csr_matrix, rhs: np.ndarray, x0: np.ndarray | None,
         inside: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Multigrid-preconditioned conjugate gradients from x0.  The hierarchy
+    is built when CG first applies the preconditioner: CG tests the start
+    residual first, so a seed that already meets _RTOL builds none."""
     count = [0]
+    mg: list[_Multigrid] = []
 
     def cb(_):
         count[0] += 1
 
-    mg = _Multigrid(a, inside)
-    precond = spla.LinearOperator(a.shape, matvec=mg.vcycle, dtype=float)
+    def vcycle(r):
+        if not mg:
+            mg.append(_Multigrid(a, inside))
+        return mg[0].vcycle(r)
+
+    precond = spla.LinearOperator(a.shape, matvec=vcycle, dtype=float)
     x, info = spla.cg(a, rhs, x0=x0, rtol=_RTOL, atol=0.0, maxiter=_MAX_ITER,
                       M=precond, callback=cb)
     res = float(np.linalg.norm(rhs - a @ x) / np.linalg.norm(rhs))
@@ -275,7 +283,9 @@ class _Multigrid:
     error component.  A level smooths with one damped Jacobi sweep before
     and one after its coarse correction, which keeps the cycle symmetric;
     the coarsest level is factorized by SuperLU.  Nothing is random, so
-    repeated solves agree to the bit.
+    repeated solves agree to the bit.  `_cg` builds the hierarchy on first
+    use, so a solve seeded at its solution skips the aggregation, the
+    Galerkin products and the factorization.
     """
 
     def __init__(self, a: sp.csr_matrix, inside: np.ndarray):

@@ -15,8 +15,10 @@ The correction uses the doubly periodic kernels
 with u running over the lattice Z + i alpha Z minus the origin and
 nu = (1 + i alpha)/2.  `wp` and `wp_nu` truncate the sums to the box
 |n|,|m| <= N, with documented tails O(1/N) for wp_nu and O(1/N^2) for wp
-on compact pole-free sets; the solver uses the exact q-series form of
-wp_nu (`ThetaKernel`).  The solution
+on compact pole-free sets.  They sum in blocks of whole points, so their
+temporaries stay in cache and do not grow with the number of points,
+while each point's terms are still summed in one row; the solver uses
+the exact q-series form of wp_nu (`ThetaKernel`).  The solution
 
   f(z) = -(1/pi) * int_{Q_eps} phi(zeta) wp_nu(zeta - z) dm(zeta)
 
@@ -110,26 +112,42 @@ def _raising(name: str):
         raise NumericalError(f"truncated {name} sum is not representable: {exc}") from None
 
 
+def _row_sums(zz: np.ndarray, u: np.ndarray, terms) -> np.ndarray:
+    """terms(z - u).sum() for each point z of zz, in blocks of whole points
+    of about _BLOCK_PAIRS (point, lattice term) pairs: each row is summed
+    whole, so the values are the bits of one broadcast over all points."""
+    flat = zz.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    step = max(1, _BLOCK_PAIRS // u.size)
+    for lo in range(0, flat.size, step):
+        out[lo:lo + step] = terms(flat[lo:lo + step, None] - u).sum(axis=-1)
+    return out.reshape(zz.shape)
+
+
 def wp(params: KernelParams, z) -> np.ndarray | complex:
     """Truncated lattice sum for the double-pole kernel."""
     zz = np.asarray(z, dtype=complex)
+    if zz.size == 0:
+        return np.empty(zz.shape, dtype=complex)
     _check_poles(params, zz, with_nu=False)
-    u = _lattice(params)
     with _raising("wp"):
-        w = zz[..., None] - u
-        out = 1.0 / zz ** 2 + (1.0 / w ** 2 - 1.0 / u ** 2).sum(axis=-1)
+        u = _lattice(params)
+        inv_u2 = 1.0 / u ** 2
+        out = 1.0 / zz ** 2 + _row_sums(zz, u, lambda w: 1.0 / w ** 2 - inv_u2)
     return out if out.shape else complex(out)
 
 
 def wp_nu(params: KernelParams, z) -> np.ndarray | complex:
     """Truncated lattice sum for the simple-pole kernel."""
     zz = np.asarray(z, dtype=complex)
+    if zz.size == 0:
+        return np.empty(zz.shape, dtype=complex)
     _check_poles(params, zz, with_nu=True)
-    u = _lattice(params)
     nu = params.nu_value
-    w = zz[..., None]
     with _raising("wp_nu"):
-        out = (1.0 / (w - u) - 1.0 / (w - u - nu) + nu / u ** 2).sum(axis=-1)
+        u = _lattice(params)
+        nu_u2 = nu / u ** 2
+        out = _row_sums(zz, u, lambda w: 1.0 / w - 1.0 / (w - nu) + nu_u2)
         out = out + 1.0 / zz - 1.0 / (zz - nu)
     return out if out.shape else complex(out)
 
@@ -435,6 +453,10 @@ _PROXY_N = 10
 _MULTIPOLE_P = 30
 # Targets per chunk of f: bounds the (target, source) temporaries.
 _TARGET_CHUNK = 512
+# (point, lattice term) pairs per block of the truncated sums wp and wp_nu:
+# a block's temporaries (256 KB each) stay in cache.  A block holds whole
+# points, so from N = 64 on it is one point's row of (2N+1)^2 - 1 terms.
+_BLOCK_PAIRS = 1 << 14
 
 
 def _chebyshev(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

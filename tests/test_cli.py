@@ -394,6 +394,22 @@ def test_dbar_kernel_overflow_exit_code(capsys):
     assert err.startswith("error:") and err.count("error:") == 1
 
 
+def test_dbar_kernel_lattice_overflow_is_one_error_line(capsys):
+    # at alpha = 1e308 the lattice points i alpha m overflow before the sums
+    code, out, err = run_cli(capsys, "dbar", "kernel", "--alpha", "1e308",
+                             "--re", "0.2", "--im", "0.3")
+    assert code == 3 and out == ""
+    assert err.startswith("error: truncated wp sum") and err.count("\n") == 1
+
+
+def test_dbar_kernel_readme_output(capsys):
+    code, out, _ = run_cli(capsys, "dbar", "kernel", "--alpha", "1", "--N", "60",
+                           "--re", "0.2", "--im", "0.3")
+    assert code == 0
+    assert out == ('{"N": 60, "alpha": 1.0, "wp": [-3.37209001346673, -5.991451385101451], '
+                   '"wp_nu": [4.0185287631930855, -4.018528763193086], "z": [0.2, 0.3]}\n')
+
+
 def test_numeric_exit_code(capsys):
     code, _, err = run_cli(capsys, "dbar", "solve", "--eps", "0.001",
                            "--quad", "16")
@@ -513,8 +529,8 @@ def test_config3_csv_exit_code_property(op, n, edits):
         assert err.getvalue().count("\n") == 1
 
 
-# argv for the commands that answer at once, and for conformal grid on small
-# lattices.  Each flag takes a plausible
+# argv for the commands that answer at once, for conformal grid on small
+# lattices and for dbar kernel up to N = 400.  Each flag takes a plausible
 # value or a wild one: left out, any float (NaN and +-inf included), zero,
 # negative, huge or not a number.  Budgets stay <= 4.5; exponents reach past
 # int()'s digit limit.
@@ -559,14 +575,17 @@ def _word_text(draw, gens):
     return " ".join(f"{g}^{e}" for g, e in zip(names, exps))
 
 
+_COMMANDS = [
+    ("word", "linv"), ("word", "canon"), ("word", "enum"), ("braid", "nf"),
+    ("braid", "theta"), ("braid", "bracket"), ("braid", "census"), ("bounds", "thm1"),
+    ("bounds", "thm2"), ("bounds", "thm3"), ("bounds", "prop1a"), ("bounds", "prop1b"),
+    ("bounds", "table"), ("conformal", "lambda"), ("conformal", "grid"),
+    ("conformal", "torus-bounds"), ("config3", "in-h"), ("dbar", "kernel")]
+
+
 @st.composite
-def _argv(draw):
-    command, op = draw(st.sampled_from([
-        ("word", "linv"), ("word", "canon"), ("word", "enum"), ("braid", "nf"),
-        ("braid", "theta"), ("braid", "bracket"), ("braid", "census"), ("bounds", "thm1"),
-        ("bounds", "thm2"), ("bounds", "thm3"), ("bounds", "prop1a"), ("bounds", "prop1b"),
-        ("bounds", "table"), ("conformal", "lambda"), ("conformal", "grid"),
-        ("conformal", "torus-bounds"), ("config3", "in-h")]))
+def _argv(draw, commands=_COMMANDS):
+    command, op = draw(st.sampled_from(commands))
     table = ["--table"] if draw(st.booleans()) else []
     cap = draw(_flags(cap=st.floats(4.5, 10.0).map(repr)))
     topology = draw(_flags(_WILD_INT, g=st.integers(0, 4).map(str), m=st.integers(0, 4).map(str)))
@@ -593,6 +612,9 @@ def _argv(draw):
                                        min_size=1, max_size=3)))
         return ["bounds", "table", f"--formula={formula}", f"--sigmas={sweep}",
                 f"--lambdas={sweep}", *topology, *draw(_flags(alpha=_LARGE))]
+    if op == "kernel":
+        return ["dbar", "kernel", *draw(_flags(_WILD_INT, N=st.integers(2, 400).map(str))),
+                *draw(_flags(alpha=_LARGE, re=_ANY, im=_ANY))]
     if op == "torus-bounds":
         return ["conformal", "torus-bounds", *draw(_flags(alpha=_LARGE, sigma=_SIGMA))]
     if op == "lambda":
@@ -619,6 +641,20 @@ def _argv(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(argv=_argv())
 def test_cli_exit_code_property(argv):
+    _assert_exit_code_contract(argv)
+
+
+# the slice of dbar kernel alone: in the mixed draw above it gets only a
+# few examples
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(argv=_argv([("dbar", "kernel")]))
+def test_dbar_kernel_exit_code_property(argv):
+    _assert_exit_code_contract(argv)
+
+
+def _assert_exit_code_contract(argv):
+    """Exit 0, 2 or 3 with at most one error: line; a failure prints nothing
+    on stdout, a success one JSON line (or a CSV table) and nothing on stderr."""
     import contextlib
 
     out, err = io.StringIO(), io.StringIO()

@@ -155,6 +155,22 @@ def test_coarse_factorization_failure_is_numerical_error(monkeypatch):
         grid_extremal_length(annulus_grid(1.0, 2.0, 1 / 20))
 
 
+def test_multigrid_built_on_first_preconditioner_use(monkeypatch):
+    built = []
+
+    class Counting(Cf._Multigrid):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(Cf, "_Multigrid", Counting)
+    # seeded with its exact potential: CG stops before it preconditions
+    rep = grid_extremal_length(rectangle_grid(1.0, 2.0, 1 / 40))
+    assert rep.iterations == 0 and not built
+    rep = grid_extremal_length(annulus_grid(1.0, 2.0, 1 / 40))
+    assert rep.iterations > 0 and len(built) == 1
+
+
 def test_torus_validation():
     with pytest.raises(ValidationError):
         TorusWithHole(0.5, 0.1)

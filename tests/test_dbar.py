@@ -200,6 +200,78 @@ def test_pole_guard_matches_all_poles_scan():
         D._check_poles(p, np.array([0.2, np.nan]), False)
 
 
+def _broadcast_wp(params, z):
+    """The truncated wp sum broadcast over all points at once (the former
+    evaluator, kept as the reference)."""
+    zz = np.asarray(z, dtype=complex)
+    u = D._lattice(params)
+    w = zz[..., None] - u
+    out = 1.0 / zz ** 2 + (1.0 / w ** 2 - 1.0 / u ** 2).sum(axis=-1)
+    return out if out.shape else complex(out)
+
+
+def _broadcast_wp_nu(params, z):
+    """The truncated wp_nu sum broadcast over all points at once (the
+    former evaluator, kept as the reference)."""
+    zz = np.asarray(z, dtype=complex)
+    u = D._lattice(params)
+    nu = params.nu_value
+    w = zz[..., None]
+    out = (1.0 / (w - u) - 1.0 / (w - u - nu) + nu / u ** 2).sum(axis=-1)
+    out = out + 1.0 / zz - 1.0 / (zz - nu)
+    return out if out.shape else complex(out)
+
+
+# rows of 25 points: several blocks at small N, and reference temporaries
+# of at most about 23 MB at large N
+@pytest.mark.parametrize("trunc, rows", [(2, 40), (7, 40), (50, 4), (120, 1)])
+def test_blocked_sums_match_broadcast_reference(trunc, rows):
+    rng = np.random.default_rng(trunc)
+    for alpha in (1.0, 1.7, 3.0):
+        p = KernelParams(alpha, trunc=trunc)
+        for shape in ((), (1,), (3 * rows,), (rows, 25)):
+            z = (rng.uniform(-0.45, 0.45, shape) + 0.02
+                 + 1j * alpha * rng.uniform(-0.45, 0.45, shape))
+            for fn, ref in ((wp, _broadcast_wp), (wp_nu, _broadcast_wp_nu)):
+                got, want = fn(p, z), ref(p, z)
+                assert type(got) is type(want)
+                assert np.array_equal(got, want), (fn.__name__, alpha, shape)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+def test_truncated_sums_of_no_points(shape):
+    p = KernelParams(1.7, trunc=7)
+    for fn in (wp, wp_nu):
+        out = fn(p, np.zeros(shape))
+        assert out.shape == shape and out.dtype == complex
+
+
+def test_truncated_sum_memory_does_not_grow_with_points():
+    import tracemalloc
+
+    p = KernelParams(1.7, trunc=50)
+    z = np.linspace(0.1, 0.4, 1000) + 0.3j
+    tracemalloc.start()
+    try:
+        wp_nu(p, z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("alpha", [1e300, 1e308])  # 1e308: the lattice itself overflows
+def test_truncated_sum_overflow_is_numerical_error_without_warnings(alpha):
+    import warnings
+
+    p = KernelParams(alpha, trunc=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (wp, wp_nu):
+            with pytest.raises(NumericalError, match="not representable"):
+                fn(p, np.array([[0.2 + 0.3j, -0.1 + 0.25j], [0.3 + 0.1j, 0.15j + 0.1]]))
+
+
 def test_kernel_params_validation():
     with pytest.raises(ValidationError):
         KernelParams(0.5)
