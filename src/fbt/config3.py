@@ -55,6 +55,10 @@ def _refuse_overflow(fn):
     return checked
 
 
+def _re_im(z: complex) -> tuple[float, float]:
+    return z.real, z.imag
+
+
 @dataclass(frozen=True)
 class Triple:
     """Unordered triple of pairwise distinct points, stored sorted by (Re, Im)."""
@@ -62,11 +66,13 @@ class Triple:
     points: tuple[complex, complex, complex]
 
     def __post_init__(self):
-        if not all(cmath.isfinite(z) for z in self.points):
+        z1, z2, z3 = self.points
+        if not (cmath.isfinite(z1) and cmath.isfinite(z2) and cmath.isfinite(z3)):
             raise ValidationError("triple points must be finite")
-        pts = tuple(sorted(self.points, key=lambda z: (z.real, z.imag)))
+        a, b, c = pts = tuple(sorted(self.points, key=_re_im))
         object.__setattr__(self, "points", pts)
-        if len({(z.real, z.imag) for z in pts}) != 3:
+        # equal points sort next to each other (0j == complex(-0.0, 0.0))
+        if a == b or b == c:
             raise ValidationError("triple points must be pairwise distinct")
 
 

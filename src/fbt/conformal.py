@@ -29,7 +29,10 @@ plain-aggregation multigrid V-cycle (2x2 lattice aggregates, Galerkin
 coarse matrices, damped Jacobi smoothing, SuperLU on the coarsest level),
 whose iteration count grows only slowly as h shrinks.  The minimal energy
 is the extremal length of the curves separating the marked sets, the
-reciprocal of that of the curves joining them.
+reciprocal of that of the curves joining them.  Only the grid code needs
+scipy (`scipy.ndimage` to check a domain, `scipy.sparse` to solve it), and
+it imports it where it is used: a process that never builds a grid (the
+closed forms, the torus bounds) does not load it.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, ValidationError
 
@@ -86,7 +87,10 @@ def flat_cylinder(circumference: float, height: float) -> AnnulusSpec:
 
 
 def lambda_closed_form(spec: AnnulusSpec) -> float:
-    return KINDS[spec.kind].closed_form(*spec.params)
+    lam = KINDS[spec.kind].closed_form(*spec.params)
+    if lam == 0.0:
+        raise ValidationError("extremal length underflows to 0: the lengths are too far apart")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -182,11 +186,14 @@ def grid_extremal_length(dom: GridDomain) -> SolverReport:
     return SolverReport(lam, dom.h, iters, res)
 
 
-def _cg(a: sp.csr_matrix, rhs: np.ndarray, x0: np.ndarray | None,
+def _cg(a, rhs: np.ndarray, x0: np.ndarray | None,
         inside: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Multigrid-preconditioned conjugate gradients from x0.  The hierarchy
-    is built when CG first applies the preconditioner: CG tests the start
-    residual first, so a seed that already meets _RTOL builds none."""
+    """Multigrid-preconditioned conjugate gradients on the CSR matrix a from
+    x0.  The hierarchy is built when CG first applies the preconditioner: CG
+    tests the start residual first, so a seed that already meets _RTOL
+    builds none."""
+    import scipy.sparse.linalg as spla
+
     count = [0]
     mg: list[_Multigrid] = []
 
@@ -217,13 +224,16 @@ def _shift(a: np.ndarray, dy: int, dx: int, fill) -> np.ndarray:
     return out
 
 
-def _assemble(dom: GridDomain) -> tuple[sp.csr_matrix, np.ndarray, float]:
-    """Matrix A, right-hand side b and constant c of the discrete Dirichlet
-    energy E(u) = u.Au - 2 b.u + c over the inside nodes (row-major order).
+def _assemble(dom: GridDomain) -> tuple:
+    """CSR matrix A, right-hand side b and constant c of the discrete
+    Dirichlet energy E(u) = u.Au - 2 b.u + c over the inside nodes
+    (row-major order).
 
     Interior edges have unit conductance, and a node next to a marked cell
     has a conductance-2 half edge to that cell's value.
     """
+    import scipy.sparse as sp
+
     inside = dom.inside
     n = int(inside.sum())
     idx = np.full(inside.shape, -1, dtype=np.int32)
@@ -288,7 +298,10 @@ class _Multigrid:
     Galerkin products and the factorization.
     """
 
-    def __init__(self, a: sp.csr_matrix, inside: np.ndarray):
+    def __init__(self, a, inside: np.ndarray):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         self.levels: list[tuple[sp.csr_matrix, np.ndarray, np.ndarray]] = []
         while a.shape[0] > _COARSE_NODES:
             inside, agg = _aggregate(inside)
@@ -399,11 +412,16 @@ def cylinder_grid(circumference: float, height: float, h: float,
                           family=family or KINDS["flat-cylinder"].family)
 
 
+def _round_closed_form(r: float, big_r: float) -> float:
+    """2 pi / log(R/r), with log R - log r where the quotient R/r overflows."""
+    q = big_r / r
+    return 2.0 * math.pi / (math.log(q) if math.isfinite(q) else math.log(big_r) - math.log(r))
+
+
 #: the analytic annulus kinds; the parameter names are also the CLI flags
 #: and the keys of a JSON domain file
 KINDS = {
-    "round": Kind(("r", "R"), lambda r, big_r: 2.0 * math.pi / math.log(big_r / r),
-                  annulus_grid, "separating"),
+    "round": Kind(("r", "R"), _round_closed_form, annulus_grid, "separating"),
     "rectangle": Kind(("a", "b"), lambda a, b: a / b, rectangle_grid, "joining"),
     "flat-cylinder": Kind(("circumference", "height"), lambda c, height: c / height,
                           cylinder_grid, "separating"),

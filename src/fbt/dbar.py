@@ -770,9 +770,13 @@ def demo_g(alpha: float, gen: int, n: int, rho: float):
     """Holomorphic i*alpha-periodic map of the vertical annulus into a
     punctured disc around -1 (gen 1) or +1 (gen 2), winding n times."""
     center = -1.0 if gen == 1 else 1.0
+    try:
+        two_pi_n = 2.0 * math.pi * n
+    except OverflowError:  # n beyond the float range
+        raise ValidationError("winding too large: g overflows") from None
 
     def g(z):
-        return center + rho * np.exp(2.0 * math.pi * n * np.asarray(z) / alpha)
+        return center + rho * np.exp(two_pi_n * np.asarray(z) / alpha)
 
     return g
 
@@ -780,7 +784,10 @@ def demo_g(alpha: float, gen: int, n: int, rho: float):
 def demo_config(alpha: float, sigma: float, n: int) -> DbarConfig:
     """Blend width tuned so the winding-n growth across the window stays
     bounded: delta = min(1/10, alpha/(10 |n|))."""
-    delta = min(0.1, alpha / (10.0 * abs(n)))
+    try:
+        delta = min(0.1, alpha / (10.0 * abs(n)))
+    except OverflowError:  # n beyond the float range
+        raise ValidationError("target exponent too large") from None
     return DbarConfig(eps=sigma / delta, delta=delta, quad_n=200)
 
 
@@ -795,10 +802,10 @@ def demo_construct(alpha: float, sigma: float, target: FreeWord,
     gen, n = target.terms[0]
     if n == 0:
         raise ValidationError("target exponent must be nonzero")
+    params = KernelParams(alpha)
     cfg = cfg or demo_config(alpha, sigma, n)
     if abs(cfg.sigma - sigma) > 1e-12:
         raise ValidationError("config sigma does not match the requested sigma")
-    params = KernelParams(alpha)
 
     growth = math.exp(2.0 * math.pi * abs(n) * (1.5 * cfg.delta) / alpha)
     rho = 0.5 / growth

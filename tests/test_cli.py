@@ -172,7 +172,12 @@ def test_validation_exit_code(capsys):
     ("dbar", "solve", "--eps", "0.01", "--winding", "1000000"),
     ("dbar", "solve", "--delta", "0.2", "--eps", "0.95", "--quad", "128"),
     ("dbar", "demo", "--alpha", "inf", "--sigma", "0.01", "--target", "a1"),
-], ids=lambda argv: " ".join(argv[1:]))
+    # a winding or an exponent beyond the float range, and alpha = 0 in the
+    # demo (it divided by alpha before checking it)
+    ("dbar", "solve", "--eps", "0.5", "--quad", "16", "--winding", "9" * 400),
+    ("dbar", "demo", "--sigma", "0.01", "--target", "a1^" + "9" * 400),
+    ("dbar", "demo", "--alpha", "0", "--sigma", "0.01", "--target", "a1"),
+], ids=lambda argv: " ".join(argv[1:])[:60])
 def test_dbar_input_contract_exit_code(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -235,6 +240,10 @@ def test_exact_input_contract_exit_code(capsys, argv):
     ("conformal", "grid", "--kind", "round", "--r", "1", "--R", "2", "--h", "4e-6"),
     ("conformal", "grid", "--kind", "rectangle", "--a", "1", "--b", "1", "--h", "1e-320"),
     ("conformal", "lambda", "--kind", "rectangle", "--a", "1e308", "--b", "1e-10"),
+    # a closed form that underflows to 0
+    ("conformal", "lambda", "--kind", "rectangle", "--a", "1e-320", "--b", "1e300"),
+    ("conformal", "lambda", "--kind", "flat-cylinder", "--circumference", "1e-320",
+     "--height", "1e300"),
     ("conformal", "torus-bounds", "--alpha", "1e308", "--sigma", "1e-300"),
     # an h that does not fit a side twice, and --marked where it means nothing
     ("conformal", "grid", "--kind", "rectangle", "--a", "1", "--b", "2", "--h", "5"),
@@ -422,6 +431,18 @@ def test_conformal_spec_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "conformal", "lambda", "--spec-file", str(path))
     assert code == 0
     assert json.loads(out)["lambda"] == pytest.approx(2 * math.pi / math.log(2))
+
+
+@pytest.mark.parametrize("r,big_r", [("1e-300", "1e300"), ("1e-320", "1")])
+def test_conformal_lambda_round_with_overflowing_quotient(tmp_path, capsys, r, big_r):
+    # R/r overflows: the answer is 2 pi / (log R - log r), not 0
+    want = 2 * math.pi / (math.log(float(big_r)) - math.log(float(r)))
+    path = tmp_path / "dom.json"
+    path.write_text(f'{{"kind": "round", "params": {{"r": {r}, "R": {big_r}}}}}')
+    for argv in (("--kind", "round", "--r", r, "--R", big_r), ("--spec-file", str(path))):
+        code, out, err = run_cli(capsys, "conformal", "lambda", *argv)
+        assert code == 0 and err == ""
+        assert json.loads(out)["lambda"] == pytest.approx(want, rel=1e-15)
 
 
 def test_determinism_byte_identical(capsys):
@@ -652,6 +673,38 @@ def test_dbar_kernel_exit_code_property(argv):
     _assert_exit_code_contract(argv)
 
 
+# dbar solve and demo, the costly commands: --quad is always given and, when
+# it passes the bounds check, at most 64; demo targets are mostly single
+# powers.  Half the draws take no wild value, so that about half the
+# commands run to the end.
+_QUAD_WILD = st.one_of(st.sampled_from(["-1", "0", "15", "1001", "1e3", "nan", "", "9" * 400]),
+                       st.integers(-10 ** 400, 15).map(str),
+                       st.integers(1001, 10 ** 400).map(str))
+_POWER = st.builds(lambda g, e: f"a{g}^{e}", st.sampled_from([1, 2]), st.integers(-8, 8))
+
+
+@st.composite
+def _dbar_argv(draw):
+    tame = draw(st.booleans())
+    wild, wild_int, wild_quad = (st.nothing(),) * 3 if tame else (_WILD, _WILD_INT, _QUAD_WILD)
+    alpha = draw(_flags(wild, alpha=_LARGE))
+    if draw(st.booleans()):
+        return ["dbar", "solve", *alpha, *draw(_flags(wild_quad, quad=st.integers(16, 64).map(str))),
+                *draw(_flags(wild, eps=st.floats(0.01, 0.99).map(repr),
+                             delta=st.floats(0.01, 0.2).map(repr),
+                             rho=st.floats(0.05, 0.5).map(repr))),
+                *draw(_flags(wild_int, winding=st.integers(-4, 4).map(str)))]
+    target = draw(_POWER if tame else st.one_of(_POWER, _word_text(["a1", "a2"])))
+    return ["dbar", "demo", *alpha, f"--target={target}",
+            *draw(_flags(wild, sigma=st.floats(0.001, 0.1).map(repr)))]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(argv=_dbar_argv())
+def test_dbar_solve_demo_exit_code_property(argv):
+    _assert_exit_code_contract(argv)
+
+
 def _assert_exit_code_contract(argv):
     """Exit 0, 2 or 3 with at most one error: line; a failure prints nothing
     on stdout, a success one JSON line (or a CSV table) and nothing on stderr."""
@@ -670,4 +723,6 @@ def _assert_exit_code_contract(argv):
         assert err == "" and len(rows) >= 2 and len({len(r) for r in rows}) == 1
     else:
         assert err == "" and out.count("\n") == 1
-        json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in {out}"))
+        data = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in {out}"))
+        if argv[:2] == ["conformal", "lambda"]:
+            assert math.isfinite(data["lambda"]) and data["lambda"] > 0, out

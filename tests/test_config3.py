@@ -243,6 +243,25 @@ def test_triple_validation():
         triple(0, 0, 1)
 
 
+def test_triple_signed_zero_is_not_distinct():
+    # -0.0 == 0.0: the two points are the same point of the plane
+    with pytest.raises(ValidationError, match="pairwise distinct"):
+        triple(0j, complex(-0.0, 0.0), 1)
+    with pytest.raises(ValidationError, match="pairwise distinct"):
+        triple(1, complex(2.0, -0.0), complex(2.0, 0.0))
+
+
+def test_triple_messages_and_stored_order():
+    # the finiteness check comes first, also when two points coincide
+    with pytest.raises(ValidationError, match="finite"):
+        triple(0, 0, complex(math.nan, 0.0))
+    with pytest.raises(ValidationError, match="pairwise distinct"):
+        triple(2, 1j, 2)
+    t = triple(complex(1, 0), complex(-1, 2), complex(-1, -2))
+    assert t.points == (complex(-1, -2), complex(-1, 2), complex(1, 0))
+    assert type(t.points) is tuple
+
+
 def test_loop_csv_round_trip(tmp_path):
     path = tmp_path / "plane.csv"
     samples = circle(-1.0, 0.5, n=64)

@@ -29,6 +29,29 @@ def test_closed_forms():
         pytest.approx(2 * math.pi / math.log(2), rel=1e-12)
 
 
+@pytest.mark.parametrize("r,big_r", [(1e-300, 1e300), (1e-320, 1.0), (5e-324, 1.7e308),
+                                     (1.0, 2.0), (1e-150, 1e150)])
+def test_round_closed_form_matches_mpmath(r, big_r):
+    # R/r overflows in the first three: the log is then log R - log r
+    import mpmath
+
+    with mpmath.workdps(50):
+        want = 2 * mpmath.pi / mpmath.log(mpmath.mpf(big_r) / mpmath.mpf(r))
+    assert lambda_closed_form(round_annulus(r, big_r)) == pytest.approx(float(want), rel=1e-15)
+
+
+def test_round_closed_form_keeps_the_quotient_where_finite():
+    for r, big_r in ((1.0, 2.0), (1e-300, 1e8), (0.3, 0.7)):
+        assert lambda_closed_form(round_annulus(r, big_r)) == 2.0 * math.pi / math.log(big_r / r)
+
+
+def test_closed_form_underflow_is_refused():
+    for spec in (rectangle(1e-320, 1e300), flat_cylinder(1e-320, 1e300),
+                 rectangle(1e-200, 1e200)):
+        with pytest.raises(ValidationError, match="underflows"):
+            lambda_closed_form(spec)
+
+
 def test_spec_validation():
     with pytest.raises(ValidationError):
         round_annulus(2.0, 1.0)
@@ -150,7 +173,7 @@ def test_coarse_factorization_failure_is_numerical_error(monkeypatch):
     def singular(_):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(Cf.spla, "splu", singular)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", singular)
     with pytest.raises(NumericalError, match="coarse factorization"):
         grid_extremal_length(annulus_grid(1.0, 2.0, 1 / 20))
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -34,11 +36,78 @@ def test_unused_import_check_sees_one(tmp_path):
     assert _unused_imports(probe) == ["probe.py:2: sep"]
 
 
-def test_word_command_does_not_load_scipy():
-    code = ("import sys\nfrom fbt.cli import main\n"
-            "assert main(['word', 'linv', 'a1']) == 0\n"
-            "sys.stderr.write(repr('scipy' in sys.modules))\n")
+def _module_level_scipy_imports(path: Path) -> list[str]:
+    """Imports of scipy that run when the module is imported: those outside
+    every function body."""
+    found = []
+    stack = list(ast.parse(path.read_text(), str(path)).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+            continue
+        found += [f"{path.name}:{node.lineno}: {n}" for n in names
+                  if n.split(".")[0] == "scipy"]
+    return found
+
+
+def test_no_module_level_scipy_import():
+    # only the grid solver needs scipy; it imports it where it is used
+    found = [u for path in sorted((SRC / "fbt").glob("*.py"))
+             for u in _module_level_scipy_imports(path)]
+    assert found == []
+
+
+def test_module_level_scipy_check_sees_them(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy\nif True:\n    import scipy.sparse as sp\n"
+                     "class A:\n    from scipy import linalg\n"
+                     "def f():\n    import scipy.ndimage\n")
+    assert sorted(_module_level_scipy_imports(probe)) == [
+        "probe.py:3: scipy.sparse", "probe.py:5: scipy"]
+
+
+def _loads_scipy(code: str) -> bool:
+    """Whether scipy is in sys.modules after running `code` in a fresh
+    interpreter."""
+    code += "\nimport sys\nsys.stderr.write(repr('scipy' in sys.modules))\n"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert res.stderr == "False"
+    assert res.stderr in ("True", "False"), res.stderr
+    return res.stderr == "True"
+
+
+def _cli(*argv: str) -> str:
+    return f"from fbt.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+def test_word_command_does_not_load_scipy():
+    assert not _loads_scipy(_cli("word", "linv", "a1"))
+
+
+def test_importing_the_modules_does_not_load_scipy():
+    assert not _loads_scipy("import fbt.conformal, fbt.dbar, fbt.config3, fbt.braid, "
+                            "fbt.words, fbt.bounds")
+
+
+@pytest.mark.parametrize("argv", [
+    ("conformal", "lambda", "--kind", "round", "--r", "1", "--R", "2"),
+    ("conformal", "torus-bounds", "--alpha", "1", "--sigma", "0.1"),
+    ("dbar", "kernel", "--alpha", "1", "--N", "60", "--re", "0.2", "--im", "0.3"),
+    ("config3", "in-h", "--points=-1,0,0,0,1,0"),
+    ("bounds", "thm1", "--g", "0", "--m", "1", "--lambda4", "0"),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_closed_form_commands_do_not_load_scipy(argv):
+    assert not _loads_scipy(_cli(*argv))
+
+
+def test_grid_command_loads_scipy():
+    assert _loads_scipy(_cli("conformal", "grid", "--kind", "rectangle", "--a", "1",
+                             "--b", "1", "--h", "0.25", "--family", "separating"))
