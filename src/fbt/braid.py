@@ -113,24 +113,6 @@ def braid_invert(b: BraidWord) -> BraidWord:
 # independent per-letter expansion.
 
 
-def _times_syllable(m: tuple[int, int, int, int], gen: str,
-                    exp: int) -> tuple[int, int, int, int]:
-    """m times the image of the syllable gen^exp."""
-    a, b, c, d = m
-    if gen == "s1":
-        return (a, a * exp + b, c, c * exp + d)
-    if gen == "s2":
-        return (a - b * exp, b, c - d * exp, d)
-    r = exp % 4
-    if r == 0:
-        return m
-    if r == 1:
-        return (-b, a, -d, c)
-    if r == 2:
-        return (-a, -b, -c, -d)
-    return (b, -a, d, -c)
-
-
 @dataclass(frozen=True)
 class MatrixImage:
     a: int
@@ -154,19 +136,42 @@ class MatrixImage:
 
 
 def matrix_image(b: BraidWord) -> MatrixImage:
-    m = (1, 0, 0, 1)
+    """M(b), the product of the syllable matrices, and the exponent sum,
+    both in one pass over the syllables."""
+    a, b_, c, d, es = 1, 0, 0, 1, 0
     for gen, exp in b.letters:
-        m = _times_syllable(m, gen, exp)
-    return MatrixImage(*m, exponent_sum=b.exponent_sum())
+        if gen == "s1":
+            b_ += a * exp
+            d += c * exp
+            es += exp
+        elif gen == "s2":
+            a -= b_ * exp
+            c -= d * exp
+            es += exp
+        else:
+            es += 3 * exp
+            r = exp % 4
+            if r == 1:
+                a, b_, c, d = -b_, a, -d, c
+            elif r == 2:
+                a, b_, c, d = -a, -b_, -c, -d
+            elif r == 3:
+                a, b_, c, d = b_, -a, d, -c
+    return MatrixImage(a, b_, c, d, es)
+
+
+def _same_element(m1: MatrixImage, m2: MatrixImage, ambient: str) -> bool:
+    """Equality of the braids with images m1, m2: the entries and the
+    exponent sum in B3, the projective entries mod center."""
+    if ambient == B3:
+        return m1.entries() == m2.entries() and m1.exponent_sum == m2.exponent_sum
+    return m1.projective() == m2.projective()
 
 
 def equal(b1: BraidWord, b2: BraidWord) -> bool:
     if b1.ambient != b2.ambient:
         raise ValidationError("ambient mismatch")
-    m1, m2 = matrix_image(b1), matrix_image(b2)
-    if b1.ambient == B3:
-        return m1.entries() == m2.entries() and m1.exponent_sum == m2.exponent_sum
-    return m1.projective() == m2.projective()
+    return _same_element(matrix_image(b1), matrix_image(b2), b1.ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +306,11 @@ def normal_form(b: BraidWord) -> BraidNormalForm:
     removal leaves a pure braid p = s_j0^-1 b d^-l0; its matrix
     S_j0^-1 M(b) D^-l0 is decoded into a word in a1, a2 plus a central
     power of d^2 recovered from the exponent sum.  The expansion is checked
-    against the input through the matrix oracle.
+    through the matrix oracle: its image must match the M(b) computed first.
     """
     mb = matrix_image(b)
-    j0, l0 = _PREFIX_OF_PARITY[tuple(x % 2 for x in mb.entries())]
-    p11, p12, p21, p22 = _times_syllable(mb.entries(), "d", -l0)
+    j0, l0 = _PREFIX_OF_PARITY[mb.a % 2, mb.b % 2, mb.c % 2, mb.d % 2]
+    p11, p12, p21, p22 = (mb.b, -mb.a, mb.d, -mb.c) if l0 else mb.entries()  # D^-1 on the right
     if j0 == 1:    # S1^-1 = [[1,-1],[0,1]] on the left
         p11, p12 = p11 - p21, p12 - p22
     elif j0 == 2:  # S2^-1 = [[1,0],[1,1]] on the left
@@ -332,7 +337,7 @@ def normal_form(b: BraidWord) -> BraidNormalForm:
             j, k, b1 = j0, 1, w
         nf = BraidNormalForm("general", _reduce_l(ell, b.ambient),
                              j=j, k=k, b1=b1, ambient=b.ambient)
-    if not equal(expand(nf), b):
+    if not _same_element(matrix_image(expand(nf)), mb, b.ambient):
         raise AssertionError("normal form failed the round-trip oracle")
     return nf
 

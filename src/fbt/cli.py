@@ -55,6 +55,15 @@ def _emit_csv(header: list[str], rows: list[list]) -> None:
     sys.stdout.write(buf.getvalue())
 
 
+def _open(path: str, *args, **kwargs):
+    """open(), with a path no file can have (a NUL byte) refused like a
+    missing file."""
+    try:
+        return open(path, *args, **kwargs)
+    except ValueError as exc:
+        raise ValidationError(f"cannot open {path!r}: {exc}") from None
+
+
 def _floats(text: str) -> list[float]:
     try:
         return [float(t) for t in text.split(",") if t.strip()]
@@ -173,11 +182,13 @@ def _cmd_conformal(args) -> int:
         _emit(out)
         return 0
     if getattr(args, "spec_file", None):
-        with open(args.spec_file) as fh:
+        with _open(args.spec_file) as fh:
             try:
                 data = json.load(fh)
-            except ValueError as exc:
+            except ValueError as exc:  # also undecodable bytes
                 raise ValidationError(f"bad domain file: {exc}") from None
+            except RecursionError:
+                raise ValidationError("bad domain file: nested too deeply") from None
         spec = Cf.spec_from_json(data)
     elif args.kind:
         names = Cf.KINDS[args.kind].params
@@ -226,7 +237,7 @@ def _cmd_dbar(args) -> int:
         target = W.parse_word(args.target)
         # open the dump target before the construction, so that an unwritable
         # path fails at once; append mode keeps an existing file until success
-        with open(args.dump, "a", newline="") if args.dump else contextlib.nullcontext() as fh:
+        with _open(args.dump, "a", newline="") if args.dump else contextlib.nullcontext() as fh:
             res = D.demo_construct(args.alpha, args.sigma, target)
             if fh is not None:
                 fh.truncate(0)

@@ -137,11 +137,21 @@ class PlaneLoop:
             raise ValidationError("loop needs at least two samples")
         if abs(self.samples[0] - self.samples[-1]) > CLOSE_TOL:
             raise ValidationError("loop is not closed")
-        for i, z in enumerate(self.samples):
-            if not cmath.isfinite(z):
+        # all samples at once; the first bad one is reported, as not finite,
+        # too large (its distance to a puncture overflows) or too close
+        z = np.array(self.samples, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            to_minus, to_plus = np.abs(z + 1.0), np.abs(z - 1.0)
+        finite = np.isfinite(z)
+        huge = finite & ~(np.isfinite(to_minus) & np.isfinite(to_plus))
+        bad = ~finite | huge | (to_minus < CLEARANCE) | (to_plus < CLEARANCE)
+        if bad.any():
+            i = int(bad.argmax())
+            if not finite[i]:
                 raise ValidationError(f"sample {i} is not finite")
-            if abs(z - 1.0) < CLEARANCE or abs(z + 1.0) < CLEARANCE:
-                raise ValidationError(f"sample {i} violates puncture clearance")
+            if huge[i]:
+                raise OverflowError(f"sample {i} is too far from the punctures")
+            raise ValidationError(f"sample {i} violates puncture clearance")
 
 
 def plane_loop(samples: Sequence[complex]) -> PlaneLoop:
@@ -338,8 +348,10 @@ def _read_csv(path: str, header: tuple[str, ...]) -> np.ndarray:
     from array import array
 
     vals = array("d")
-    with open(path, newline="") as fh:
-        try:
+    # rows are converted as they are read, so that the field strings of a
+    # whole file are never held at once; the first bad row is reported
+    try:  # open() refuses a path with a NUL byte by a ValueError
+        with open(path, newline="") as fh:
             reader = csv.reader(fh)
             head = next(reader, None)
             if head is None or [h.strip() for h in head] != list(header):
@@ -348,12 +360,11 @@ def _read_csv(path: str, header: tuple[str, ...]) -> np.ndarray:
                 if len(row) != len(header):
                     raise ValueError(f"rows need {len(header)} fields")
                 vals.extend(map(float, row))
-        except (ValueError, csv.Error) as exc:  # also undecodable bytes
-            raise ValidationError(f"bad loop file: {exc}") from None
+    except (ValueError, csv.Error) as exc:  # also undecodable bytes
+        raise ValidationError(f"bad loop file: {exc}") from None
     rows = np.frombuffer(vals).reshape(-1, len(header))
     if len(rows) < 2:
         raise ValidationError("loop file needs at least two rows")
-    ts = rows[:, 0].tolist()
-    if not all(b > a for a, b in zip(ts, ts[1:])):
+    if not (rows[1:, 0] > rows[:-1, 0]).all():
         raise ValidationError("t column must be strictly increasing")
     return np.ascontiguousarray(rows[:, 1:]).view(complex)

@@ -38,6 +38,7 @@ closed forms, the torus bounds) does not load it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -87,9 +88,14 @@ def flat_cylinder(circumference: float, height: float) -> AnnulusSpec:
 
 
 def lambda_closed_form(spec: AnnulusSpec) -> float:
+    """The closed form, refused where it leaves the normal float range (a
+    subnormal quotient has lost most of its bits)."""
     lam = KINDS[spec.kind].closed_form(*spec.params)
-    if lam == 0.0:
-        raise ValidationError("extremal length underflows to 0: the lengths are too far apart")
+    if lam < sys.float_info.min:
+        raise ValidationError("extremal length underflows the normal float range: "
+                              "the lengths are too far apart")
+    if lam == math.inf:
+        raise ValidationError("extremal length overflows: the lengths are too far apart")
     return lam
 
 
@@ -118,7 +124,10 @@ def prop1a_lambda3_upper(x: TorusWithHole) -> float:
     """4(2 alpha + 1)/sigma: skeleton length 2 alpha + 1, quarter-circle
     corner rounding with Beltrami bound 1/3, dilatation K = 2, band width
     sigma/2."""
-    return 4.0 * (2.0 * x.alpha + 1.0) / x.sigma
+    upper = 4.0 * (2.0 * x.alpha + 1.0) / x.sigma
+    if upper == math.inf:
+        raise ValidationError("lambda_3 upper bound overflows: alpha is too large for sigma")
+    return upper
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +450,7 @@ def spec_from_json(data: dict) -> AnnulusSpec:
         kind, p = data["kind"], data["params"]
         # an unknown kind is refused by the spec
         params = tuple(float(p[n]) for n in KINDS[kind].params) if kind in KINDS else ()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a huge integer
         raise ValidationError(f"bad domain file: {exc}") from None
     return AnnulusSpec(kind, params)
 

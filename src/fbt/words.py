@@ -39,14 +39,19 @@ Letter = tuple[int, int]  # (generator index, +1|-1)
 
 
 def _check_terms(terms: Sequence[Term]) -> None:
+    """One pass; a bad generator or exponent anywhere is reported before
+    a shared generator."""
+    prev, shared = 0, False
     for gen, exp in terms:
         if gen not in (1, 2):
             raise ValidationError(f"generator index must be 1 or 2, got {gen}")
         if exp == 0:
             raise ValidationError("zero exponent in word term")
-    for (g1, _), (g2, _) in zip(terms, terms[1:]):
-        if g1 == g2:
-            raise ValidationError("adjacent terms share a generator; word is not reduced")
+        if gen == prev:
+            shared = True
+        prev = gen
+    if shared:
+        raise ValidationError("adjacent terms share a generator; word is not reduced")
 
 
 @dataclass(frozen=True)
@@ -332,35 +337,57 @@ def check_budget(budget: float, what: str = "enumeration budget") -> None:
         raise ValidationError(f"{what} must be >= 0")
 
 
+_LETTER_CHAR = {(1, -1): "a", (1, 1): "b", (2, -1): "c", (2, 1): "d"}
+
+
 def enumerate_words(budget: float, cap: float = ENUM_BUDGET_CAP) -> list[FreeWord]:
     """All reduced words (identity included) with L-(w) <= budget.
 
     Deterministic order: (syllable count, letter sequence) lexicographic.
+    Depth first over one-term extensions, each word carrying its syllable
+    state down the stack: the product of 3 d over its closed syllables, the
+    sign and length of its open run of exponents +-1 (0 when it ends in a
+    big power), and its syllable count.
     """
     check_budget(budget)
     if not math.isfinite(cap):
         raise ValidationError("enumeration cap must be finite")
     if budget > cap:
         raise ValidationError("enumeration budget exceeded")
-    found: list[FreeWord] = [IDENTITY]
-    max_deg = _max_degree(budget)
-    stack = [IDENTITY]  # words whose one-term extensions are still to be tried
+    max_deg = _max_degree(budget)  # refuses an e^budget beyond the float range
+    # the padded limit of _fits_budget, on the same exact integer products
+    limit = math.exp(budget) * (1.0 + 1e-12)
+    # the letters are spelled one character each, in the order of the
+    # (generator, sign) pairs, so that strings compare as the letter tuples
+    found: list[tuple[int, str, tuple[Term, ...]]] = [(0, "", ())]
+    # (terms, letters, closed product, run sign, run length, syllable count)
+    stack = [((), "", 1, 0, 0, 0)]
     while stack:
-        terms = stack.pop().terms
+        terms, letters, closed, run_sign, run_len, count = stack.pop()
         last_gen = terms[-1][0] if terms else 0
+        # appending a big power or a run of the other sign closes the open run
+        shut = closed * 3 * run_len if run_len else closed
         for gen in (1, 2):
             if gen == last_gen:
                 continue
             for sign in (1, -1):
+                if sign == run_sign:
+                    state = (closed, sign, run_len + 1, count)
+                else:
+                    state = (shut, sign, 1, count + 1)
                 for n in range(1, max_deg + 1):
-                    w = FreeWord(terms + ((gen, sign * n),))
-                    if not _fits_budget(syllable_degrees(w), budget):
+                    if n >= 2:
+                        state = (shut * 3 * n, 0, 0, count + 1)
+                    prod, rsign, rlen, k = state
+                    if (prod * 3 * rlen if rlen else prod) > limit:
                         # appending letters only grows L-, so larger n is hopeless
                         break
-                    found.append(w)
-                    stack.append(w)
-    found.sort(key=lambda w: (len(syllables(w)), w.letters()))
-    return found
+                    w = terms + ((gen, sign * n),)
+                    wl = letters + _LETTER_CHAR[gen, sign] * n
+                    found.append((k, wl, w))
+                    stack.append((w, wl, prod, rsign, rlen, k))
+    found.sort(key=lambda item: item[:2])
+    return [FreeWord(w) for _, _, w in found]
 
 
 def count_words_by_patterns(budget: float) -> int:

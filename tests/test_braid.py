@@ -78,6 +78,52 @@ def test_matrix_image_matches_letter_product():
         assert m.exponent_sum == sum(s for _, s in b.sigma_letters())
 
 
+def test_matrix_image_matches_letter_product_long_syllables():
+    # the one-loop matrix_image against the per-letter product: negative
+    # exponents, every residue of a d power mod 4, exponents up to 1500
+    rng = random.Random(57)
+    for _ in range(60):
+        amb = rng.choice((B3, MOD_CENTER))
+        letters = [(rng.choice(("s1", "s2")), rng.choice((1, -1)) * rng.randrange(1, 1501))
+                   for _ in range(rng.randrange(1, 4))]
+        letters += [("d", sign * (4 * rng.randrange(0, 376) + r) or sign * 4)
+                    for r in range(4) for sign in (1, -1)]
+        rng.shuffle(letters)
+        b = B.braid(letters, amb)
+        m = matrix_image(b)
+        assert m.entries() == letter_product(b)
+        assert m.exponent_sum == sum(s for _, s in b.sigma_letters())
+
+
+def test_normal_form_reuses_the_input_image(monkeypatch):
+    calls = []
+    real = B.matrix_image
+    monkeypatch.setattr(B, "matrix_image", lambda b: calls.append(b) or real(b))
+    for text in ("s1^3 s2^-2 d", "@mod-center s2 s1^4 d^-3", "d^6", ""):
+        calls.clear()
+        nf = normal_form(parse_braid(text))
+        # M(b) once, and M(expand(nf)) for the round-trip oracle
+        assert calls == [parse_braid(text), expand(nf)]
+
+
+@pytest.mark.parametrize("ambient", [B3, MOD_CENTER])
+def test_normal_form_oracle_catches_a_wrong_word(monkeypatch, ambient):
+    # a decoded word with its generators swapped keeps the exponent sum and
+    # the shape of a normal form, so only the round-trip oracle can see it
+    real = B._matrix_to_word
+
+    def swapped(m):
+        w = real(m)
+        if w.is_identity:
+            return word((1, 1), (2, -1))
+        return word(*((3 - g, e) for g, e in w.terms))
+
+    monkeypatch.setattr(B, "_matrix_to_word", swapped)
+    for text in ("s1^3 s2^-2 d", "s2 s1^4", "s1^2 s2^2 s1^-2 d^-1", "d^2", "s1^5"):
+        with pytest.raises(AssertionError, match="round-trip oracle"):
+            normal_form(parse_braid(text, ambient))
+
+
 def test_normal_form_huge_exponent():
     nf = normal_form(parse_braid("s1^100000000 s2^4"))
     assert (nf.kind, nf.j, nf.k, nf.b1, nf.l) == ("general", 1, 10 ** 8,

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -245,6 +246,13 @@ def test_exact_input_contract_exit_code(capsys, argv):
     ("conformal", "lambda", "--kind", "flat-cylinder", "--circumference", "1e-320",
      "--height", "1e300"),
     ("conformal", "torus-bounds", "--alpha", "1e308", "--sigma", "1e-300"),
+    # a closed form outside the normal float range: subnormal or infinite
+    ("conformal", "lambda", "--kind", "rectangle", "--a", "1.2345678901234567e-300",
+     "--b", "1e23"),
+    ("conformal", "lambda", "--kind", "flat-cylinder", "--circumference", "1e-300",
+     "--height", "1e10"),
+    ("conformal", "torus-bounds", "--alpha", "1e308", "--sigma", "0.1"),
+    ("conformal", "torus-bounds", "--alpha", "1e307", "--sigma", "0.1"),
     # an h that does not fit a side twice, and --marked where it means nothing
     ("conformal", "grid", "--kind", "rectangle", "--a", "1", "--b", "2", "--h", "5"),
     ("conformal", "grid", "--kind", "flat-cylinder", "--circumference", "1",
@@ -333,9 +341,16 @@ def test_config3_decoders_refuse_non_finite_rows(tmp_path, capsys, op, header, r
      {"loop.csv": b"t,re,im\n0,0.6,0\n\xff\xfe,1,2\n0,0.6,0\n"}),
     (["config3", "decode-word", "loop.csv"],
      {"loop.csv": "t,re,im\n0," + "1" * 200000 + ",0\n1,0.6,0\n"}),
+    (["conformal", "lambda", "--spec-file", "dom.json"], {"dom.json": "[" * 100000}),
+    (["conformal", "lambda", "--spec-file", "dom.json"],
+     {"dom.json": '{"kind": "round", "params": {"r": 1, "R": 1' + "0" * 400 + "}}"}),
+    (["conformal", "lambda", "--spec-file", "dom\x00.json"], {}),
+    (["config3", "decode-word", "loop\x00.csv"], {}),
+    (["dbar", "demo", "--sigma", "0.01", "--target", "a1^2", "--dump", "x\x00.csv"], {}),
 ], ids=("spec-non-numeric", "spec-malformed-json", "spec-missing",
         "word-missing", "braid-missing", "dump-unwritable", "csv-undecodable",
-        "csv-huge-field"))
+        "csv-huge-field", "spec-deep-nesting", "spec-huge-integer", "spec-nul-path",
+        "word-nul-path", "dump-nul-path"))
 def test_file_input_contract_exit_code(tmp_path, monkeypatch, capsys, argv, files):
     for name, text in files.items():
         (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -705,9 +720,90 @@ def test_dbar_solve_demo_exit_code_property(argv):
     _assert_exit_code_contract(argv)
 
 
+# the file readers: conformal lambda --spec-file with drawn JSON contents
+# (spec-shaped objects with drawn kinds and parameters, any JSON, text that
+# is not JSON, undecodable bytes, deep nesting), and dbar demo --dump with
+# drawn relative paths into a directory holding a subdirectory d and the
+# files f.csv and d/g.csv
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10 ** 400, 10 ** 400), st.floats(),
+              st.text(max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+# a parameter: mostly plausible, else any float, a huge integer or not a number
+_SPEC_PARAM = st.one_of(*[st.floats(0.01, 100.0)] * 6, st.floats(),
+                        st.integers(-10 ** 400, 10 ** 400),
+                        st.sampled_from([1e-320, 1e300, 1.5, "2.5", "nan", "x", True, None]),
+                        _JSON)
+
+
+@st.composite
+def _spec_contents(draw):
+    shape = draw(st.sampled_from(["spec", "spec", "spec", "json", "text", "bytes"]))
+    if shape == "spec":
+        kind = draw(st.sampled_from(["round", "rectangle", "flat-cylinder"] * 3 +
+                                    ["oval", 3, None]))
+        names = draw(st.lists(st.sampled_from(["r", "R", "a", "b", "circumference",
+                                               "height"]), max_size=3, unique=True))
+        if kind in KINDS and draw(st.integers(0, 3)):
+            names = list(KINDS[kind].params)
+        params = {n: draw(_SPEC_PARAM) for n in names}
+        return json.dumps({"kind": kind, "params": params}).encode()
+    if shape == "json":
+        return json.dumps(draw(_JSON)).encode()
+    if shape == "text":
+        return draw(st.one_of(st.text(max_size=20),
+                              st.sampled_from(['{"kind": "round", ', "[" * 100000,
+                                               "1" * 5000, "NaN"]))).encode()
+    return draw(st.binary(max_size=20))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(contents=_spec_contents())
+def test_conformal_spec_file_exit_code_property(contents):
+    import contextlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("dom.json").write_bytes(contents)
+        _assert_exit_code_contract(["conformal", "lambda", "--spec-file", "dom.json"])
+
+
+_PATH_PART = st.one_of(
+    st.sampled_from(["d", "f.csv", "d/g.csv", "out.csv", "out.csv", "d/new.csv", "missing",
+                     ".", "", "x" * 300, "\udcff"]),
+    st.text(st.sampled_from("ab.-_ \u00e9"), min_size=1, max_size=6).filter(
+        lambda t: t != ".."),
+    st.text(st.sampled_from("ab\x00"), min_size=1, max_size=3))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(parts=st.lists(_PATH_PART, min_size=1, max_size=2),
+       slash=st.sampled_from([False, False, False, True]),
+       target=st.sampled_from(["a1^2", "a2^-1", "a1^2", "a1 a2"]))
+def test_dbar_demo_dump_exit_code_property(parts, slash, target):
+    import contextlib
+    import tempfile
+
+    path = "/".join(parts) + ("/" if slash else "")
+    if path.startswith("/"):  # stay inside the directory
+        path = "." + path
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("d").mkdir()
+        Path("f.csv").write_text("old\n")
+        Path("d/g.csv").write_text("old\n")
+        argv = ["dbar", "demo", "--sigma", "0.01", "--target", target, f"--dump={path}"]
+        code = _assert_exit_code_contract(argv)
+        if code == 0 and path:
+            with open(path) as fh:
+                assert fh.readline() == "re_z,im_z,re_f,im_f\n"
+
+
 def _assert_exit_code_contract(argv):
     """Exit 0, 2 or 3 with at most one error: line; a failure prints nothing
-    on stdout, a success one JSON line (or a CSV table) and nothing on stderr."""
+    on stdout, a success one JSON line (or a CSV table) and nothing on stderr.
+    Returns the exit code."""
     import contextlib
 
     out, err = io.StringIO(), io.StringIO()
@@ -725,4 +821,6 @@ def _assert_exit_code_contract(argv):
         assert err == "" and out.count("\n") == 1
         data = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in {out}"))
         if argv[:2] == ["conformal", "lambda"]:
-            assert math.isfinite(data["lambda"]) and data["lambda"] > 0, out
+            # a normal float: a subnormal has lost bits of the closed form
+            assert sys.float_info.min <= data["lambda"] < math.inf, out
+    return code

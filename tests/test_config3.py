@@ -1,8 +1,11 @@
 import cmath
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbt import braid as B
 from fbt import config3 as C
@@ -531,3 +534,169 @@ def test_decode_braid_gives_up_after_all_angles(monkeypatch, tmp_path, capsys):
     assert cli.main(["config3", "decode-braid", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: non-generic projection after 8 retries\n"
+
+
+# ---------------------------------------------------------------------------
+# the per-sample and per-row loop checks, kept as references for the array
+# checks of PlaneLoop and _read_csv
+
+@C._refuse_overflow
+def _ref_check_plane_samples(samples):
+    if len(samples) < 2:
+        raise ValidationError("loop needs at least two samples")
+    if abs(samples[0] - samples[-1]) > C.CLOSE_TOL:
+        raise ValidationError("loop is not closed")
+    for i, z in enumerate(samples):
+        if not cmath.isfinite(z):
+            raise ValidationError(f"sample {i} is not finite")
+        if abs(z - 1.0) < C.CLEARANCE or abs(z + 1.0) < C.CLEARANCE:
+            raise ValidationError(f"sample {i} violates puncture clearance")
+
+
+def _ref_read_csv(path, header):
+    import csv
+    from array import array
+
+    vals = array("d")
+    with open(path, newline="") as fh:
+        try:
+            reader = csv.reader(fh)
+            head = next(reader, None)
+            if head is None or [h.strip() for h in head] != list(header):
+                raise ValueError(f"expected CSV header {','.join(header)}")
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ValueError(f"rows need {len(header)} fields")
+                vals.extend(map(float, row))
+        except (ValueError, csv.Error) as exc:
+            raise ValidationError(f"bad loop file: {exc}") from None
+    rows = np.frombuffer(vals).reshape(-1, len(header))
+    if len(rows) < 2:
+        raise ValidationError("loop file needs at least two rows")
+    ts = rows[:, 0].tolist()
+    if not all(b > a for a, b in zip(ts, ts[1:])):
+        raise ValidationError("t column must be strictly increasing")
+    return np.ascontiguousarray(rows[:, 1:]).view(complex)
+
+
+def _raised(fn, *args):
+    """(type, message) of the exception fn(*args) raises, or its result."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_BAD_SAMPLES = (complex(math.nan, 0.0), complex(0.0, -math.inf),
+                complex(1.7e308, 1.7e308), complex(-1.7e308, 1e308),
+                complex(1.0 + 5e-10, 0.0), complex(-1.0, -9.9e-10), 1000 + 0j)
+_SAMPLE = st.one_of(
+    st.complex_numbers(max_magnitude=3.0), st.complex_numbers(),
+    st.sampled_from(_BAD_SAMPLES),
+    # within about CLEARANCE of a puncture, on either side of it
+    st.builds(lambda p, r, t: p + r * cmath.exp(1j * t), st.sampled_from([1.0, -1.0]),
+              st.floats(0.0, 2e-9), st.floats(0.0, 2 * math.pi)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(samples=st.lists(_SAMPLE, max_size=10), closed=st.sampled_from([True, True, False]))
+def test_plane_loop_check_matches_per_sample_reference(samples, closed):
+    samples = tuple(samples + samples[:1] if closed else samples)
+    got = _raised(C.PlaneLoop, samples)
+    want = _raised(_ref_check_plane_samples, samples)
+    assert (None if isinstance(got, C.PlaneLoop) else got) == want
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_plane_loop_reports_the_first_bad_sample(order):
+    faults = [complex(math.inf, 0.0), complex(1.7e308, 1.7e308), complex(1.0, 1e-10)]
+    messages = ["is not finite", None, "violates puncture clearance"]
+    samples = [0.5j, 0.2 + 0.5j, faults[order[0]], 0.3, faults[order[1]],
+               faults[order[2]], -0.5j, 0.5j]
+    first = order[0]
+    want = (f"sample 2 {messages[first]}" if messages[first]
+            else "coordinates too large: the arithmetic overflows")
+    with pytest.raises(ValidationError) as info:
+        plane_loop(samples)
+    assert str(info.value) == want
+    assert _raised(_ref_check_plane_samples, tuple(samples)) == (ValidationError, want)
+
+
+_CSV_CELLS = st.one_of(
+    st.floats().map(repr), st.integers(-3, 3).map(str),
+    st.sampled_from(["nan", "-inf", "inf", "1.7e308", "1e400", " 1.5 ", "\t2", "1_000",
+                     "1__0", "", "abc", "1e", "0x1", '"2.5"', '"3', "١"]))
+
+
+@st.composite
+def _csv_file(draw):
+    """A loop file: header, rows (t mostly increasing, now and then a field
+    too few or too many) and sometimes a long well-formed prefix, blank
+    lines, undecodable bytes or a field beyond the csv field limit."""
+    width = draw(st.sampled_from([3, 7]))
+    header = ("t", "re", "im") if width == 3 else \
+        ("t", "re1", "im1", "re2", "im2", "re3", "im3")
+    good = ",".join(header)
+    head = draw(st.sampled_from([good, good, good, " " + good.replace(",", " , "),
+                                 "t,x,y", ""]))
+    lines = [",".join([str(k)] + ["0.25"] * (width - 1))
+             for k in range(draw(st.sampled_from([0, 0, 400])))]
+    start = len(lines)
+    for k in range(draw(st.integers(0, 8))):
+        cells = [str(start + k)] + [draw(st.sampled_from(["0.5", "-0.25", "2.0"]))
+                                    for _ in range(width - 1)]
+        for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+            cells[draw(st.integers(0, width - 1))] = draw(_CSV_CELLS)
+        cut = draw(st.sampled_from([0] * 10 + [-1, 1]))
+        cells = cells[:cut] if cut < 0 else cells + ["0"] * cut
+        lines.append(",".join(cells))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+    data = "\n".join([head] + lines).encode() + b"\n"
+    extra = draw(st.sampled_from([b"", b"", b"", b"\xff\xfe,1,2\n", b"0," + b"1" * 140000 + b",0\n"]))
+    at = draw(st.integers(0, len(data)))
+    at = data.rfind(b"\n", 0, at) + 1  # at a line start
+    return header, data[:at] + extra + data[at:]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=_csv_file())
+def test_read_csv_matches_per_row_reference(case):
+    import tempfile
+    from pathlib import Path
+
+    header, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "loop.csv"
+        path.write_bytes(data)
+        got = _raised(C._read_csv, str(path), header)
+        want = _raised(_ref_read_csv, str(path), header)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+        assert np.array_equal(got.view(float), want.view(float), equal_nan=True)
+    else:
+        assert got == want
+
+
+_GOOD_ROWS = "".join(f"{k},0.5,0.25\n" for k in range(2, 1502))  # past one read chunk
+
+
+@pytest.mark.parametrize("body,message", [
+    ("0,abc,0\n1,0.5\n", "could not convert string to float: 'abc'"),
+    ("0,0.5\n1,abc,0\n", "rows need 3 fields"),
+    ("0, 1_000 ,0\n1,0.5,x\n2,0.5\n", "could not convert string to float: 'x'"),
+    ("0,0.5,0\n1,nan,inf,7\n2,y,0\n", "rows need 3 fields"),
+    # a fault in the rows read before undecodable bytes or an oversized
+    # field is reported first; after them, the reader's error is
+    ("0,0.5,0\n1,z,0\n" + _GOOD_ROWS + "\udcff\n", "could not convert string to float: 'z'"),
+    ("0,0.5,0\n1,0.5,0\n" + _GOOD_ROWS + "\udcff\n9,z,0\n", "'utf-8' codec can't decode"),
+    ("0,0.5,0\n1,0.5\n" + "9," + "1" * 140000 + ",0\n", "rows need 3 fields"),
+    ("0,0.5,0\n9," + "1" * 140000 + ",0\n1,0.5\n", "field larger than field limit"),
+], ids=("float-then-short", "short-then-float", "padded-then-float", "long-then-float",
+        "float-then-bytes", "bytes-then-float", "short-then-huge", "huge-then-short"))
+def test_read_csv_reports_the_first_bad_row(tmp_path, body, message):
+    path = tmp_path / "loop.csv"
+    path.write_bytes(("t,re,im\n" + body).encode("utf-8", "surrogateescape"))
+    got = _raised(C._read_csv, str(path), ("t", "re", "im"))
+    assert got == _raised(_ref_read_csv, str(path), ("t", "re", "im"))
+    assert got[0] is ValidationError and got[1].startswith("bad loop file: " + message)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import pytest
 
@@ -50,6 +51,24 @@ def test_closed_form_underflow_is_refused():
                  rectangle(1e-200, 1e200)):
         with pytest.raises(ValidationError, match="underflows"):
             lambda_closed_form(spec)
+
+
+def test_closed_form_outside_the_normal_range_is_refused():
+    # a subnormal quotient has lost bits: 1.2345678901234567e-323 would
+    # print as 1e-323
+    for spec in (rectangle(1.2345678901234567e-300, 1e23), flat_cylinder(1e-300, 1e10)):
+        with pytest.raises(ValidationError, match="underflows the normal float range"):
+            lambda_closed_form(spec)
+    for spec in (rectangle(1e308, 1e-10), flat_cylinder(1e308, 0.1)):
+        with pytest.raises(ValidationError, match="overflows"):
+            lambda_closed_form(spec)
+    smallest = sys.float_info.min
+    assert lambda_closed_form(rectangle(smallest, 1.0)) == smallest
+    assert lambda_closed_form(rectangle(sys.float_info.max, 1.0)) == sys.float_info.max
+    with pytest.raises(ValidationError, match="overflows"):
+        Cf.generator_upper_bounds(Cf.TorusWithHole(1e308, 0.1))
+    with pytest.raises(ValidationError, match="lambda_3 upper bound overflows"):
+        Cf.prop1a_lambda3_upper(Cf.TorusWithHole(1e307, 0.1))
 
 
 def test_spec_validation():

@@ -139,6 +139,46 @@ def test_enumeration_counts_match_pattern_oracle():
             assert l_minus(w) <= budget + 1e-9
 
 
+def _ref_enumerate_words(budget):
+    """The enumeration the carried-state search replaced: every candidate
+    is a FreeWord whose syllable degrees are recomputed from scratch."""
+    found = [IDENTITY]
+    max_deg = W._max_degree(budget)
+    stack = [IDENTITY]
+    while stack:
+        terms = stack.pop().terms
+        last_gen = terms[-1][0] if terms else 0
+        for gen in (1, 2):
+            if gen == last_gen:
+                continue
+            for sign in (1, -1):
+                for n in range(1, max_deg + 1):
+                    w = FreeWord(terms + ((gen, sign * n),))
+                    if not W._fits_budget(W.syllable_degrees(w), budget):
+                        break
+                    found.append(w)
+                    stack.append(w)
+    found.sort(key=lambda w: (len(syllables(w)), w.letters()))
+    return found
+
+
+@pytest.mark.parametrize("budget", [LOG3, 2.0, 4.2, 5.0])
+def test_enumeration_matches_reference(budget):
+    got = enumerate_words(budget, cap=5.0)
+    assert got == _ref_enumerate_words(budget)
+    assert all(type(w) is FreeWord for w in got)
+
+
+def test_freeword_validation_message_order():
+    # a bad generator or a zero exponent is named before a shared generator
+    with pytest.raises(ValidationError, match="got 3"):
+        FreeWord(((1, 1), (1, 2), (3, 1)))
+    with pytest.raises(ValidationError, match="zero exponent"):
+        FreeWord(((2, 1), (2, 2), (1, 0)))
+    with pytest.raises(ValidationError, match="not reduced"):
+        FreeWord(((2, 1), (1, 2), (1, -1)))
+
+
 def test_enumeration_budget_y_log3_contents():
     got = {format_word(w) for w in enumerate_words(LOG3)}
     assert got == {"", "a1", "a1^-1", "a2", "a2^-1"}
