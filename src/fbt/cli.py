@@ -236,15 +236,28 @@ def _cmd_dbar(args) -> int:
 
         target = W.parse_word(args.target)
         # open the dump target before the construction, so that an unwritable
-        # path fails at once; append mode keeps an existing file until success
-        with _open(args.dump, "a", newline="") if args.dump else contextlib.nullcontext() as fh:
-            res = D.demo_construct(args.alpha, args.sigma, target)
-            if fh is not None:
-                fh.truncate(0)
-                wr = csv.writer(fh, lineterminator="\n")
-                wr.writerow(["re_z", "im_z", "re_f", "im_f"])
-                wr.writerows([z.real, z.imag, f.real, f.imag]
-                             for z, f in zip(res.circle_samples, res.map_samples))
+        # path fails at once; append mode keeps an existing file until success,
+        # and a file this command created is removed if the command fails
+        fh, created = None, False
+        if args.dump:
+            try:
+                fh, created = _open(args.dump, "x", newline=""), True
+            except FileExistsError:
+                fh = _open(args.dump, "a", newline="")
+        with fh or contextlib.nullcontext():
+            try:
+                res = D.demo_construct(args.alpha, args.sigma, target)
+                if fh is not None:
+                    fh.truncate(0)
+                    wr = csv.writer(fh, lineterminator="\n")
+                    wr.writerow(["re_z", "im_z", "re_f", "im_f"])
+                    wr.writerows([z.real, z.imag, f.real, f.imag]
+                                 for z, f in zip(res.circle_samples, res.map_samples))
+            except BaseException:
+                if created:
+                    fh.close()
+                    os.remove(args.dump)
+                raise
         _emit(res.to_json())
     return 0
 

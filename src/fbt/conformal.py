@@ -20,17 +20,24 @@ bound 4(2 alpha + 1)/sigma for lambda_3.
 
 The grid solver discretizes the Dirichlet energy between two marked cell
 sets, held at 1 and 0, with the 5-point Laplacian on cell centers (a node
-belongs to the domain iff its cell center does), unit interior conductances
-and conductance-2 half edges to the marked cells.  A flat cylinder is
-solved as a rectangle marked on its two ends: its potential is constant
-along the circumference, so the seam carries no current.  It solves by
-conjugate gradients to a `1e-10` relative residual, preconditioned by a
+belongs to the domain iff its cell center does): interior edges have unit
+conductance, and an edge from a node to a marked cell is cut where it
+meets the true boundary, at the fraction theta in (0, 1] of its length,
+and has conductance 1/theta (the symmetric second-order discretization of
+Gibou, Fedkiw, Cheng and Kang, J. Comput. Phys. 176, 2002).  The round
+annulus takes theta in closed form for both circles, so its error is
+O(h^2) where a staircase boundary gave O(h); the rectangle and the flat
+cylinder have their boundary on the cell faces, theta = 1/2.  A flat
+cylinder is solved as a rectangle marked on its two ends: its potential
+is constant along the circumference, so the seam carries no current.  The
+matrix is symmetric positive definite; it is solved by conjugate
+gradients to a `1e-10` relative residual, preconditioned by a
 plain-aggregation multigrid V-cycle (2x2 lattice aggregates, Galerkin
 coarse matrices, damped Jacobi smoothing, SuperLU on the coarsest level),
 whose iteration count grows only slowly as h shrinks.  The minimal energy
 is the extremal length of the curves separating the marked sets, the
 reciprocal of that of the curves joining them.  Only the grid code needs
-scipy (`scipy.ndimage` to check a domain, `scipy.sparse` to solve it), and
+scipy (`scipy.sparse` and `scipy.sparse.linalg`, to solve a domain), and
 it imports it where it is used: a process that never builds a grid (the
 closed forms, the torus bounds) does not load it.
 """
@@ -135,6 +142,9 @@ def prop1a_lambda3_upper(x: TorusWithHole) -> float:
 
 _RTOL = 1e-10       # relative residual of the conjugate gradients (README contract)
 _MAX_ITER = 20000
+#: the lattice directions (dy, dx) of a node's neighbours: below, left,
+#: right, above
+_DIRECTIONS = ((-1, 0), (0, -1), (0, 1), (1, 0))
 
 
 @dataclass
@@ -142,8 +152,13 @@ class GridDomain:
     """Masked rectangular lattice of cell centers.
 
     marked_a / marked_b hold the boundary values 1 / 0 on cells OUTSIDE the
-    domain mask; the Dirichlet contact happens across half edges of
-    conductance 2.
+    domain mask.  The Dirichlet contact happens across the boundary edges,
+    from an inside node to a marked neighbour: theta[k] holds, for the
+    direction _DIRECTIONS[k], the fraction in (0, 1] of each such edge from
+    the node to the true boundary, over the inside nodes next to a marked
+    cell in that direction (row-major), and the edge has conductance
+    1/theta.  The default None puts every boundary on the cell faces,
+    theta = 1/2.
     """
 
     h: float
@@ -154,21 +169,61 @@ class GridDomain:
     marked_b: np.ndarray          # bool (ny, nx)
     family: str = "separating"    # which curve family the caller asks about
     x_guess: np.ndarray | None = None
+    theta: tuple[np.ndarray, ...] | None = None  # one float array per direction
 
     def __post_init__(self):
         if self.family not in ("separating", "joining"):
             raise ValidationError(f"unknown family {self.family!r}")
         if not self.inside.any():
             raise ValidationError("empty grid domain")
-        from scipy.ndimage import label
-
-        _, ncomp = label(self.inside)
-        if ncomp != 1:
+        if not _connected(self.inside):
             raise ValidationError("grid domain must be connected")
         if not self.marked_a.any() or not self.marked_b.any():
             raise ValidationError("marked families must be nonempty")
         if (self.marked_a & self.marked_b).any():
             raise ValidationError("marked families must be disjoint")
+        marked = self.marked_a | self.marked_b
+        counts = [int(np.count_nonzero(_shift(marked, dy, dx, False) & self.inside))
+                  for dy, dx in _DIRECTIONS]
+        if self.theta is None:
+            self.theta = tuple(np.full(c, 0.5) for c in counts)
+        elif ([len(t) for t in self.theta] != counts
+              or not all(((t > 0) & (t <= 1)).all() for t in self.theta)):
+            raise ValidationError("theta must hold one fraction in (0, 1] "
+                                  "for each boundary edge")
+
+
+def _connected(mask: np.ndarray) -> bool:
+    """Whether the cells of a nonempty bool mask form one 4-connected set.
+
+    The runs of cells in each row are the vertices of a graph, and each
+    stretch of columns that two adjacent rows share joins their two runs.
+    Each round hooks every component root onto the least root it is joined
+    to and then points every run at its root, until no edge joins two
+    components; each round removes a root, so this ends.
+    """
+    ny, nx = mask.shape
+    cells = np.zeros((ny, nx + 1), dtype=bool)  # a free column opens each row
+    cells[:, 1:] = mask
+    flat = cells.ravel()
+    starts = np.flatnonzero(flat[1:] & ~flat[:-1]) + 1
+    shared = (cells[:-1] & cells[1:]).ravel()
+    seams = np.flatnonzero(shared[1:] & ~shared[:-1]) + 1
+    # the run in the row of each seam's first cell, and the run below it
+    upper = np.searchsorted(starts, seams, side="right") - 1
+    lower = np.searchsorted(starts, seams + nx + 1, side="right") - 1
+    labels = np.arange(starts.size)
+    while True:
+        lu, ll = labels[upper], labels[lower]
+        apart = lu != ll
+        if not apart.any():
+            return bool((labels == 0).all())
+        np.minimum.at(labels, np.maximum(lu, ll)[apart], np.minimum(lu, ll)[apart])
+        while True:
+            root = labels[labels]
+            if np.array_equal(root, labels):
+                break
+            labels = root
 
 
 @dataclass
@@ -238,8 +293,8 @@ def _assemble(dom: GridDomain) -> tuple:
     Dirichlet energy E(u) = u.Au - 2 b.u + c over the inside nodes
     (row-major order).
 
-    Interior edges have unit conductance, and a node next to a marked cell
-    has a conductance-2 half edge to that cell's value.
+    Interior edges have unit conductance, and the edge from a node to a
+    marked cell has conductance 1/theta (see GridDomain).
     """
     import scipy.sparse as sp
 
@@ -253,14 +308,16 @@ def _assemble(dom: GridDomain) -> tuple:
     diag = np.zeros(n)
     rhs = np.zeros(n)
     const = 0.0
-    for k, (dy, dx) in zip((0, 1, 3, 4), ((-1, 0), (0, -1), (0, 1), (1, 0))):
+    for k, (dy, dx), theta in zip((0, 1, 3, 4), _DIRECTIONS, dom.theta):
         nb = cols[:, k] = _shift(idx, dy, dx, -1)[inside]
         diag += nb >= 0
-        for marked, value in ((dom.marked_a, 1.0), (dom.marked_b, 0.0)):
-            touch = _shift(marked, dy, dx, False)[inside]
-            diag += 2.0 * touch
-            rhs += 2.0 * value * touch
-            const += 2.0 * value * value * int(touch.sum())
+        to_a = _shift(dom.marked_a, dy, dx, False)[inside]
+        edge = to_a | _shift(dom.marked_b, dy, dx, False)[inside]
+        g = 1.0 / theta
+        g_a = np.where(to_a[edge], g, 0.0)  # the edges to the value 1
+        diag[edge] += g
+        rhs[edge] += g_a
+        const += float(g_a.sum())
     if (diag <= 0).any():
         raise ValidationError("grid has isolated nodes")
     keep = cols >= 0
@@ -339,8 +396,14 @@ class _Multigrid:
 # ---------------------------------------------------------------------------
 # domain builders
 
-#: most lattice cells of a grid domain: the solve peaks at about 190 bytes a
-#: cell (480 MB for annulus(1, 4, h = 1/200), 1604^2 cells)
+#: least boundary fraction: a node closer than this (in lattice units) to
+#: its circle is held as if that far away, which bounds the conductance of
+#: its boundary edge by 1000 and moves the boundary by less than h/1000;
+#: a clamp at 0.1 would lose the second order
+_THETA_MIN = 1e-3
+
+#: most lattice cells of a grid domain: the solve peaks at about 200 bytes a
+#: cell (a 490 MB peak RSS for annulus(1, 4, h = 1/200), 1604^2 cells)
 GRID_CELLS_MAX = 3_000_000
 
 
@@ -368,23 +431,41 @@ def _strip(nx: int, ny: int) -> tuple[np.ndarray, ...]:
 def annulus_grid(r: float, big_r: float, h: float,
                  family: str | None = None) -> GridDomain:
     """Round annulus r < |z| < R; marked families are the inner and outer
-    complements.  The analytic potential log(R/|z|)/log(R/r) seeds the CG
-    iteration."""
+    complements, and each boundary edge is cut where it meets its circle.
+    The analytic potential log(R/|z|)/log(R/r) seeds the CG iteration."""
     round_annulus(r, big_r)  # checks 0 < r < R
     _check_positive(h=h)
     half = big_r + 2 * h
-    _check_cells(2 * half / h, 2 * half / h)
-    m = int(math.ceil(2 * half / h))
-    xs = (np.arange(m) + 0.5) * h - half
-    xx, yy = np.meshgrid(xs, xs)
-    rr = np.hypot(xx, yy)
-    inside = (rr > r) & (rr < big_r)
-    marked_a = rr <= r
-    marked_b = rr >= big_r
-    guess = np.clip(np.log(big_r / np.maximum(rr, 1e-12)) / math.log(big_r / r),
-                    0.0, 1.0)
-    return GridDomain(h, -half, -half, inside, marked_a, marked_b,
-                      family=family or KINDS["round"].family, x_guess=guess)
+    _check_cells(2 * (half / h + 1), 2 * (half / h + 1))
+    # an even number of cells a side, centred on the origin: no node sits at
+    # the centre, so an inner circle of radius below h/sqrt(2) marks no cell
+    # and is refused rather than solved as a one-node hole
+    m = 2 * math.ceil(half / h)
+    # lattice units (h = 1): the coordinates are exact half-integers, and the
+    # radii are at most about m/2, so no square can overflow
+    xs = np.arange(m) + 0.5 - m / 2
+    s_r, s_big = r / h, big_r / h
+    rr = np.hypot(xs[:, None], xs[None, :])
+    inside = (rr > s_r) & (rr < s_big)
+    marked_a = rr <= s_r
+    marked_b = rr >= s_big
+    guess = np.clip(np.log(s_big / rr) / math.log(big_r / r), 0.0, 1.0)  # rr >= 1/sqrt(2)
+    theta = []
+    for dy, dx in _DIRECTIONS:
+        to_a = _shift(marked_a, dy, dx, False)
+        ys, xs_i = np.nonzero(inside & (to_a | _shift(marked_b, dy, dx, False)))
+        t = np.abs(xs[xs_i] if dx else xs[ys])   # along the edge
+        u = np.abs(xs[ys] if dx else xs[xs_i])   # across it
+        rho = rr[ys, xs_i]
+        s = np.where(to_a[ys, xs_i], s_r, s_big)
+        # the lattice line meets the circle in a chord of half-length
+        # sqrt(s^2 - u^2) whose midpoint is t away from the node, so theta is
+        # |t - sqrt(s^2 - u^2)| = |rho^2 - s^2| / (t + sqrt(s^2 - u^2))
+        root = np.sqrt(np.maximum((s - u) * (s + u), 0.0))
+        theta.append(np.clip(np.abs(rho - s) * (rho + s) / (root + t), _THETA_MIN, 1.0))
+    return GridDomain(h, -m / 2 * h, -m / 2 * h, inside, marked_a, marked_b,
+                      family=family or KINDS["round"].family, x_guess=guess,
+                      theta=tuple(theta))
 
 
 def rectangle_grid(a: float, b: float, h: float,
@@ -464,7 +545,7 @@ def dump_grid_csv(dom: GridDomain, path: str) -> None:
     mark = np.full(xs.shape, "none", dtype=object)
     for marked, name in ((dom.marked_b, "b"), (dom.marked_a, "a")):
         touch = np.zeros(dom.inside.shape, dtype=bool)
-        for dy, dx in ((-1, 0), (0, -1), (0, 1), (1, 0)):
+        for dy, dx in _DIRECTIONS:
             touch |= _shift(marked, dy, dx, False)
         mark[touch[ys, xs]] = name
     x = (dom.x0 + (xs + 0.5) * dom.h).tolist()

@@ -382,6 +382,23 @@ def test_dbar_demo_dump_replaces_existing_file(tmp_path, capsys):
     assert len(lines) == 1 + 1024 + 1  # header, the circle samples and the closing one
 
 
+def test_dbar_demo_failure_removes_the_dump_file_it_created(tmp_path, capsys):
+    path = tmp_path / "new.csv"
+    code, out, err = run_cli(capsys, "dbar", "demo", "--sigma", "0.01", "--target", "a1 a2",
+                             "--dump", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert not path.exists()
+
+
+def test_dbar_demo_failure_keeps_an_existing_dump_file(tmp_path, capsys):
+    path = tmp_path / "old.csv"
+    path.write_bytes(b"stale contents\r\nno newline at the end")
+    code, out, err = run_cli(capsys, "dbar", "demo", "--sigma", "0.01", "--target", "a1 a2",
+                             "--dump", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert path.read_bytes() == b"stale contents\r\nno newline at the end"
+
+
 def test_word_canon_long_power(capsys):
     code, out, _ = run_cli(capsys, "word", "canon", "a1^100000")
     assert code == 0

@@ -274,3 +274,200 @@ def test_grid_csv_dump(tmp_path):
         elif any(dom.marked_b[p] for p in near):
             want = "b"
         assert row[2] == want
+
+
+# ---------------------------------------------------------------------------
+# the domain connectivity check
+
+
+def test_connected_matches_ndimage_label():
+    import numpy as np
+    from scipy.ndimage import label  # the oracle only; fbt does not load it
+
+    rng = np.random.default_rng(20261019)
+    checked = 0
+    while checked < 400:
+        ny, nx = rng.integers(1, 25, size=2)
+        mask = rng.random((ny, nx)) < rng.uniform(0.2, 1.0)
+        if not mask.any():
+            continue
+        assert Cf._connected(mask) == (label(mask)[1] == 1), mask
+        checked += 1
+
+
+def test_connected_shapes():
+    import numpy as np
+
+    ring = np.ones((5, 5), dtype=bool)
+    ring[2, 2] = False
+    assert Cf._connected(ring)
+    diagonal = np.eye(3, dtype=bool)  # corners do not connect
+    assert not Cf._connected(diagonal)
+    snake = np.zeros((5, 7), dtype=bool)  # a U whose arms meet only at the bottom
+    snake[:, 0] = snake[:, 6] = snake[4] = True
+    assert Cf._connected(snake)
+    snake[4, 3] = False
+    assert not Cf._connected(snake)
+    assert Cf._connected(np.ones((1, 9), dtype=bool))
+    assert not Cf._connected(np.array([[True, False, True]]))
+
+
+def test_connected_large_random_mask_is_fast():
+    import time
+
+    import numpy as np
+    from scipy.ndimage import label
+
+    rng = np.random.default_rng(7)
+    mask = rng.random((1000, 1000)) < 0.65
+    lab, _ = label(mask)
+    largest = lab == np.bincount(lab.ravel())[1:].argmax() + 1
+    for m, want in ((mask, False), (largest, True)):
+        t = time.perf_counter()
+        assert Cf._connected(m) == want
+        assert time.perf_counter() - t < 0.5
+
+
+# ---------------------------------------------------------------------------
+# the 1/theta boundary edges
+
+
+def _staircase_assemble(dom):
+    """The assembly with a conductance-2 half edge to every marked cell:
+    the reference that theta = 1/2 must reproduce bit for bit."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    inside = dom.inside
+    n = int(inside.sum())
+    idx = np.full(inside.shape, -1, dtype=np.int32)
+    idx[inside] = np.arange(n, dtype=np.int32)
+    cols = np.empty((n, 5), dtype=np.int32)
+    cols[:, 2] = np.arange(n, dtype=np.int32)
+    diag = np.zeros(n)
+    rhs = np.zeros(n)
+    const = 0.0
+    for k, (dy, dx) in zip((0, 1, 3, 4), ((-1, 0), (0, -1), (0, 1), (1, 0))):
+        nb = cols[:, k] = Cf._shift(idx, dy, dx, -1)[inside]
+        diag += nb >= 0
+        for marked, value in ((dom.marked_a, 1.0), (dom.marked_b, 0.0)):
+            touch = Cf._shift(marked, dy, dx, False)[inside]
+            diag += 2.0 * touch
+            rhs += 2.0 * value * touch
+            const += 2.0 * value * value * int(touch.sum())
+    keep = cols >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    data = np.full(int(indptr[-1]), -1.0)
+    data[indptr[:-1] + keep[:, 0] + keep[:, 1]] = diag
+    return sp.csr_matrix((data, cols[keep], indptr), shape=(n, n)), rhs, const
+
+
+@pytest.mark.parametrize("dom", [
+    rectangle_grid(1.7, 1.0, 1 / 20, marked="horizontal"),
+    rectangle_grid(1.7, 1.0, 1 / 20, marked="vertical"),
+    rectangle_grid(1.37, 1.0, 1 / 100),
+    cylinder_grid(2.0, 0.25, 1 / 40),
+    cylinder_grid(1.0, 1.0, 1 / 250),
+], ids=["rect-h", "rect-v", "rect-100", "cyl-40", "cyl-250"])
+def test_strips_assemble_as_the_staircase(dom):
+    import numpy as np
+
+    a, rhs, const = Cf._assemble(dom)
+    ref, ref_rhs, ref_const = _staircase_assemble(dom)
+    for got, want in ((a.data, ref.data), (a.indices, ref.indices),
+                      (a.indptr, ref.indptr), (rhs, ref_rhs)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert const == ref_const
+
+
+def _mp_theta(p, q, rho):
+    """The root theta in [0, 1] of |p + theta (q - p)| = rho, in 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        px, py = p
+        ex, ey = q[0] - px, q[1] - py
+        a = ex * ex + ey * ey
+        b = 2 * (px * ex + py * ey)
+        c = px * px + py * py - rho * rho
+        disc = mpmath.sqrt(b * b - 4 * a * c)
+        roots = [(-b - disc) / (2 * a), (-b + disc) / (2 * a)]
+        return [t for t in roots if 0 <= t <= 1][0]
+
+
+@pytest.mark.parametrize("r,big_r,h", [(1.0, 2.0, 1 / 40), (1e200, 2.5e200, 3e198),
+                                       (0.37, 1.1, 0.03)])
+def test_annulus_theta_matches_mpmath(r, big_r, h):
+    import mpmath
+    import numpy as np
+
+    dom = annulus_grid(r, big_r, h)
+    m = dom.inside.shape[0]
+    mh = mpmath.mpf(h)
+    # the lattice is centred on the origin: cell (j, i) has its center at
+    # ((i + 1/2 - m/2) h, (j + 1/2 - m/2) h)
+    assert dom.x0 == dom.y0 == -m / 2 * h
+
+    def center(j, i):
+        return ((i + mpmath.mpf(0.5) - mpmath.mpf(m) / 2) * mh,
+                (j + mpmath.mpf(0.5) - mpmath.mpf(m) / 2) * mh)
+
+    checked = 0
+    for (dy, dx), theta in zip(Cf._DIRECTIONS, dom.theta):
+        to_a = Cf._shift(dom.marked_a, dy, dx, False)
+        ys, xs = np.nonzero(dom.inside & (to_a | Cf._shift(dom.marked_b, dy, dx, False)))
+        assert len(ys) == len(theta)
+        assert np.isfinite(theta).all()
+        for k in range(0, len(ys), 7):
+            j, i = int(ys[k]), int(xs[k])
+            rho = mpmath.mpf(r if to_a[j, i] else big_r)
+            want = _mp_theta(center(j, i), center(j + dy, i + dx), rho)
+            want = min(max(want, mpmath.mpf(Cf._THETA_MIN)), 1)
+            assert abs(theta[k] - want) <= 1e-12, (j, i, dy, dx)
+            checked += 1
+    assert checked > 40
+
+
+def test_annulus_lattice_has_no_centre_node():
+    # an even number of cells a side: a hole narrower than a cell marks no
+    # cell and is refused, instead of being solved as a one-node hole
+    for h in (0.06, 1 / 40, 0.07):
+        assert annulus_grid(1.0, 2.0, h).inside.shape[0] % 2 == 0
+    with pytest.raises(ValidationError, match="marked families must be nonempty"):
+        annulus_grid(0.001, 2.0, 0.06)
+
+
+def test_grid_domain_theta_validation():
+    import numpy as np
+
+    dom = rectangle_grid(1.0, 1.0, 1 / 10)
+    assert [len(t) for t in dom.theta] == [10, 0, 0, 10]
+    assert all((t == 0.5).all() for t in dom.theta)
+    fields = (dom.h, dom.x0, dom.y0, dom.inside, dom.marked_a, dom.marked_b)
+    for bad in ([np.full(10, 0.5), np.empty(0), np.empty(0), np.full(9, 0.5)],
+                [np.full(10, 0.5), np.empty(0), np.empty(0), np.full(10, 1.5)],
+                [np.full(10, 0.0), np.empty(0), np.empty(0), np.full(10, 0.5)],
+                [np.full(10, np.nan), np.empty(0), np.empty(0), np.full(10, 0.5)]):
+        with pytest.raises(ValidationError, match="theta"):
+            Cf.GridDomain(*fields, theta=tuple(bad))
+
+
+@pytest.mark.parametrize("big_r", [2.0, 4.0])
+def test_annulus_grid_is_second_order(big_r):
+    exact = lambda_closed_form(round_annulus(1.0, big_r))
+    errs = [abs(grid_extremal_length(annulus_grid(1.0, big_r, h)).lam - exact) / exact
+            for h in (1 / 25, 1 / 50, 1 / 100, 1 / 200)]
+    assert all(coarse >= 3 * fine for coarse, fine in zip(errs, errs[1:])), errs
+
+
+def test_annulus_benchmark_rungs():
+    # the annulus(1, 2) ladder of the numeric benchmark
+    exact = lambda_closed_form(round_annulus(1.0, 2.0))
+    errs = []
+    for h in (1 / 40, 1 / 80, 1 / 160):
+        rep = grid_extremal_length(annulus_grid(1.0, 2.0, h))
+        assert rep.iterations <= 9
+        errs.append(abs(rep.lam - exact) / exact)
+    assert errs[0] <= 5e-5 and errs[-1] <= 5e-6
+    assert errs[0] > errs[1] > errs[2]

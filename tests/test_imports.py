@@ -73,10 +73,10 @@ def test_module_level_scipy_check_sees_them(tmp_path):
         "probe.py:3: scipy.sparse", "probe.py:5: scipy"]
 
 
-def _loads_scipy(code: str) -> bool:
-    """Whether scipy is in sys.modules after running `code` in a fresh
-    interpreter."""
-    code += "\nimport sys\nsys.stderr.write(repr('scipy' in sys.modules))\n"
+def _loads_scipy(code: str, module: str = "scipy") -> bool:
+    """Whether `module` (scipy by default) is in sys.modules after running
+    `code` in a fresh interpreter."""
+    code += f"\nimport sys\nsys.stderr.write(repr({module!r} in sys.modules))\n"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
     assert res.returncode == 0, res.stderr
@@ -108,6 +108,22 @@ def test_closed_form_commands_do_not_load_scipy(argv):
     assert not _loads_scipy(_cli(*argv))
 
 
+def test_building_a_grid_does_not_load_scipy():
+    assert not _loads_scipy("import fbt.conformal as C\n"
+                            "C.annulus_grid(1.0, 2.0, 0.1)\nC.cylinder_grid(1.0, 1.0, 0.1)")
+
+
 def test_grid_command_loads_scipy():
     assert _loads_scipy(_cli("conformal", "grid", "--kind", "rectangle", "--a", "1",
                              "--b", "1", "--h", "0.25", "--family", "separating"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kind", "rectangle", "--a", "1", "--b", "1", "--h", "0.25"),
+    ("--kind", "round", "--r", "1", "--R", "2", "--h", "0.1"),
+], ids=lambda argv: argv[1])
+def test_grid_command_does_not_load_scipy_ndimage(argv):
+    # the domain's connectivity is checked with numpy alone
+    code = _cli("conformal", "grid", *argv)
+    assert _loads_scipy(code, "scipy.sparse.linalg")
+    assert not _loads_scipy(code, "scipy.ndimage")
