@@ -140,12 +140,6 @@ def thm3_bound(t: SurfaceTopology, lambda8: float) -> LogNumber:
     return LogNumber(t.rank * (6.0 * math.log(15.0) + 36.0 * PI * lambda8))
 
 
-def thm3_bound_factored(t: SurfaceTopology, lambda8: float) -> LogNumber:
-    """The same bound written as (15 e^{6 pi lambda8})^{6(2g+m)}."""
-    _check_lambda(lambda8)
-    return LogNumber(6.0 * t.rank * (math.log(15.0) + 6.0 * PI * lambda8))
-
-
 class Theorem(NamedTuple):
     bound: Callable[[SurfaceTopology, float], LogNumber]
     flag: str     # the name of its extremal-length input

@@ -29,24 +29,34 @@ annulus takes theta in closed form for both circles, so its error is
 O(h^2) where a staircase boundary gave O(h); the rectangle and the flat
 cylinder have their boundary on the cell faces, theta = 1/2.  A flat
 cylinder is solved as a rectangle marked on its two ends: its potential
-is constant along the circumference, so the seam carries no current.  The
-matrix is symmetric positive definite; it is solved by conjugate
-gradients to a `1e-10` relative residual, preconditioned by a
-plain-aggregation multigrid V-cycle (2x2 lattice aggregates, Galerkin
-coarse matrices, damped Jacobi smoothing, SuperLU on the coarsest level),
-whose iteration count grows only slowly as h shrinks.  The minimal energy
-is the extremal length of the curves separating the marked sets, the
-reciprocal of that of the curves joining them.  Only the grid code needs
-scipy (`scipy.sparse` and `scipy.sparse.linalg`, to solve a domain), and
-it imports it where it is used: a process that never builds a grid (the
-closed forms, the torus bounds) does not load it.
+is constant along the circumference, so the seam carries no current.
+
+A domain that a mirror about a lattice axis maps onto itself, masks and
+theta bit for bit, on a lattice of even extent along that axis, is solved
+on its first half along it: the round annulus on a quadrant, a rectangle
+or flat cylinder on the half that its midline joining the marked sides
+cuts off, when that line runs along cell faces.  The potential is then
+symmetric too, so the cut edges carry no current and the energy is 2 or
+4 times that of the part (Bossavit, CMAME 56, 1986).  The matrix is
+symmetric positive definite; it is solved by conjugate gradients to a
+`1e-10` relative residual, preconditioned by a plain-aggregation
+multigrid V-cycle (2x2 lattice aggregates, Galerkin coarse matrices,
+damped Jacobi smoothing, SuperLU on the coarsest level), whose iteration
+count grows only slowly as h shrinks: 1, 7 and 6 for annulus(1, 2) at
+h = 1/40, 1/80 and 1/160, whose quadrants have 3,771, 15,086 and 60,311
+unknowns.  The minimal energy is the extremal length of the curves
+separating the marked sets, the reciprocal of that of the curves joining
+them.  Only the grid code needs scipy (`scipy.sparse` and
+`scipy.sparse.linalg`, to solve a domain), and it imports it where it is
+used: a process that never builds a grid (the closed forms, the torus
+bounds) does not load it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -241,13 +251,71 @@ class SolverReport:
 def grid_extremal_length(dom: GridDomain) -> SolverReport:
     """Solve the discrete Laplace problem to the relative residual _RTOL and
     convert the effective conductance (the minimal energy) into the
-    requested curve-family extremal length."""
+    requested curve-family extremal length.  A mirror-symmetric domain is
+    solved on the half or quadrant that _fold keeps."""
+    dom, copies = _fold(dom)
     a, rhs, const = _assemble(dom)
     x0 = None if dom.x_guess is None else dom.x_guess[dom.inside]
     u, iters, res = _cg(a, rhs, x0, dom.inside)
-    energy = float(u @ (a @ u) - 2.0 * (rhs @ u)) + const
+    energy = copies * (float(u @ (a @ u) - 2.0 * (rhs @ u)) + const)
     lam = energy if dom.family == "separating" else 1.0 / energy
     return SolverReport(lam, dom.h, iters, res)
+
+
+def _fold(dom: GridDomain) -> tuple[GridDomain, int]:
+    """The part of dom that the solve needs, and how many mirror copies of
+    it make up dom (1, 2 or 4).
+
+    For each lattice axis on which dom has an even extent and its mirror
+    maps inside, marked_a, marked_b and theta onto themselves bit for bit,
+    keep the first half of the lattice.  This is exact (Bossavit, CMAME 56,
+    1986): the discrete potential is then mirror-symmetric, so each edge
+    that a cut removes, from a node to its own mirror image, carries no
+    current, and _shift drops the edges that leave the lattice, so the kept
+    part is the problem cut with a Neumann seam.  Its energy is 1/copies of
+    the whole, and its relative residual equals the whole domain's.  A
+    domain symmetric on neither axis comes back as it is.
+    """
+    shape = dom.inside.shape
+    masks = (dom.inside, dom.marked_a, dom.marked_b)
+    axes = [axis for axis, n in enumerate(shape)
+            if n % 2 == 0 and all(np.array_equal(m, np.flip(m, axis)) for m in masks)]
+    if not axes:
+        return dom, 1
+    marked = dom.marked_a | dom.marked_b
+    edges = [_nodes(_shift(marked, dy, dx, False) & dom.inside) for dy, dx in _DIRECTIONS]
+    half = [n // 2 if axis in axes and _theta_symmetric(dom, edges, axis) else n
+            for axis, n in enumerate(shape)]
+    copies = (shape[0] // half[0]) * (shape[1] // half[1])
+    if copies == 1:
+        return dom, 1
+    keep = (slice(half[0]), slice(half[1]))
+    theta = tuple(t[(ys < half[0]) & (xs < half[1])] for t, (ys, xs) in zip(dom.theta, edges))
+    return replace(dom, inside=dom.inside[keep], marked_a=dom.marked_a[keep],
+                   marked_b=dom.marked_b[keep], theta=theta,
+                   x_guess=None if dom.x_guess is None else dom.x_guess[keep]), copies
+
+
+def _theta_symmetric(dom: GridDomain, edges: list, axis: int) -> bool:
+    """Whether the mirror on a lattice axis (0: rows, 1: columns) of a
+    domain whose masks it already maps onto themselves maps theta onto
+    itself too, and no boundary edge crosses the cut.
+
+    edges holds the nodes (ys, xs) of each direction's boundary edges in
+    row-major order, so theta is compared list to list, in O(boundary
+    edges) memory: a direction's edges, mirrored and put back in row-major
+    order, must carry the theta of the mirrored direction's edges."""
+    cut = dom.inside.shape[axis] // 2 - 1
+    for (dy, dx), t, (ys, xs) in zip(_DIRECTIONS, dom.theta, edges):
+        mirror = _DIRECTIONS.index((-dy, dx) if axis == 0 else (dy, -dx))
+        order = np.lexsort((xs, -ys)) if axis == 0 else np.lexsort((-xs, ys))
+        if not np.array_equal(t[order], dom.theta[mirror]):
+            return False
+        # an inside node on the cut with a marked mirror image: the cut would
+        # drop that Dirichlet edge
+        if (dy, dx)[axis] == 1 and ((ys, xs)[axis] == cut).any():
+            return False
+    return True
 
 
 def _cg(a, rhs: np.ndarray, x0: np.ndarray | None,
@@ -286,6 +354,13 @@ def _shift(a: np.ndarray, dy: int, dx: int, fill) -> np.ndarray:
     out[max(0, -dy):ny - max(0, dy), max(0, -dx):nx - max(0, dx)] = \
         a[max(0, dy):ny - max(0, -dy), max(0, dx):nx - max(0, -dx)]
     return out
+
+
+def _nodes(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and columns of the True cells of a 2-D bool mask in
+    row-major order, as np.nonzero gives them but through the flat index,
+    which is about ten times faster."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
 def _assemble(dom: GridDomain) -> tuple:
@@ -361,7 +436,10 @@ class _Multigrid:
     the coarsest level is factorized by SuperLU.  Nothing is random, so
     repeated solves agree to the bit.  `_cg` builds the hierarchy on first
     use, so a solve seeded at its solution skips the aggregation, the
-    Galerkin products and the factorization.
+    Galerkin products and the factorization.  It is built for the part of
+    the domain that _fold keeps: a quadrant of at most _COARSE_NODES
+    unknowns (annulus(1, 2) at h = 1/40) has no V-cycle level, and SuperLU
+    solves it in one iteration.
     """
 
     def __init__(self, a, inside: np.ndarray):
@@ -402,8 +480,10 @@ class _Multigrid:
 #: a clamp at 0.1 would lose the second order
 _THETA_MIN = 1e-3
 
-#: most lattice cells of a grid domain: the solve peaks at about 200 bytes a
-#: cell (a 490 MB peak RSS for annulus(1, 4, h = 1/200), 1604^2 cells)
+#: most lattice cells of a grid domain: a solve on the whole lattice peaks at
+#: about 190 bytes a cell (486 MB peak RSS for annulus(1, 4, h = 1/200)
+#: padded to an odd 1605^2 cells, so that it does not fold), one on a
+#: quadrant at about 75 (194 MB for annulus(1, 4, h = 1/200), 1604^2 cells)
 GRID_CELLS_MAX = 3_000_000
 
 
@@ -453,7 +533,7 @@ def annulus_grid(r: float, big_r: float, h: float,
     theta = []
     for dy, dx in _DIRECTIONS:
         to_a = _shift(marked_a, dy, dx, False)
-        ys, xs_i = np.nonzero(inside & (to_a | _shift(marked_b, dy, dx, False)))
+        ys, xs_i = _nodes(inside & (to_a | _shift(marked_b, dy, dx, False)))
         t = np.abs(xs[xs_i] if dx else xs[ys])   # along the edge
         u = np.abs(xs[ys] if dx else xs[xs_i])   # across it
         rho = rr[ys, xs_i]
@@ -519,11 +599,7 @@ KINDS = {
 
 
 # ---------------------------------------------------------------------------
-# file formats
-
-
-def spec_to_json(spec: AnnulusSpec) -> dict:
-    return {"kind": spec.kind, "params": dict(zip(KINDS[spec.kind].params, spec.params))}
+# the domain file
 
 
 def spec_from_json(data: dict) -> AnnulusSpec:
@@ -534,23 +610,3 @@ def spec_from_json(data: dict) -> AnnulusSpec:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a huge integer
         raise ValidationError(f"bad domain file: {exc}") from None
     return AnnulusSpec(kind, params)
-
-
-def dump_grid_csv(dom: GridDomain, path: str) -> None:
-    """Node list: x,y,marked with marked in {a, b, none}; a node is marked
-    when one of its four lattice neighbours is a marked cell, a before b."""
-    import csv
-
-    ys, xs = np.nonzero(dom.inside)
-    mark = np.full(xs.shape, "none", dtype=object)
-    for marked, name in ((dom.marked_b, "b"), (dom.marked_a, "a")):
-        touch = np.zeros(dom.inside.shape, dtype=bool)
-        for dy, dx in _DIRECTIONS:
-            touch |= _shift(marked, dy, dx, False)
-        mark[touch[ys, xs]] = name
-    x = (dom.x0 + (xs + 0.5) * dom.h).tolist()
-    y = (dom.y0 + (ys + 0.5) * dom.h).tolist()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y", "marked"])
-        writer.writerows([repr(a), repr(b), m] for a, b, m in zip(x, y, mark))

@@ -17,7 +17,6 @@ from fbt.bounds import (
     thm1_bound,
     thm2_bound,
     thm3_bound,
-    thm3_bound_factored,
 )
 from fbt.errors import ValidationError
 from fbt.words import word_count_bound
@@ -104,7 +103,8 @@ def test_thm2_thm3_ratio_and_agreement():
         r = thm2_bound(t, lam).ln - thm3_bound(t, lam).ln
         assert r == pytest.approx(t.rank * math.log(2), abs=1e-9)
         a = thm3_bound(t, lam).ln
-        b = thm3_bound_factored(t, lam).ln
+        # the same bound written as (15 e^{6 pi lambda8})^{6(2g+m)}
+        b = 6.0 * t.rank * (math.log(15.0) + 6.0 * math.pi * lam)
         assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
 
 

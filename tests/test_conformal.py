@@ -197,20 +197,37 @@ def test_coarse_factorization_failure_is_numerical_error(monkeypatch):
         grid_extremal_length(annulus_grid(1.0, 2.0, 1 / 20))
 
 
-def test_multigrid_built_on_first_preconditioner_use(monkeypatch):
+@pytest.fixture
+def multigrids(monkeypatch):
+    """The _Multigrid hierarchies that the solves of a test build."""
     built = []
 
-    class Counting(Cf._Multigrid):
+    class Recorded(Cf._Multigrid):
         def __init__(self, *args):
-            built.append(1)
+            built.append(self)
             super().__init__(*args)
 
-    monkeypatch.setattr(Cf, "_Multigrid", Counting)
+    monkeypatch.setattr(Cf, "_Multigrid", Recorded)
+    return built
+
+
+def test_multigrid_built_on_first_preconditioner_use(multigrids):
     # seeded with its exact potential: CG stops before it preconditions
     rep = grid_extremal_length(rectangle_grid(1.0, 2.0, 1 / 40))
-    assert rep.iterations == 0 and not built
-    rep = grid_extremal_length(annulus_grid(1.0, 2.0, 1 / 40))
-    assert rep.iterations > 0 and len(built) == 1
+    assert rep.iterations == 0 and not multigrids
+    # the quadrant of annulus(1, 2, 1/80) has 15,086 unknowns, so its
+    # hierarchy keeps a V-cycle level above the SuperLU one
+    rep = grid_extremal_length(annulus_grid(1.0, 2.0, 1 / 80))
+    assert rep.iterations > 0 and len(multigrids) == 1
+    assert len(multigrids[0].levels) >= 1
+
+
+def test_multigrid_levels_on_an_unfolded_domain(multigrids):
+    dom = _padded(annulus_grid(1.0, 2.0, 1 / 80), rows=1, cols=1)
+    assert _unfolded(dom)
+    rep = grid_extremal_length(dom)
+    assert rep.iterations > 0 and len(multigrids[0].levels) >= 2
+    assert (rep.lam, rep.iterations, rep.residual) == _whole_lattice(dom)
 
 
 def test_torus_validation():
@@ -238,42 +255,18 @@ def test_grid_domain_validation():
         Cf.GridDomain(0.1, 0.0, 0.0, ok, marked, marked)
 
 
+def _spec_to_json(spec):
+    """The domain file of a spec: the format spec_from_json reads."""
+    return {"kind": spec.kind, "params": dict(zip(Cf.KINDS[spec.kind].params, spec.params))}
+
+
 def test_spec_json_round_trip():
     for spec in (round_annulus(1.0, 2.0), rectangle(2.0, 1.0),
                  flat_cylinder(1.5, 0.2)):
-        again = Cf.spec_from_json(Cf.spec_to_json(spec))
+        again = Cf.spec_from_json(_spec_to_json(spec))
         assert again == spec
     with pytest.raises(ValidationError):
         Cf.spec_from_json({"kind": "blob", "params": {}})
-
-
-def test_grid_csv_dump(tmp_path):
-    import csv
-
-    dom = rectangle_grid(0.5, 0.5, 0.1)
-    path = tmp_path / "grid.csv"
-    Cf.dump_grid_csv(dom, str(path))
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x", "y", "marked"]
-    assert len(rows) - 1 == int(dom.inside.sum())
-    marks = {r[2] for r in rows[1:]}
-    assert {"a", "b"} <= marks
-    # each row's mark: a (else b) if one of its four lattice neighbours is
-    # a marked cell of that side, else none
-    ny, nx = dom.inside.shape
-    nodes = [(j, i) for j in range(ny) for i in range(nx) if dom.inside[j, i]]
-    for (j, i), row in zip(nodes, rows[1:]):
-        assert float(row[0]) == dom.x0 + (i + 0.5) * dom.h
-        assert float(row[1]) == dom.y0 + (j + 0.5) * dom.h
-        near = [(j + dj, i + di) for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0))
-                if 0 <= j + dj < ny and 0 <= i + di < nx]
-        want = "none"
-        if any(dom.marked_a[p] for p in near):
-            want = "a"
-        elif any(dom.marked_b[p] for p in near):
-            want = "b"
-        assert row[2] == want
 
 
 # ---------------------------------------------------------------------------
@@ -471,3 +464,226 @@ def test_annulus_benchmark_rungs():
         errs.append(abs(rep.lam - exact) / exact)
     assert errs[0] <= 5e-5 and errs[-1] <= 5e-6
     assert errs[0] > errs[1] > errs[2]
+
+
+# ---------------------------------------------------------------------------
+# the mirror fold
+
+
+def _whole_lattice(dom):
+    """The solve on the unfolded domain, the fold's reference: lambda,
+    iterations and relative residual."""
+    a, rhs, const = Cf._assemble(dom)
+    x0 = None if dom.x_guess is None else dom.x_guess[dom.inside]
+    u, iters, res = Cf._cg(a, rhs, x0, dom.inside)
+    energy = float(u @ (a @ u) - 2.0 * (rhs @ u)) + const
+    return (energy if dom.family == "separating" else 1.0 / energy), iters, res
+
+
+def _agrees_with_whole_lattice(dom, copies):
+    folded, got_copies = Cf._fold(dom)
+    assert got_copies == copies
+    rep = grid_extremal_length(dom)
+    lam, _, res = _whole_lattice(dom)
+    assert abs(rep.lam - lam) <= 1e-9 * lam
+    assert rep.residual <= 1e-10 and res <= 1e-10
+    return folded
+
+
+def _unfolded(dom):
+    """Whether _fold hands dom back as it is."""
+    folded, copies = Cf._fold(dom)
+    return folded is dom and copies == 1
+
+
+def _padded(dom, rows=0, cols=0):
+    """dom with empty rows and columns appended above and to the right: the
+    same problem, with the theta lists in the same row-major order."""
+    import numpy as np
+
+    def pad(m):
+        return None if m is None else np.pad(m, ((0, rows), (0, cols)))
+
+    return dataclasses.replace(dom, inside=pad(dom.inside), marked_a=pad(dom.marked_a),
+                               marked_b=pad(dom.marked_b), x_guess=pad(dom.x_guess))
+
+
+def _edge_index(dom, k, y, x):
+    """The position of node (y, x) in the theta list of direction k."""
+    import numpy as np
+
+    dy, dx = Cf._DIRECTIONS[k]
+    ys, xs = np.nonzero(dom.inside & Cf._shift(dom.marked_a | dom.marked_b, dy, dx, False))
+    return int(np.flatnonzero((ys == y) & (xs == x))[0])
+
+
+def _nudged(dom, k, nodes):
+    """dom with the theta of direction k at each of nodes moved up by one
+    ulp (down where it is 1)."""
+    import numpy as np
+
+    theta = [t.copy() for t in dom.theta]
+    for y, x in nodes:
+        i = _edge_index(dom, k, y, x)
+        theta[k][i] = np.nextafter(theta[k][i], 0.0 if theta[k][i] == 1.0 else 2.0)
+    return dataclasses.replace(dom, theta=tuple(theta))
+
+
+@pytest.mark.parametrize("family", ["separating", "joining"])
+@pytest.mark.parametrize("r,big_r,h", [(1.0, 2.0, 1 / 40), (1.0, 2.0, 1 / 80),
+                                       (1.0, 4.0, 1 / 50), (0.37, 1.1, 0.03),
+                                       (0.5, 3.0, 0.07), (1e200, 2.5e200, 3e198)])
+def test_fold_annulus_matches_whole_lattice(r, big_r, h, family):
+    dom = annulus_grid(r, big_r, h, family=family)
+    folded = _agrees_with_whole_lattice(dom, 4)
+    assert folded.inside.shape == (dom.inside.shape[0] // 2, dom.inside.shape[1] // 2)
+
+
+@pytest.mark.parametrize("dom,shape", [
+    (rectangle_grid(1.7, 1.0, 1 / 20, marked="horizontal"), (36, 11)),
+    (rectangle_grid(1.7, 1.0, 1 / 10, marked="vertical"), (19, 12)),
+    (rectangle_grid(1.0, 2.0, 1 / 20), (22, 21)),
+    (rectangle_grid(1.8, 1.0, 1 / 100, marked="vertical"), (91, 102)),
+    (cylinder_grid(2.0, 0.25, 1 / 40), (41, 12)),
+    (cylinder_grid(1.0, 1.0, 1 / 250), (126, 252)),
+], ids=["rect-h", "rect-v-odd", "rect-h-2", "rect-v-100", "cyl-40", "cyl-250"])
+def test_fold_unseeded_strips_match_whole_lattice(dom, shape):
+    # a strip mirrors only along its marked ends (the two ends differ), so
+    # it folds once where that extent is even
+    dom = dataclasses.replace(dom, x_guess=None)
+    copies = 2 if shape != dom.inside.shape else 1
+    folded = _agrees_with_whole_lattice(dom, copies)
+    assert folded.inside.shape == shape
+    if copies == 1:
+        assert grid_extremal_length(dom).lam == _whole_lattice(dom)[0]
+
+
+def _symmetric_domain(rng):
+    """A random connected domain on an even lattice with its marked sets and
+    theta, all mirror-symmetric about both lattice axes, or None when the
+    draw is not usable (disconnected, or a marked set that touches no
+    node)."""
+    import numpy as np
+    from scipy.ndimage import label
+
+    def mirrored(quad):
+        return np.block([[quad, quad[:, ::-1]], [quad[::-1], quad[::-1, ::-1]]])
+
+    qy, qx = (int(v) for v in rng.integers(1, 10, size=2))
+    inside = np.pad(mirrored(rng.random((qy, qx)) < rng.uniform(0.4, 0.9)), 1)
+    labels, count = label(inside)
+    if count == 0:
+        return None
+    inside = labels == np.bincount(labels.ravel())[1:].argmax() + 1
+    if not (np.array_equal(inside, inside[::-1]) and np.array_equal(inside, inside[:, ::-1])):
+        return None  # the largest component is one of a mirror pair
+    field = mirrored(rng.integers(0, 3, size=(qy + 1, qx + 1)))
+    marked_a, marked_b = ~inside & (field == 1), ~inside & (field == 2)
+    ny, nx = inside.shape
+    ys, xs = np.mgrid[:ny, :nx]
+    # the direction of an edge relative to the nearer lattice sides, which a
+    # mirror keeps: theta depends only on that and the distance to the sides
+    table = rng.uniform(0.01, 1.0, size=(ny // 2, nx // 2, 3, 3))
+    theta = []
+    for dy, dx in Cf._DIRECTIONS:
+        edge = inside & Cf._shift(marked_a | marked_b, dy, dx, False)
+        y, x = ys[edge], xs[edge]
+        out_y = np.where(y < ny // 2, -dy, dy)
+        out_x = np.where(x < nx // 2, -dx, dx)
+        theta.append(table[np.minimum(y, ny - 1 - y), np.minimum(x, nx - 1 - x),
+                           out_y + 1, out_x + 1])
+    touches = [any(Cf._shift(m, dy, dx, False)[inside].any() for dy, dx in Cf._DIRECTIONS)
+               for m in (marked_a, marked_b)]
+    if not all(touches) or inside.sum() < 2:
+        return None
+    family = ("separating", "joining")[int(rng.integers(2))]
+    return Cf.GridDomain(0.1, 0.0, 0.0, inside, marked_a, marked_b, family=family,
+                         theta=tuple(theta))
+
+
+def test_fold_random_symmetric_masks_match_whole_lattice():
+    import numpy as np
+
+    checked = 0
+    seed = 0
+    while checked < 120:
+        seed += 1
+        dom = _symmetric_domain(np.random.default_rng([20261019, seed]))
+        if dom is None:
+            continue
+        folded, copies = Cf._fold(dom)
+        assert copies == 4, seed
+        rep = grid_extremal_length(dom)
+        lam, _, res = _whole_lattice(dom)
+        assert abs(rep.lam - lam) <= 1e-9 * lam, seed
+        assert rep.residual <= 1e-10 and res <= 1e-10, seed
+        checked += 1
+
+
+def test_fold_refuses_odd_extents():
+    dom = annulus_grid(1.0, 2.0, 1 / 20)
+    ny, nx = dom.inside.shape
+    # an odd number of rows: only the columns fold
+    rows_odd = _padded(dom, rows=1)
+    folded = _agrees_with_whole_lattice(rows_odd, 2)
+    assert folded.inside.shape == (ny + 1, nx // 2)
+    cols_odd = _padded(dom, cols=1)
+    folded = _agrees_with_whole_lattice(cols_odd, 2)
+    assert folded.inside.shape == (ny // 2, nx + 1)
+    both = _padded(dom, rows=1, cols=1)
+    assert _unfolded(both)
+    rep = grid_extremal_length(both)
+    assert (rep.lam, rep.iterations, rep.residual) == _whole_lattice(both)
+
+
+def test_fold_refuses_an_asymmetric_mask_axis():
+    dom = annulus_grid(1.0, 2.0, 1 / 20)
+    ny, nx = dom.inside.shape
+    # unmark the two bottom corner cells: the columns still mirror, the rows
+    # no longer (the corners touch no node, so theta is unchanged)
+    marked_b = dom.marked_b.copy()
+    marked_b[0, 0] = marked_b[0, -1] = False
+    one_axis = dataclasses.replace(dom, marked_b=marked_b)
+    folded = _agrees_with_whole_lattice(one_axis, 2)
+    assert folded.inside.shape == (ny, nx // 2)
+    marked_b[0, -1] = True
+    neither = dataclasses.replace(dom, marked_b=marked_b)
+    assert _unfolded(neither)
+    rep = grid_extremal_length(neither)
+    assert (rep.lam, rep.iterations, rep.residual) == _whole_lattice(neither)
+
+
+def test_fold_refuses_a_theta_one_ulp_off():
+    dom = annulus_grid(1.0, 2.0, 1 / 20)
+    ny, nx = dom.inside.shape
+    k = 0  # below
+    y, x = next((y, x) for y in range(ny) for x in range(nx // 2)
+                if dom.inside[y, x] and dom.marked_a[y - 1, x])
+    # one theta off: neither mirror maps theta onto itself
+    one = _nudged(dom, k, [(y, x)])
+    assert _unfolded(one)
+    rep = grid_extremal_length(one)
+    assert (rep.lam, rep.iterations, rep.residual) == _whole_lattice(one)
+    # the same nudge at its column mirror too: only the columns fold
+    pair = _nudged(dom, k, [(y, x), (y, nx - 1 - x)])
+    folded = _agrees_with_whole_lattice(pair, 2)
+    assert folded.inside.shape == (ny, nx // 2)
+    # a strip folds only top to bottom; one theta off leaves it whole
+    strip = rectangle_grid(1.0, 1.0, 1 / 10, marked="vertical")
+    assert Cf._fold(strip)[1] == 2
+    off = _nudged(strip, 2, [(3, 10)])  # right, into the marked column
+    assert _unfolded(off)
+    assert grid_extremal_length(off).lam == _whole_lattice(off)[0]
+
+
+def test_fold_keeps_a_dirichlet_edge_across_the_cut():
+    # two cells facing each other across the cut that are nodes and marked
+    # too: the cut would drop the Dirichlet edge between them, so the rows
+    # do not fold
+    dom = rectangle_grid(1.0, 1.0, 1 / 10, marked="vertical")
+    ny = dom.inside.shape[0]
+    marked_a = dom.marked_a.copy()
+    marked_a[ny // 2 - 1:ny // 2 + 1, 5] = True
+    odd = dataclasses.replace(dom, marked_a=marked_a, theta=None)
+    assert _unfolded(odd)
+    assert grid_extremal_length(odd).lam == _whole_lattice(odd)[0]
