@@ -11,7 +11,7 @@ Subcommands:
 Exit codes: 0 success, 2 validation error (including a file that cannot
 be read or written), 3 numeric non-convergence.
 Output is JSON (or CSV for tables); identical argv give byte-identical
-stdout.  FBT_THREADS caps the BLAS thread pools used by
+stdout.  FBT_THREADS (default 1) caps the BLAS thread pools used by
 the numeric backends.
 """
 
@@ -27,11 +27,13 @@ import sys
 
 
 def _cap_threads() -> None:
-    n = os.environ.get("FBT_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, n)
+    """Give each thread pool that its own variable does not size FBT_THREADS
+    threads, one by default: a multi-threaded dot product sums in an order
+    that follows the thread split, which moves the solvers' last bits."""
+    n = os.environ.get("FBT_THREADS") or "1"
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(var, n)
 
 
 _cap_threads()

@@ -31,13 +31,15 @@ cylinder have their boundary on the cell faces, theta = 1/2.  A flat
 cylinder is solved as a rectangle marked on its two ends: its potential
 is constant along the circumference, so the seam carries no current.
 
-A domain that a mirror about a lattice axis maps onto itself, masks and
-theta bit for bit, on a lattice of even extent along that axis, is solved
-on its first half along it: the round annulus on a quadrant, a rectangle
-or flat cylinder on the half that its midline joining the marked sides
-cuts off, when that line runs along cell faces.  The potential is then
-symmetric too, so the cut edges carry no current and the energy is 2 or
-4 times that of the part (Bossavit, CMAME 56, 1986).  The matrix is
+The round annulus is mirror-symmetric about both lattice axes, and a
+rectangle or flat cylinder about its midline joining the marked sides when
+that line runs along cell faces.  Their builders build only the part that
+the mirrors cut off (the annulus's lower-left quadrant, the strip's half
+below that midline), and GridDomain.mirrored says across which of its
+last row and last column the domain continues as its mirror image.  The
+potential is then symmetric too, so the edges across a seam carry no
+current and the energy is 2 or 4 times that of the part (Bossavit, CMAME
+56, 1986).  A domain built by hand is solved as given.  The matrix is
 symmetric positive definite; it is solved by conjugate gradients to a
 `1e-10` relative residual, preconditioned by a plain-aggregation
 multigrid V-cycle (2x2 lattice aggregates, Galerkin coarse matrices,
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -169,6 +171,13 @@ class GridDomain:
     cell in that direction (row-major), and the edge has conductance
     1/theta.  The default None puts every boundary on the cell faces,
     theta = 1/2.
+
+    mirrored (rows, columns) says whether the domain continues past its
+    last row, and past its last column, as its mirror image: the lattice is
+    then the part that the builder kept of a lattice twice as long on that
+    axis, and the solve counts the part's energy once for each copy.  Such
+    a part needs an inside node on each mirrored seam, or its copies would
+    not touch.
     """
 
     h: float
@@ -180,13 +189,16 @@ class GridDomain:
     family: str = "separating"    # which curve family the caller asks about
     x_guess: np.ndarray | None = None
     theta: tuple[np.ndarray, ...] | None = None  # one float array per direction
+    mirrored: tuple[bool, bool] = (False, False)
 
     def __post_init__(self):
         if self.family not in ("separating", "joining"):
             raise ValidationError(f"unknown family {self.family!r}")
         if not self.inside.any():
             raise ValidationError("empty grid domain")
-        if not _connected(self.inside):
+        seams = (self.inside[-1], self.inside[:, -1])
+        if not _connected(self.inside) or any(
+                m and not seam.any() for m, seam in zip(self.mirrored, seams)):
             raise ValidationError("grid domain must be connected")
         if not self.marked_a.any() or not self.marked_b.any():
             raise ValidationError("marked families must be nonempty")
@@ -251,71 +263,15 @@ class SolverReport:
 def grid_extremal_length(dom: GridDomain) -> SolverReport:
     """Solve the discrete Laplace problem to the relative residual _RTOL and
     convert the effective conductance (the minimal energy) into the
-    requested curve-family extremal length.  A mirror-symmetric domain is
-    solved on the half or quadrant that _fold keeps."""
-    dom, copies = _fold(dom)
+    requested curve-family extremal length.  A part mirrored on k axes
+    holds 1/2^k of the whole domain's energy, and its relative residual is
+    the whole domain's."""
     a, rhs, const = _assemble(dom)
     x0 = None if dom.x_guess is None else dom.x_guess[dom.inside]
     u, iters, res = _cg(a, rhs, x0, dom.inside)
-    energy = copies * (float(u @ (a @ u) - 2.0 * (rhs @ u)) + const)
+    energy = 2 ** sum(dom.mirrored) * (float(u @ (a @ u) - 2.0 * (rhs @ u)) + const)
     lam = energy if dom.family == "separating" else 1.0 / energy
     return SolverReport(lam, dom.h, iters, res)
-
-
-def _fold(dom: GridDomain) -> tuple[GridDomain, int]:
-    """The part of dom that the solve needs, and how many mirror copies of
-    it make up dom (1, 2 or 4).
-
-    For each lattice axis on which dom has an even extent and its mirror
-    maps inside, marked_a, marked_b and theta onto themselves bit for bit,
-    keep the first half of the lattice.  This is exact (Bossavit, CMAME 56,
-    1986): the discrete potential is then mirror-symmetric, so each edge
-    that a cut removes, from a node to its own mirror image, carries no
-    current, and _shift drops the edges that leave the lattice, so the kept
-    part is the problem cut with a Neumann seam.  Its energy is 1/copies of
-    the whole, and its relative residual equals the whole domain's.  A
-    domain symmetric on neither axis comes back as it is.
-    """
-    shape = dom.inside.shape
-    masks = (dom.inside, dom.marked_a, dom.marked_b)
-    axes = [axis for axis, n in enumerate(shape)
-            if n % 2 == 0 and all(np.array_equal(m, np.flip(m, axis)) for m in masks)]
-    if not axes:
-        return dom, 1
-    marked = dom.marked_a | dom.marked_b
-    edges = [_nodes(_shift(marked, dy, dx, False) & dom.inside) for dy, dx in _DIRECTIONS]
-    half = [n // 2 if axis in axes and _theta_symmetric(dom, edges, axis) else n
-            for axis, n in enumerate(shape)]
-    copies = (shape[0] // half[0]) * (shape[1] // half[1])
-    if copies == 1:
-        return dom, 1
-    keep = (slice(half[0]), slice(half[1]))
-    theta = tuple(t[(ys < half[0]) & (xs < half[1])] for t, (ys, xs) in zip(dom.theta, edges))
-    return replace(dom, inside=dom.inside[keep], marked_a=dom.marked_a[keep],
-                   marked_b=dom.marked_b[keep], theta=theta,
-                   x_guess=None if dom.x_guess is None else dom.x_guess[keep]), copies
-
-
-def _theta_symmetric(dom: GridDomain, edges: list, axis: int) -> bool:
-    """Whether the mirror on a lattice axis (0: rows, 1: columns) of a
-    domain whose masks it already maps onto themselves maps theta onto
-    itself too, and no boundary edge crosses the cut.
-
-    edges holds the nodes (ys, xs) of each direction's boundary edges in
-    row-major order, so theta is compared list to list, in O(boundary
-    edges) memory: a direction's edges, mirrored and put back in row-major
-    order, must carry the theta of the mirrored direction's edges."""
-    cut = dom.inside.shape[axis] // 2 - 1
-    for (dy, dx), t, (ys, xs) in zip(_DIRECTIONS, dom.theta, edges):
-        mirror = _DIRECTIONS.index((-dy, dx) if axis == 0 else (dy, -dx))
-        order = np.lexsort((xs, -ys)) if axis == 0 else np.lexsort((-xs, ys))
-        if not np.array_equal(t[order], dom.theta[mirror]):
-            return False
-        # an inside node on the cut with a marked mirror image: the cut would
-        # drop that Dirichlet edge
-        if (dy, dx)[axis] == 1 and ((ys, xs)[axis] == cut).any():
-            return False
-    return True
 
 
 def _cg(a, rhs: np.ndarray, x0: np.ndarray | None,
@@ -354,13 +310,6 @@ def _shift(a: np.ndarray, dy: int, dx: int, fill) -> np.ndarray:
     out[max(0, -dy):ny - max(0, dy), max(0, -dx):nx - max(0, dx)] = \
         a[max(0, dy):ny - max(0, -dy), max(0, dx):nx - max(0, -dx)]
     return out
-
-
-def _nodes(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows and columns of the True cells of a 2-D bool mask in
-    row-major order, as np.nonzero gives them but through the flat index,
-    which is about ten times faster."""
-    return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
 def _assemble(dom: GridDomain) -> tuple:
@@ -437,7 +386,7 @@ class _Multigrid:
     repeated solves agree to the bit.  `_cg` builds the hierarchy on first
     use, so a solve seeded at its solution skips the aggregation, the
     Galerkin products and the factorization.  It is built for the part of
-    the domain that _fold keeps: a quadrant of at most _COARSE_NODES
+    the domain that a builder keeps: a quadrant of at most _COARSE_NODES
     unknowns (annulus(1, 2) at h = 1/40) has no V-cycle level, and SuperLU
     solves it in one iteration.
     """
@@ -480,10 +429,10 @@ class _Multigrid:
 #: a clamp at 0.1 would lose the second order
 _THETA_MIN = 1e-3
 
-#: most lattice cells of a grid domain: a solve on the whole lattice peaks at
-#: about 190 bytes a cell (486 MB peak RSS for annulus(1, 4, h = 1/200)
-#: padded to an odd 1605^2 cells, so that it does not fold), one on a
-#: quadrant at about 75 (194 MB for annulus(1, 4, h = 1/200), 1604^2 cells)
+#: most lattice cells of a grid domain, counted on the whole lattice: a
+#: solve of a domain built whole peaks at about 190 bytes a cell (498 MB
+#: peak RSS for annulus(1, 4, h = 1/200), 1604^2 cells), annulus_grid's
+#: quadrant at about 66 (170 MB for the same annulus)
 GRID_CELLS_MAX = 3_000_000
 
 
@@ -495,24 +444,29 @@ def _check_cells(*sides: float) -> None:
         raise ValidationError(f"grid larger than {GRID_CELLS_MAX} cells: increase h")
 
 
-def _strip(nx: int, ny: int) -> tuple[np.ndarray, ...]:
+def _strip(nx: int, ny: int) -> tuple[tuple[np.ndarray, ...], bool]:
     """inside, marked_a, marked_b and the exact (linear) potential of ny rows
     of nx cells from a marked column b to a marked column a, between an
-    empty row above and below."""
-    shape = (ny + 2, nx + 2)
+    empty row above and below, and whether the rows are mirrored: with ny
+    even, only the rows below the midline are built."""
+    mirrored = ny % 2 == 0
+    shape = (ny // 2 + 1 if mirrored else ny + 2, nx + 2)
     inside, marked_a, marked_b = (np.zeros(shape, dtype=bool) for _ in range(3))
-    inside[1:-1, 1:-1] = True
-    marked_a[1:-1, -1] = True
-    marked_b[1:-1, 0] = True
+    rows = slice(1, None if mirrored else -1)
+    inside[rows, 1:-1] = True
+    marked_a[rows, -1] = True
+    marked_b[rows, 0] = True
     guess = np.clip((np.arange(nx + 2) - 0.5) / nx, 0.0, 1.0)
-    return inside, marked_a, marked_b, np.broadcast_to(guess, shape)
+    return (inside, marked_a, marked_b, np.broadcast_to(guess, shape)), mirrored
 
 
 def annulus_grid(r: float, big_r: float, h: float,
                  family: str | None = None) -> GridDomain:
     """Round annulus r < |z| < R; marked families are the inner and outer
     complements, and each boundary edge is cut where it meets its circle.
-    The analytic potential log(R/|z|)/log(R/r) seeds the CG iteration."""
+    The analytic potential log(R/|z|)/log(R/r) seeds the CG iteration.  The
+    domain is the lower-left quadrant of the lattice, mirrored on both
+    axes."""
     round_annulus(r, big_r)  # checks 0 < r < R
     _check_positive(h=h)
     half = big_r + 2 * h
@@ -523,7 +477,7 @@ def annulus_grid(r: float, big_r: float, h: float,
     m = 2 * math.ceil(half / h)
     # lattice units (h = 1): the coordinates are exact half-integers, and the
     # radii are at most about m/2, so no square can overflow
-    xs = np.arange(m) + 0.5 - m / 2
+    xs = np.arange(m // 2) + 0.5 - m / 2
     s_r, s_big = r / h, big_r / h
     rr = np.hypot(xs[:, None], xs[None, :])
     inside = (rr > s_r) & (rr < s_big)
@@ -533,7 +487,10 @@ def annulus_grid(r: float, big_r: float, h: float,
     theta = []
     for dy, dx in _DIRECTIONS:
         to_a = _shift(marked_a, dy, dx, False)
-        ys, xs_i = _nodes(inside & (to_a | _shift(marked_b, dy, dx, False)))
+        # the edges' nodes in row-major order, as np.nonzero gives them but
+        # through the flat index, which is about ten times faster
+        edge = np.flatnonzero(inside & (to_a | _shift(marked_b, dy, dx, False)))
+        ys, xs_i = np.divmod(edge, inside.shape[1])
         t = np.abs(xs[xs_i] if dx else xs[ys])   # along the edge
         u = np.abs(xs[ys] if dx else xs[xs_i])   # across it
         rho = rr[ys, xs_i]
@@ -545,7 +502,7 @@ def annulus_grid(r: float, big_r: float, h: float,
         theta.append(np.clip(np.abs(rho - s) * (rho + s) / (root + t), _THETA_MIN, 1.0))
     return GridDomain(h, -m / 2 * h, -m / 2 * h, inside, marked_a, marked_b,
                       family=family or KINDS["round"].family, x_guess=guess,
-                      theta=tuple(theta))
+                      theta=tuple(theta), mirrored=(True, True))
 
 
 def rectangle_grid(a: float, b: float, h: float,
@@ -562,13 +519,17 @@ def rectangle_grid(a: float, b: float, h: float,
     if min(nx, ny) < 2:
         raise ValidationError("h must fit each side at least twice")
     if marked == "horizontal":  # the vertical marking, turned a quarter
-        inside, marked_a, marked_b, guess = (m.T for m in _strip(ny, nx))
+        arrays, half = _strip(ny, nx)
+        arrays, mirrored = [m.T for m in arrays], (False, half)
     elif marked == "vertical":
-        inside, marked_a, marked_b, guess = _strip(nx, ny)
+        arrays, half = _strip(nx, ny)
+        mirrored = (half, False)
     else:
         raise ValidationError("marked must be horizontal or vertical")
+    inside, marked_a, marked_b, guess = arrays
     return GridDomain(h, 0.0, 0.0, inside, marked_a, marked_b,
-                      family=family or KINDS["rectangle"].family, x_guess=guess)
+                      family=family or KINDS["rectangle"].family, x_guess=guess,
+                      mirrored=mirrored)
 
 
 def cylinder_grid(circumference: float, height: float, h: float,

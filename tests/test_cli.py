@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -281,6 +283,28 @@ def test_conformal_grid_default_family_is_the_closed_form_one(capsys, kind, h, o
     assert code == 0 and json.loads(out)["lambda"] == pytest.approx(exact, rel=2e-2)
     code, out, _ = run_cli(capsys, "conformal", "grid", *kind, "--h", h, "--family", other)
     assert code == 0 and json.loads(out)["lambda"] == pytest.approx(1 / exact, rel=2e-2)
+
+
+def test_conformal_grid_stdout_does_not_follow_the_blas_threads():
+    # with two OpenBLAS threads this cylinder's lambda came out as
+    # 1.0000000000001137 against 1.0 with one: without FBT_THREADS the CLI
+    # must cap the pools at one thread
+    argv = ["conformal", "grid", "--kind", "flat-cylinder", "--circumference", "1",
+            "--height", "1", "--h", "0.004"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("FBT_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                         "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    base["PYTHONPATH"] = src
+
+    def stdout(env):
+        res = subprocess.run([sys.executable, "-c",
+                              "import sys\nfrom fbt.cli import main\nsys.exit(main(sys.argv[1:]))",
+                              *argv], env=env, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        return res.stdout
+
+    assert stdout(base) == stdout({**base, "FBT_THREADS": "1"})
 
 
 def test_bounds_largest_printable_lambda(capsys):

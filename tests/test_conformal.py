@@ -223,10 +223,12 @@ def test_multigrid_built_on_first_preconditioner_use(multigrids):
 
 
 def test_multigrid_levels_on_an_unfolded_domain(multigrids):
-    dom = _padded(annulus_grid(1.0, 2.0, 1 / 80), rows=1, cols=1)
-    assert _unfolded(dom)
+    # a domain built by hand is solved as given, mirror-symmetric or not
+    dom = _unfold(annulus_grid(1.0, 2.0, 1 / 80))
+    assert dom.mirrored == (False, False)
     rep = grid_extremal_length(dom)
     assert rep.iterations > 0 and len(multigrids[0].levels) >= 2
+    assert multigrids[0].levels[0][0].shape[0] == int(dom.inside.sum())
     assert (rep.lam, rep.iterations, rep.residual) == _whole_lattice(dom)
 
 
@@ -396,7 +398,7 @@ def test_annulus_theta_matches_mpmath(r, big_r, h):
     import numpy as np
 
     dom = annulus_grid(r, big_r, h)
-    m = dom.inside.shape[0]
+    m = 2 * dom.inside.shape[0]  # the lattice side, twice the quadrant's
     mh = mpmath.mpf(h)
     # the lattice is centred on the origin: cell (j, i) has its center at
     # ((i + 1/2 - m/2) h, (j + 1/2 - m/2) h)
@@ -412,7 +414,7 @@ def test_annulus_theta_matches_mpmath(r, big_r, h):
         ys, xs = np.nonzero(dom.inside & (to_a | Cf._shift(dom.marked_b, dy, dx, False)))
         assert len(ys) == len(theta)
         assert np.isfinite(theta).all()
-        for k in range(0, len(ys), 7):
+        for k in range(0, len(ys), 2):  # a quadrant has a quarter of the edges
             j, i = int(ys[k]), int(xs[k])
             rho = mpmath.mpf(r if to_a[j, i] else big_r)
             want = _mp_theta(center(j, i), center(j + dy, i + dx), rho)
@@ -423,10 +425,14 @@ def test_annulus_theta_matches_mpmath(r, big_r, h):
 
 
 def test_annulus_lattice_has_no_centre_node():
-    # an even number of cells a side: a hole narrower than a cell marks no
-    # cell and is refused, instead of being solved as a one-node hole
+    # an even number of cells a side, twice the quadrant's: the quadrant
+    # ends at the origin, so a hole narrower than a cell marks no cell and
+    # is refused, instead of being solved as a one-node hole
     for h in (0.06, 1 / 40, 0.07):
-        assert annulus_grid(1.0, 2.0, h).inside.shape[0] % 2 == 0
+        dom = annulus_grid(1.0, 2.0, h)
+        assert dom.mirrored == (True, True)
+        assert dom.inside.shape[0] == dom.inside.shape[1]
+        assert dom.x0 == dom.y0 == -dom.inside.shape[0] * h
     with pytest.raises(ValidationError, match="marked families must be nonempty"):
         annulus_grid(0.001, 2.0, 0.06)
 
@@ -434,14 +440,14 @@ def test_annulus_lattice_has_no_centre_node():
 def test_grid_domain_theta_validation():
     import numpy as np
 
-    dom = rectangle_grid(1.0, 1.0, 1 / 10)
-    assert [len(t) for t in dom.theta] == [10, 0, 0, 10]
+    dom = rectangle_grid(1.0, 1.0, 1 / 10)  # the left half of the square
+    assert [len(t) for t in dom.theta] == [5, 0, 0, 5]
     assert all((t == 0.5).all() for t in dom.theta)
     fields = (dom.h, dom.x0, dom.y0, dom.inside, dom.marked_a, dom.marked_b)
-    for bad in ([np.full(10, 0.5), np.empty(0), np.empty(0), np.full(9, 0.5)],
-                [np.full(10, 0.5), np.empty(0), np.empty(0), np.full(10, 1.5)],
-                [np.full(10, 0.0), np.empty(0), np.empty(0), np.full(10, 0.5)],
-                [np.full(10, np.nan), np.empty(0), np.empty(0), np.full(10, 0.5)]):
+    for bad in ([np.full(5, 0.5), np.empty(0), np.empty(0), np.full(4, 0.5)],
+                [np.full(5, 0.5), np.empty(0), np.empty(0), np.full(5, 1.5)],
+                [np.full(5, 0.0), np.empty(0), np.empty(0), np.full(5, 0.5)],
+                [np.full(5, np.nan), np.empty(0), np.empty(0), np.full(5, 0.5)]):
         with pytest.raises(ValidationError, match="theta"):
             Cf.GridDomain(*fields, theta=tuple(bad))
 
@@ -467,12 +473,12 @@ def test_annulus_benchmark_rungs():
 
 
 # ---------------------------------------------------------------------------
-# the mirror fold
+# the mirrored parts
 
 
 def _whole_lattice(dom):
-    """The solve on the unfolded domain, the fold's reference: lambda,
-    iterations and relative residual."""
+    """The solve on the whole lattice, the reference of a mirrored part:
+    lambda, iterations and relative residual."""
     a, rhs, const = Cf._assemble(dom)
     x0 = None if dom.x_guess is None else dom.x_guess[dom.inside]
     u, iters, res = Cf._cg(a, rhs, x0, dom.inside)
@@ -480,210 +486,239 @@ def _whole_lattice(dom):
     return (energy if dom.family == "separating" else 1.0 / energy), iters, res
 
 
-def _agrees_with_whole_lattice(dom, copies):
-    folded, got_copies = Cf._fold(dom)
-    assert got_copies == copies
-    rep = grid_extremal_length(dom)
-    lam, _, res = _whole_lattice(dom)
-    assert abs(rep.lam - lam) <= 1e-9 * lam
-    assert rep.residual <= 1e-10 and res <= 1e-10
-    return folded
-
-
-def _unfolded(dom):
-    """Whether _fold hands dom back as it is."""
-    folded, copies = Cf._fold(dom)
-    return folded is dom and copies == 1
-
-
-def _padded(dom, rows=0, cols=0):
-    """dom with empty rows and columns appended above and to the right: the
-    same problem, with the theta lists in the same row-major order."""
-    import numpy as np
-
-    def pad(m):
-        return None if m is None else np.pad(m, ((0, rows), (0, cols)))
-
-    return dataclasses.replace(dom, inside=pad(dom.inside), marked_a=pad(dom.marked_a),
-                               marked_b=pad(dom.marked_b), x_guess=pad(dom.x_guess))
-
-
-def _edge_index(dom, k, y, x):
-    """The position of node (y, x) in the theta list of direction k."""
-    import numpy as np
-
+def _edges(inside, marked, k):
+    """The inside nodes with a marked neighbour in direction k."""
     dy, dx = Cf._DIRECTIONS[k]
-    ys, xs = np.nonzero(dom.inside & Cf._shift(dom.marked_a | dom.marked_b, dy, dx, False))
-    return int(np.flatnonzero((ys == y) & (xs == x))[0])
+    return inside & Cf._shift(marked, dy, dx, False)
 
 
-def _nudged(dom, k, nodes):
-    """dom with the theta of direction k at each of nodes moved up by one
-    ulp (down where it is 1)."""
+def _unfold(part):
+    """The whole-lattice domain that a mirrored part stands for: the masks
+    and x_guess joined to their mirror images on each mirrored axis, and
+    each direction's theta scattered onto the lattice, joined to the
+    mirror image of the mirrored direction's, and gathered back in
+    row-major order."""
     import numpy as np
 
-    theta = [t.copy() for t in dom.theta]
-    for y, x in nodes:
-        i = _edge_index(dom, k, y, x)
-        theta[k][i] = np.nextafter(theta[k][i], 0.0 if theta[k][i] == 1.0 else 2.0)
-    return dataclasses.replace(dom, theta=tuple(theta))
+    dom = part
+    for axis in (0, 1):
+        if not dom.mirrored[axis]:
+            continue
+
+        def whole(m):
+            return None if m is None else np.concatenate([m, np.flip(m, axis)], axis=axis)
+
+        marked = dom.marked_a | dom.marked_b
+        lattices = []
+        for k, t in enumerate(dom.theta):
+            lattice = np.full(dom.inside.shape, np.nan)
+            lattice[_edges(dom.inside, marked, k)] = t
+            lattices.append(lattice)
+        inside, marked = whole(dom.inside), whole(marked)
+        theta = []
+        for k, (dy, dx) in enumerate(Cf._DIRECTIONS):
+            mirror = Cf._DIRECTIONS.index((-dy, dx) if axis == 0 else (dy, -dx))
+            lattice = np.concatenate([lattices[k], np.flip(lattices[mirror], axis)], axis=axis)
+            theta.append(lattice[_edges(inside, marked, k)])
+        mirrored = list(dom.mirrored)
+        mirrored[axis] = False
+        dom = dataclasses.replace(dom, inside=inside, marked_a=whole(dom.marked_a),
+                                  marked_b=whole(dom.marked_b), x_guess=whole(dom.x_guess),
+                                  theta=tuple(theta), mirrored=tuple(mirrored))
+    return dom
+
+
+def _whole_annulus(r, big_r, h, family=None):
+    """The round annulus on its whole m x m lattice: the reference that the
+    unfolded quadrant of annulus_grid must reproduce bit for bit."""
+    import numpy as np
+
+    m = 2 * math.ceil((big_r + 2 * h) / h)
+    xs = np.arange(m) + 0.5 - m / 2
+    s_r, s_big = r / h, big_r / h
+    rr = np.hypot(xs[:, None], xs[None, :])
+    inside = (rr > s_r) & (rr < s_big)
+    marked_a = rr <= s_r
+    marked_b = rr >= s_big
+    guess = np.clip(np.log(s_big / rr) / math.log(big_r / r), 0.0, 1.0)
+    theta = []
+    for dy, dx in Cf._DIRECTIONS:
+        to_a = Cf._shift(marked_a, dy, dx, False)
+        ys, xs_i = np.nonzero(inside & (to_a | Cf._shift(marked_b, dy, dx, False)))
+        t = np.abs(xs[xs_i] if dx else xs[ys])
+        u = np.abs(xs[ys] if dx else xs[xs_i])
+        rho = rr[ys, xs_i]
+        s = np.where(to_a[ys, xs_i], s_r, s_big)
+        root = np.sqrt(np.maximum((s - u) * (s + u), 0.0))
+        theta.append(np.clip(np.abs(rho - s) * (rho + s) / (root + t), Cf._THETA_MIN, 1.0))
+    return Cf.GridDomain(h, -m / 2 * h, -m / 2 * h, inside, marked_a, marked_b,
+                         family=family or "separating", x_guess=guess, theta=tuple(theta))
+
+
+def _whole_rectangle(a, b, h, marked="horizontal"):
+    """The rectangle on its whole lattice: the reference for the unfolded
+    half of rectangle_grid."""
+    import numpy as np
+
+    nx, ny = round(b / h), round(a / h)
+    if marked == "horizontal":
+        nx, ny = ny, nx
+    shape = (ny + 2, nx + 2)
+    inside, marked_a, marked_b = (np.zeros(shape, dtype=bool) for _ in range(3))
+    inside[1:-1, 1:-1] = True
+    marked_a[1:-1, -1] = True
+    marked_b[1:-1, 0] = True
+    guess = np.broadcast_to(np.clip((np.arange(nx + 2) - 0.5) / nx, 0.0, 1.0), shape)
+    masks = (inside, marked_a, marked_b, guess)
+    if marked == "horizontal":
+        masks = tuple(m.T for m in masks)
+    return Cf.GridDomain(h, 0.0, 0.0, *masks[:3], family="joining", x_guess=masks[3])
+
+
+def _assert_same_domain(got, want):
+    """Equal fields, with the arrays equal in shape, dtype and bits."""
+    assert (got.h, got.x0, got.y0, got.family, got.mirrored) == \
+        (want.h, want.x0, want.y0, want.family, want.mirrored)
+    for g, w in zip((got.inside, got.marked_a, got.marked_b, got.x_guess, *got.theta),
+                    (want.inside, want.marked_a, want.marked_b, want.x_guess, *want.theta)):
+        assert (g.shape, g.dtype) == (w.shape, w.dtype)
+        assert g.tobytes() == w.tobytes()
+    assert len(got.theta) == len(want.theta)
 
 
 @pytest.mark.parametrize("family", ["separating", "joining"])
 @pytest.mark.parametrize("r,big_r,h", [(1.0, 2.0, 1 / 40), (1.0, 2.0, 1 / 80),
                                        (1.0, 4.0, 1 / 50), (0.37, 1.1, 0.03),
                                        (0.5, 3.0, 0.07), (1e200, 2.5e200, 3e198)])
-def test_fold_annulus_matches_whole_lattice(r, big_r, h, family):
-    dom = annulus_grid(r, big_r, h, family=family)
-    folded = _agrees_with_whole_lattice(dom, 4)
-    assert folded.inside.shape == (dom.inside.shape[0] // 2, dom.inside.shape[1] // 2)
+def test_annulus_quadrant_unfolds_to_the_whole_lattice(r, big_r, h, family):
+    part = annulus_grid(r, big_r, h, family=family)
+    assert part.mirrored == (True, True)
+    whole = _whole_annulus(r, big_r, h, family=family)
+    assert part.inside.shape == (whole.inside.shape[0] // 2, whole.inside.shape[1] // 2)
+    _assert_same_domain(_unfold(part), whole)
+    rep = grid_extremal_length(part)
+    lam, _, res = _whole_lattice(whole)
+    assert abs(rep.lam - lam) <= 1e-9 * lam
+    assert rep.residual <= 1e-10 and res <= 1e-10
 
 
-@pytest.mark.parametrize("dom,shape", [
-    (rectangle_grid(1.7, 1.0, 1 / 20, marked="horizontal"), (36, 11)),
-    (rectangle_grid(1.7, 1.0, 1 / 10, marked="vertical"), (19, 12)),
-    (rectangle_grid(1.0, 2.0, 1 / 20), (22, 21)),
-    (rectangle_grid(1.8, 1.0, 1 / 100, marked="vertical"), (91, 102)),
-    (cylinder_grid(2.0, 0.25, 1 / 40), (41, 12)),
-    (cylinder_grid(1.0, 1.0, 1 / 250), (126, 252)),
-], ids=["rect-h", "rect-v-odd", "rect-h-2", "rect-v-100", "cyl-40", "cyl-250"])
-def test_fold_unseeded_strips_match_whole_lattice(dom, shape):
+@pytest.mark.parametrize("args,marked,shape", [
+    ((1.7, 1.0, 1 / 20), "horizontal", (36, 11)),
+    ((1.7, 1.1, 1 / 10), "horizontal", (19, 13)),
+    ((1.7, 1.0, 1 / 10), "vertical", (19, 12)),
+    ((1.0, 2.0, 1 / 20), "horizontal", (22, 21)),
+    ((1.8, 1.0, 1 / 100), "vertical", (91, 102)),
+    ((2.0, 0.25, 1 / 40), "vertical", (41, 12)),  # cylinder_grid(2.0, 0.25, 1/40)
+    ((1.0, 1.0, 1 / 250), "vertical", (126, 252)),  # cylinder_grid(1.0, 1.0, 1/250)
+], ids=["rect-h", "rect-h-odd", "rect-v-odd", "rect-h-2", "rect-v-100", "cyl-40", "cyl-250"])
+def test_strip_half_unfolds_to_the_whole_lattice(args, marked, shape):
     # a strip mirrors only along its marked ends (the two ends differ), so
-    # it folds once where that extent is even
-    dom = dataclasses.replace(dom, x_guess=None)
-    copies = 2 if shape != dom.inside.shape else 1
-    folded = _agrees_with_whole_lattice(dom, copies)
-    assert folded.inside.shape == shape
-    if copies == 1:
-        assert grid_extremal_length(dom).lam == _whole_lattice(dom)[0]
+    # its builder keeps half where that extent is even; an odd extent comes
+    # back whole
+    part = rectangle_grid(*args, marked=marked)
+    whole = _whole_rectangle(*args, marked=marked)
+    assert part.inside.shape == shape
+    odd = shape == whole.inside.shape
+    assert part.mirrored == ((False, False) if odd
+                             else (False, True) if marked == "horizontal" else (True, False))
+    _assert_same_domain(_unfold(part), whole)
+    # unseeded, so that the conjugate gradients work on both
+    rep = grid_extremal_length(dataclasses.replace(part, x_guess=None))
+    lam, _, res = _whole_lattice(dataclasses.replace(whole, x_guess=None))
+    assert abs(rep.lam - lam) <= 1e-9 * lam
+    assert rep.residual <= 1e-10 and res <= 1e-10
+    if odd:
+        assert rep.lam == lam
 
 
-def _symmetric_domain(rng):
-    """A random connected domain on an even lattice with its marked sets and
-    theta, all mirror-symmetric about both lattice axes, or None when the
-    draw is not usable (disconnected, or a marked set that touches no
-    node)."""
+def _random_part(rng):
+    """A random connected part with random marked sets, theta and mirrored
+    axes, each mirrored seam holding an inside node, or None when the draw
+    is not usable (no node on a mirrored seam, or a marked set that touches
+    no node)."""
     import numpy as np
     from scipy.ndimage import label
 
-    def mirrored(quad):
-        return np.block([[quad, quad[:, ::-1]], [quad[::-1], quad[::-1, ::-1]]])
-
+    mirrored = tuple(bool(v) for v in rng.integers(2, size=2))
     qy, qx = (int(v) for v in rng.integers(1, 10, size=2))
-    inside = np.pad(mirrored(rng.random((qy, qx)) < rng.uniform(0.4, 0.9)), 1)
+    # an empty frame, except along the seams
+    pad = [(1, 0 if m else 1) for m in mirrored]
+    inside = np.pad(rng.random((qy, qx)) < rng.uniform(0.4, 0.9), pad)
     labels, count = label(inside)
     if count == 0:
         return None
     inside = labels == np.bincount(labels.ravel())[1:].argmax() + 1
-    if not (np.array_equal(inside, inside[::-1]) and np.array_equal(inside, inside[:, ::-1])):
-        return None  # the largest component is one of a mirror pair
-    field = mirrored(rng.integers(0, 3, size=(qy + 1, qx + 1)))
+    field = rng.integers(0, 3, size=inside.shape)
     marked_a, marked_b = ~inside & (field == 1), ~inside & (field == 2)
-    ny, nx = inside.shape
-    ys, xs = np.mgrid[:ny, :nx]
-    # the direction of an edge relative to the nearer lattice sides, which a
-    # mirror keeps: theta depends only on that and the distance to the sides
-    table = rng.uniform(0.01, 1.0, size=(ny // 2, nx // 2, 3, 3))
-    theta = []
-    for dy, dx in Cf._DIRECTIONS:
-        edge = inside & Cf._shift(marked_a | marked_b, dy, dx, False)
-        y, x = ys[edge], xs[edge]
-        out_y = np.where(y < ny // 2, -dy, dy)
-        out_x = np.where(x < nx // 2, -dx, dx)
-        theta.append(table[np.minimum(y, ny - 1 - y), np.minimum(x, nx - 1 - x),
-                           out_y + 1, out_x + 1])
+    marked = marked_a | marked_b
+    theta = tuple(rng.uniform(0.01, 1.0, size=int(_edges(inside, marked, k).sum()))
+                  for k in range(4))
     touches = [any(Cf._shift(m, dy, dx, False)[inside].any() for dy, dx in Cf._DIRECTIONS)
                for m in (marked_a, marked_b)]
-    if not all(touches) or inside.sum() < 2:
+    if not all(touches):
         return None
     family = ("separating", "joining")[int(rng.integers(2))]
-    return Cf.GridDomain(0.1, 0.0, 0.0, inside, marked_a, marked_b, family=family,
-                         theta=tuple(theta))
+    try:
+        return Cf.GridDomain(0.1, 0.0, 0.0, inside, marked_a, marked_b, family=family,
+                             theta=theta, mirrored=mirrored)
+    except ValidationError as exc:  # the largest component misses a seam
+        assert "connected" in str(exc)
+        return None
 
 
-def test_fold_random_symmetric_masks_match_whole_lattice():
+def test_random_parts_match_their_whole_lattice():
     import numpy as np
 
     checked = 0
+    copies = set()
     seed = 0
     while checked < 120:
         seed += 1
-        dom = _symmetric_domain(np.random.default_rng([20261019, seed]))
-        if dom is None:
+        part = _random_part(np.random.default_rng([20261019, seed]))
+        if part is None:
             continue
-        folded, copies = Cf._fold(dom)
-        assert copies == 4, seed
-        rep = grid_extremal_length(dom)
-        lam, _, res = _whole_lattice(dom)
+        rep = grid_extremal_length(part)
+        lam, _, res = _whole_lattice(_unfold(part))
         assert abs(rep.lam - lam) <= 1e-9 * lam, seed
         assert rep.residual <= 1e-10 and res <= 1e-10, seed
+        copies.add(2 ** sum(part.mirrored))
         checked += 1
+    assert copies == {1, 2, 4}
 
 
-def test_fold_refuses_odd_extents():
-    dom = annulus_grid(1.0, 2.0, 1 / 20)
-    ny, nx = dom.inside.shape
-    # an odd number of rows: only the columns fold
-    rows_odd = _padded(dom, rows=1)
-    folded = _agrees_with_whole_lattice(rows_odd, 2)
-    assert folded.inside.shape == (ny + 1, nx // 2)
-    cols_odd = _padded(dom, cols=1)
-    folded = _agrees_with_whole_lattice(cols_odd, 2)
-    assert folded.inside.shape == (ny // 2, nx + 1)
-    both = _padded(dom, rows=1, cols=1)
-    assert _unfolded(both)
-    rep = grid_extremal_length(both)
-    assert (rep.lam, rep.iterations, rep.residual) == _whole_lattice(both)
+def test_mirrored_part_needs_a_node_on_each_seam():
+    import numpy as np
+
+    inside = np.zeros((4, 4), dtype=bool)
+    inside[1:3, 1:3] = True
+    marked_a = np.zeros_like(inside)
+    marked_b = np.zeros_like(inside)
+    marked_a[1, 0] = True
+    marked_b[2, 3] = True
+    fields = (0.1, 0.0, 0.0, inside, marked_a, marked_b)
+    Cf.GridDomain(*fields)
+    # the part touches neither its last row nor its last column, so its
+    # copies would not touch each other
+    for mirrored in ((True, False), (False, True), (True, True)):
+        with pytest.raises(ValidationError, match="grid domain must be connected"):
+            Cf.GridDomain(*fields, mirrored=mirrored)
+    touching = inside.copy()
+    touching[3, 1] = True  # a node on the last row
+    part = Cf.GridDomain(0.1, 0.0, 0.0, touching, marked_a, marked_b, mirrored=(True, False))
+    assert Cf._connected(_unfold(part).inside)
+    with pytest.raises(ValidationError, match="grid domain must be connected"):
+        Cf.GridDomain(0.1, 0.0, 0.0, touching, marked_a, marked_b, mirrored=(True, True))
 
 
-def test_fold_refuses_an_asymmetric_mask_axis():
-    dom = annulus_grid(1.0, 2.0, 1 / 20)
-    ny, nx = dom.inside.shape
-    # unmark the two bottom corner cells: the columns still mirror, the rows
-    # no longer (the corners touch no node, so theta is unchanged)
-    marked_b = dom.marked_b.copy()
-    marked_b[0, 0] = marked_b[0, -1] = False
-    one_axis = dataclasses.replace(dom, marked_b=marked_b)
-    folded = _agrees_with_whole_lattice(one_axis, 2)
-    assert folded.inside.shape == (ny, nx // 2)
-    marked_b[0, -1] = True
-    neither = dataclasses.replace(dom, marked_b=marked_b)
-    assert _unfolded(neither)
-    rep = grid_extremal_length(neither)
-    assert (rep.lam, rep.iterations, rep.residual) == _whole_lattice(neither)
+def test_annulus_build_keeps_to_the_quadrant():
+    # the quadrant of annulus(1, 4, 1/200) peaks at about 16.6 MiB while it
+    # is built, the whole 1604^2 lattice at about 66.3 MiB
+    import tracemalloc
 
-
-def test_fold_refuses_a_theta_one_ulp_off():
-    dom = annulus_grid(1.0, 2.0, 1 / 20)
-    ny, nx = dom.inside.shape
-    k = 0  # below
-    y, x = next((y, x) for y in range(ny) for x in range(nx // 2)
-                if dom.inside[y, x] and dom.marked_a[y - 1, x])
-    # one theta off: neither mirror maps theta onto itself
-    one = _nudged(dom, k, [(y, x)])
-    assert _unfolded(one)
-    rep = grid_extremal_length(one)
-    assert (rep.lam, rep.iterations, rep.residual) == _whole_lattice(one)
-    # the same nudge at its column mirror too: only the columns fold
-    pair = _nudged(dom, k, [(y, x), (y, nx - 1 - x)])
-    folded = _agrees_with_whole_lattice(pair, 2)
-    assert folded.inside.shape == (ny, nx // 2)
-    # a strip folds only top to bottom; one theta off leaves it whole
-    strip = rectangle_grid(1.0, 1.0, 1 / 10, marked="vertical")
-    assert Cf._fold(strip)[1] == 2
-    off = _nudged(strip, 2, [(3, 10)])  # right, into the marked column
-    assert _unfolded(off)
-    assert grid_extremal_length(off).lam == _whole_lattice(off)[0]
-
-
-def test_fold_keeps_a_dirichlet_edge_across_the_cut():
-    # two cells facing each other across the cut that are nodes and marked
-    # too: the cut would drop the Dirichlet edge between them, so the rows
-    # do not fold
-    dom = rectangle_grid(1.0, 1.0, 1 / 10, marked="vertical")
-    ny = dom.inside.shape[0]
-    marked_a = dom.marked_a.copy()
-    marked_a[ny // 2 - 1:ny // 2 + 1, 5] = True
-    odd = dataclasses.replace(dom, marked_a=marked_a, theta=None)
-    assert _unfolded(odd)
-    assert grid_extremal_length(odd).lam == _whole_lattice(odd)[0]
+    tracemalloc.start()
+    try:
+        annulus_grid(1.0, 4.0, 1 / 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
