@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import ValidationError
+from .errors import ValidationError, check_alpha, check_nonnegative, check_positive, check_sigma
 
 LN10 = math.log(10.0)
 PI = math.pi
@@ -82,6 +82,9 @@ class LogNumber:
             e10 += 1
         return f"{mant:.{digits}f}E{e10:+d}"
 
+    def to_json(self) -> dict:
+        return {"ln": self.ln, "decimal": self.decimal()}
+
     @staticmethod
     def parse_decimal(text: str) -> "LogNumber":
         if text == "0":
@@ -112,15 +115,10 @@ class SurfaceTopology:
         return 2 * self.g + self.m
 
 
-def _check_lambda(lam: float) -> None:
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValidationError("extremal length must be finite and >= 0")
-
-
 def thm1_bound(t: SurfaceTopology, lambda4: float) -> LogNumber:
     """3 (3/2 e^{24 pi lambda4})^{2g+m}: irreducible holomorphic maps to
     the twice punctured plane, up to homotopy."""
-    _check_lambda(lambda4)
+    check_nonnegative("extremal length", lambda4)
     return LogNumber(math.log(3.0)
                      + t.rank * (math.log(1.5) + 24.0 * PI * lambda4))
 
@@ -128,7 +126,7 @@ def thm1_bound(t: SurfaceTopology, lambda4: float) -> LogNumber:
 def thm2_bound(t: SurfaceTopology, lambda8: float) -> LogNumber:
     """(2 * 3^6 * 5^6 e^{36 pi lambda8})^{2g+m}: irreducible holomorphic
     (1,1)-bundles up to isotopy."""
-    _check_lambda(lambda8)
+    check_nonnegative("extremal length", lambda8)
     return LogNumber(t.rank * (math.log(2.0) + 6.0 * math.log(15.0)
                                + 36.0 * PI * lambda8))
 
@@ -136,7 +134,7 @@ def thm2_bound(t: SurfaceTopology, lambda8: float) -> LogNumber:
 def thm3_bound(t: SurfaceTopology, lambda8: float) -> LogNumber:
     """(3^6 * 5^6 e^{36 pi lambda8})^{2g+m}: irreducible holomorphic
     (0,3)-bundles with a holomorphic section, up to isotopy."""
-    _check_lambda(lambda8)
+    check_nonnegative("extremal length", lambda8)
     return LogNumber(t.rank * (6.0 * math.log(15.0) + 36.0 * PI * lambda8))
 
 
@@ -156,15 +154,17 @@ THEOREMS = {
 
 def prop1a_upper(alpha: float, sigma: float) -> LogNumber:
     """7 e^{192 pi (2 alpha + 1)/sigma} for the torus-with-hole family."""
-    _check_torus(alpha, sigma)
+    check_alpha(alpha)
+    check_sigma(sigma)
     return LogNumber(math.log(7.0) + 192.0 * PI * (2.0 * alpha + 1.0) / sigma)
 
 
 def prop1a_lower(alpha: float, sigma: float, big_c: float, small_c: float) -> LogNumber:
     """c e^{C alpha / sigma}; the theory supplies no numeric values for
     the constants, so they must be given."""
-    _check_torus(alpha, sigma)
-    _check_constants(big_c, small_c)
+    check_alpha(alpha)
+    check_sigma(sigma)
+    check_positive(C=big_c, c=small_c)
     return LogNumber(math.log(small_c) + big_c * alpha / sigma)
 
 
@@ -172,18 +172,16 @@ def prop1a_lower_from_construction(alpha: float, slalom_c: float,
                                    delta: float = 0.1) -> LogNumber:
     """The construction's count 2^{alpha/(10 C delta) - 1} of sign choices,
     with C the (non-constructive) slalom constant."""
-    if not (math.isfinite(alpha) and alpha >= 1):
-        raise ValidationError("alpha must be finite and >= 1")
-    _check_constants(slalom_c, delta)
+    check_alpha(alpha)
+    check_positive(slalom_c=slalom_c, delta=delta)
     return LogNumber((alpha / (10.0 * slalom_c * delta) - 1.0) * math.log(2.0))
 
 
 def prop1b_bounds(sigma: float, c1: float, c2: float,
                   c1p: float, c2p: float) -> tuple[LogNumber, LogNumber]:
     """(C1 e^{C2/sigma}, C1' e^{C2'/sigma}) for the slalom neighbourhoods."""
-    if not 0 < sigma < 1:
-        raise ValidationError("sigma must lie in (0,1)")
-    _check_constants(c1, c2, c1p, c2p)
+    check_sigma(sigma)
+    check_positive(C1=c1, C2=c2, C1p=c1p, C2p=c2p)
     return (LogNumber(math.log(c1) + c2 / sigma),
             LogNumber(math.log(c1p) + c2p / sigma))
 
@@ -196,27 +194,15 @@ def reducible11_bound(t: SurfaceTopology) -> LogNumber:
 def lemma3_product_budget(lam: float, factors: int) -> float:
     """L- budget for a monodromy written as a product of `factors` elements,
     each of L- at most 2 pi lambda."""
-    _check_lambda(lam)
+    check_nonnegative("extremal length", lam)
     if factors not in (2, 4, 6):
         raise ValidationError("factor count must be one of 2, 4, 6")
     return factors * 2.0 * PI * lam
 
 
-def _check_constants(*cs: float) -> None:
-    if not all(math.isfinite(c) and c > 0 for c in cs):
-        raise ValidationError("constants must be finite and positive")
-
-
-def _check_torus(alpha: float, sigma: float) -> None:
-    if not (math.isfinite(alpha) and alpha >= 1):
-        raise ValidationError("alpha must be finite and >= 1")
-    if not 0 < sigma < 1:
-        raise ValidationError("sigma must lie in (0,1)")
-
-
 def bound_json(value: LogNumber, formula: str, inputs: dict) -> dict:
     return {
-        "bound": {"ln": value.ln, "decimal": value.decimal()},
+        "bound": value.to_json(),
         "formula": formula,
         "inputs": inputs,
     }

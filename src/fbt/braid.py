@@ -27,17 +27,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from .bounds import LogNumber
-from .errors import ValidationError
+from .errors import ValidationError, check_nonnegative
 from .words import (
     ENUM_BUDGET_CAP,
     EXPONENT_DIGITS_MAX,
     FreeWord,
     IDENTITY,
-    check_budget,
     enumerate_words,
     format_word,
     l_minus,
     _merge_syllables,
+    _order_key,
     reduce as reduce_word,
     word_json,
 )
@@ -268,7 +268,7 @@ class BraidNormalForm:
     def sort_key(self):
         if self.kind == "delta-power":
             return (0, self.l, 0, 0, ())
-        return (1, self.l, self.j, self.k, self.b1.letters())
+        return (1, self.l, self.j, self.k, _order_key(self.b1))
 
 
 def expand(nf: BraidNormalForm) -> BraidWord:
@@ -385,8 +385,7 @@ def lambda_tr_lower_nf(nf: BraidNormalForm) -> float:
 def lemma4_admissible(b: BraidWord, lam: float) -> bool:
     """L-(theta(b)) <= 2 pi lambda, with braids s_j^k d^{2l} (and powers
     of d) vacuously admissible."""
-    if lam < 0:
-        raise ValidationError("lambda must be >= 0")
+    check_nonnegative("lambda", lam)
     nf = normal_form(b)
     if nf.kind == "delta-power" or (nf.b1.is_identity and nf.l % 2 == 0):
         return True
@@ -401,8 +400,7 @@ def lemma3a_check(k: int, kp: int, lam: float) -> bool:
     """log+(3 [|k|/2]) + log+(3 [|k'|/2]) <= pi lambda."""
     if k == 0 or kp == 0:
         raise ValidationError("exponents must be nonzero")
-    if lam < 0:
-        raise ValidationError("lambda must be >= 0")
+    check_nonnegative("lambda", lam)
     lhs = _log_plus(3 * (abs(k) // 2)) + _log_plus(3 * (abs(kp) // 2))
     return lhs <= math.pi * lam
 
@@ -448,7 +446,7 @@ def census(budget: float, cap: float = ENUM_BUDGET_CAP) -> list[BraidWord]:
 
 def braid_count_bound(budget: float) -> LogNumber:
     """The census bound 15 e^{3Y}."""
-    check_budget(budget, "budget")
+    check_nonnegative("budget", budget)
     return LogNumber(math.log(15.0) + 3.0 * budget)
 
 

@@ -11,8 +11,9 @@ Subcommands:
 Exit codes: 0 success, 2 validation error (including a file that cannot
 be read or written), 3 numeric non-convergence.
 Output is JSON (or CSV for tables); identical argv give byte-identical
-stdout.  FBT_THREADS (default 1) caps the BLAS thread pools used by
-the numeric backends.
+stdout.  The BLAS and OpenMP thread pools of the numeric backends run one
+thread unless their own variable (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS,
+MKL_NUM_THREADS, NUMEXPR_NUM_THREADS) is set.
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ import sys
 
 
 def _cap_threads() -> None:
-    """Give each thread pool that its own variable does not size FBT_THREADS
-    threads, one by default: a multi-threaded dot product sums in an order
-    that follows the thread split, which moves the solvers' last bits."""
-    n = os.environ.get("FBT_THREADS") or "1"
+    """Give each thread pool that its own variable does not size one thread:
+    a multi-threaded dot product sums in an order that follows the thread
+    split, which moves the solvers' last bits."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, n)
+        os.environ.setdefault(var, "1")
 
 
 _cap_threads()
@@ -71,6 +71,13 @@ def _floats(text: str) -> list[float]:
         return [float(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
+
+
+def _sweep(text: str | None) -> list[float]:
+    vals = _floats(text or "")
+    if not vals:
+        raise ValidationError("empty sweep")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +128,7 @@ def _cmd_braid(args) -> int:
                    "exceptional": nf.kind == "delta-power" or nf.b1.is_identity})
         return 0
     # census
-    budgets = _floats(args.budgets)
-    if not budgets:
-        raise ValidationError("empty sweep")
+    budgets = _sweep(args.budgets)
     cap = args.cap if args.cap is not None else W.ENUM_BUDGET_CAP
     if args.table:
         rows = []
@@ -201,10 +206,7 @@ def _cmd_conformal(args) -> int:
         _emit({"kind": spec.kind, "lambda": Cf.lambda_closed_form(spec)})
         return 0
     # grid: by default the family whose extremal length the closed form is
-    if args.marked is not None and spec.kind != "rectangle":
-        raise ValidationError("--marked is for --kind rectangle only")
-    marking = {} if args.marked is None else {"marked": args.marked}
-    dom = Cf.KINDS[spec.kind].grid(*spec.params, args.h, family=args.family, **marking)
+    dom = Cf.KINDS[spec.kind].grid(*spec.params, args.h, family=args.family)
     _emit(Cf.grid_extremal_length(dom).to_json())
     return 0
 
@@ -284,14 +286,12 @@ def _cmd_bounds(args) -> int:
             if args.C is None or args.c is None:
                 raise ValidationError("the lower bound needs both --C and --c")
             low = Bd.prop1a_lower(args.alpha, args.sigma, args.C, args.c)
-            out["lower"] = {"ln": low.ln, "decimal": low.decimal(),
-                            "formula": "c*e^{C alpha/sigma}"}
+            out["lower"] = {**low.to_json(), "formula": "c*e^{C alpha/sigma}"}
         _emit(out)
     elif args.op == "prop1b":
         up, low = Bd.prop1b_bounds(args.sigma, args.C1, args.C2,
                                    args.C1p, args.C2p)
-        _emit({"upper": {"ln": up.ln, "decimal": up.decimal()},
-               "lower": {"ln": low.ln, "decimal": low.decimal()},
+        _emit({"upper": up.to_json(), "lower": low.to_json(),
                "inputs": {"sigma": args.sigma}})
     else:  # table
         _bounds_table(args)
@@ -303,17 +303,12 @@ def _bounds_table(args) -> None:
 
     rows = []
     if args.formula == "prop1a-upper":
-        sigmas = _floats(args.sigmas or "")
-        if not sigmas:
-            raise ValidationError("empty sweep")
-        for s in sigmas:
+        for s in _sweep(args.sigmas):
             v = Bd.prop1a_upper(args.alpha, s)
             rows.append([args.alpha, s, v.ln, v.decimal()])
         _emit_csv(["alpha", "sigma", "ln", "decimal"], rows)
     elif args.formula in Bd.THEOREMS:
-        lams = _floats(args.lambdas or "")
-        if not lams:
-            raise ValidationError("empty sweep")
+        lams = _sweep(args.lambdas)
         t = Bd.SurfaceTopology(args.g, args.m)
         fn = Bd.THEOREMS[args.formula].bound
         for lam in lams:
@@ -382,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--h", type=float, required=True)
             q.add_argument("--family", default=None,
                            choices=["separating", "joining"])
-            q.add_argument("--marked", default=None,
-                           choices=["horizontal", "vertical"])
     q = fsub.add_parser("torus-bounds")
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--sigma", type=float, required=True)

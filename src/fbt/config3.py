@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .braid import B3, BraidWord
-from .errors import ValidationError
+from .errors import ValidationError, check_nonnegative
 from .words import FreeWord, _merge_syllables, reduce as reduce_word
 
 CLEARANCE = 1e-9
@@ -83,8 +83,7 @@ def triple(z1: complex, z2: complex, z3: complex) -> Triple:
 def in_h(t: Triple, tol: float = IN_H_TOL) -> bool:
     """True iff the three points lie on a real line, up to tol on
     Im (z2-z1)/(z3-z1) minimized over labellings."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValidationError("tolerance must be finite and >= 0")
+    check_nonnegative("tolerance", tol)
     return collinearity_defect(t) <= tol
 
 
@@ -329,11 +328,7 @@ def _read_crossings(tracks: np.ndarray):
 
 
 def load_plane_loop(path: str) -> PlaneLoop:
-    pts = _read_csv(path, ("t", "re", "im"))[:, 0].tolist()
-    if abs(pts[0].real - pts[-1].real) > CLOSE_TOL or \
-            abs(pts[0].imag - pts[-1].imag) > CLOSE_TOL:
-        raise ValidationError("first and last rows must agree")
-    return plane_loop(pts)
+    return plane_loop(_read_csv(path, ("t", "re", "im"))[:, 0].tolist())
 
 
 def load_config_loop(path: str) -> ConfigLoop:

@@ -63,14 +63,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-
-
-def _check_positive(**values) -> None:
-    """Refuse missing, non-finite or non-positive lengths."""
-    for name, v in values.items():
-        if v is None or not (math.isfinite(v) and v > 0):
-            raise ValidationError(f"{name} must be given, finite and positive")
+from .errors import NumericalError, ValidationError, check_alpha, check_positive, check_sigma
 
 
 class Kind(NamedTuple):
@@ -88,7 +81,7 @@ class AnnulusSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown annulus kind {self.kind!r}")
-        _check_positive(**dict(zip(KINDS[self.kind].params, self.params)))
+        check_positive(**dict(zip(KINDS[self.kind].params, self.params)))
         if self.kind == "round" and not self.params[0] < self.params[1]:
             raise ValidationError("round annulus needs 0 < r < R")
 
@@ -124,10 +117,8 @@ class TorusWithHole:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha >= 1):
-            raise ValidationError("alpha must be finite and >= 1")
-        if not 0 < self.sigma < 1:
-            raise ValidationError("sigma must lie in (0,1)")
+        check_alpha(self.alpha)
+        check_sigma(self.sigma)
 
 
 def generator_upper_bounds(x: TorusWithHole) -> dict[str, float]:
@@ -468,7 +459,7 @@ def annulus_grid(r: float, big_r: float, h: float,
     domain is the lower-left quadrant of the lattice, mirrored on both
     axes."""
     round_annulus(r, big_r)  # checks 0 < r < R
-    _check_positive(h=h)
+    check_positive(h=h)
     half = big_r + 2 * h
     _check_cells(2 * (half / h + 1), 2 * (half / h + 1))
     # an even number of cells a side, centred on the origin: no node sits at
@@ -513,7 +504,7 @@ def rectangle_grid(a: float, b: float, h: float,
     marked="horizontal" marks the two horizontal sides (top/bottom), so the
     joining family runs vertically and has extremal length a/b.
     """
-    _check_positive(a=a, b=b, h=h)
+    check_positive(a=a, b=b, h=h)
     _check_cells(b / h + 3, a / h + 3)
     nx, ny = round(b / h), round(a / h)
     if min(nx, ny) < 2:

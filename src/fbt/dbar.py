@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_alpha
 from .words import FreeWord
 
 TRUNC_MAX = 400  # (2N+1)^2 lattice terms per evaluation point
@@ -59,8 +59,7 @@ class KernelParams:
     trunc: int = 50
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha >= 1):
-            raise ValidationError("alpha must be finite and >= 1")
+        check_alpha(self.alpha)
         if not 2 <= self.trunc <= TRUNC_MAX:
             raise ValidationError(f"truncation order must lie in [2, {TRUNC_MAX}]")
 

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, check_nonnegative
 from .bounds import LogNumber
 
 LOG3 = math.log(3.0)
@@ -329,14 +329,6 @@ def _max_degree(budget: float) -> int:
         raise ValidationError(f"enumeration budget {budget} overflows e^budget") from None
 
 
-def check_budget(budget: float, what: str = "enumeration budget") -> None:
-    """Refuse negative and non-finite L- budgets."""
-    if not math.isfinite(budget):
-        raise ValidationError(f"{what} must be finite")
-    if budget < 0:
-        raise ValidationError(f"{what} must be >= 0")
-
-
 _LETTER_CHAR = {(1, -1): "a", (1, 1): "b", (2, -1): "c", (2, 1): "d"}
 
 
@@ -349,7 +341,7 @@ def enumerate_words(budget: float, cap: float = ENUM_BUDGET_CAP) -> list[FreeWor
     sign and length of its open run of exponents +-1 (0 when it ends in a
     big power), and its syllable count.
     """
-    check_budget(budget)
+    check_nonnegative("enumeration budget", budget)
     if not math.isfinite(cap):
         raise ValidationError("enumeration cap must be finite")
     if budget > cap:
@@ -397,7 +389,7 @@ def count_words_by_patterns(budget: float) -> int:
     generators) and counts the reduced words realizing each, without ever
     writing the words down.  Used as an oracle against enumerate_words.
     """
-    check_budget(budget)
+    check_nonnegative("enumeration budget", budget)
     max_deg = _max_degree(budget)
 
     # syllable choices: ("big", sign, d>=2) with one generator choice fixed by
@@ -435,7 +427,7 @@ def count_words_by_patterns(budget: float) -> int:
 
 def word_count_bound(budget: float) -> LogNumber:
     """The bound e^{3Y}/2 + 1 on the number of words with L- <= Y."""
-    check_budget(budget, "budget")
+    check_nonnegative("budget", budget)
     return LogNumber(math.log(0.5) + 3.0 * budget) + LogNumber.from_value(1.0)
 
 
@@ -460,9 +452,20 @@ class MonodromyTuple:
                 f"got {len(self.entries)}")
 
 
+def _order_key(w: FreeWord) -> tuple:
+    """Orders words as their letter tuples do, in O(terms).  After the
+    shorter of two runs of one letter comes the word's end, which is
+    smallest, or the other generator: smaller after a2, larger after a1.
+    So a word that ends in an a1 run sorts before one that goes on, and of
+    two that go on, the one with the longer a1 run comes first."""
+    last = len(w.terms) - 1
+    return tuple((1, e > 0, i < last, -abs(e) if i < last else abs(e)) if g == 1
+                 else (2, e > 0, abs(e)) for i, (g, e) in enumerate(w.terms))
+
+
 def _tuple_key(entries: Sequence[FreeWord]):
-    letters = [w.letters() for w in entries]
-    return (sum(len(ls) for ls in letters), tuple((len(ls), ls) for ls in letters))
+    lengths = [w.letter_length() for w in entries]
+    return (sum(lengths), tuple((n, _order_key(w)) for n, w in zip(lengths, entries)))
 
 
 def tuple_canonical(t: MonodromyTuple) -> MonodromyTuple:

@@ -347,6 +347,15 @@ def test_census_deterministic_order():
     assert a == b_
 
 
+def test_census_sort_key_orders_b1_by_its_letters():
+    from fbt.words import enumerate_words
+
+    forms = [nf for w in enumerate_words(4.2) for nf in B._preimage_forms(w)]
+    assert len(forms) == 3626
+    by_letters = sorted(forms, key=lambda nf: nf.sort_key()[:4] + (nf.b1.letters(),))
+    assert sorted(forms, key=B.BraidNormalForm.sort_key) == by_letters
+
+
 def test_theta_preimages_are_preimages():
     for w in (IDENTITY, word((1, 1)), word((2, -3)), word((1, 2), (2, -1))):
         pres = theta_preimages(w)

@@ -255,19 +255,39 @@ def test_exact_input_contract_exit_code(capsys, argv):
      "--height", "1e10"),
     ("conformal", "torus-bounds", "--alpha", "1e308", "--sigma", "0.1"),
     ("conformal", "torus-bounds", "--alpha", "1e307", "--sigma", "0.1"),
-    # an h that does not fit a side twice, and --marked where it means nothing
+    # an h that does not fit a side twice
     ("conformal", "grid", "--kind", "rectangle", "--a", "1", "--b", "2", "--h", "5"),
     ("conformal", "grid", "--kind", "flat-cylinder", "--circumference", "1",
      "--height", "0.5", "--h", "0.4"),
-    ("conformal", "grid", "--kind", "round", "--r", "1", "--R", "2", "--h", "0.05",
-     "--marked", "vertical"),
-    ("conformal", "grid", "--kind", "flat-cylinder", "--circumference", "1",
-     "--height", "0.5", "--h", "0.05", "--marked", "horizontal"),
 ], ids=_argv_id)
 def test_bounds_conformal_config3_input_contract_exit_code(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("error:") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # there is no --marked flag: a rectangle marked on its vertical sides is
+    # --kind flat-cylinder
+    ("conformal", "grid", "--kind", "round", "--r", "1", "--R", "2", "--h", "0.05",
+     "--marked", "vertical"),
+    ("conformal", "grid", "--kind", "flat-cylinder", "--circumference", "1",
+     "--height", "0.5", "--h", "0.05", "--marked", "horizontal"),
+], ids=_argv_id)
+def test_argparse_error_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: ") and err.count("error:") == 1
+
+
+def test_flat_cylinder_is_the_rectangle_marked_on_its_vertical_sides(capsys):
+    from fbt.conformal import grid_extremal_length, rectangle_grid
+
+    code, out, _ = run_cli(capsys, "conformal", "grid", "--kind", "flat-cylinder",
+                           "--circumference", "1.37", "--height", "1", "--h", "0.01",
+                           "--family", "joining")
+    want = grid_extremal_length(rectangle_grid(1.37, 1, 0.01, marked="vertical"))
+    assert code == 0 and out == json.dumps(want.to_json(), sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("kind,h,other", [
@@ -287,8 +307,8 @@ def test_conformal_grid_default_family_is_the_closed_form_one(capsys, kind, h, o
 
 def test_conformal_grid_stdout_does_not_follow_the_blas_threads():
     # with two OpenBLAS threads this cylinder's lambda came out as
-    # 1.0000000000001137 against 1.0 with one: without FBT_THREADS the CLI
-    # must cap the pools at one thread
+    # 1.0000000000001137 against 1.0 with one: the CLI caps the pools at one
+    # thread, and FBT_THREADS sizes none of them
     argv = ["conformal", "grid", "--kind", "flat-cylinder", "--circumference", "1",
             "--height", "1", "--h", "0.004"]
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -304,7 +324,21 @@ def test_conformal_grid_stdout_does_not_follow_the_blas_threads():
         assert res.returncode == 0, res.stderr
         return res.stdout
 
-    assert stdout(base) == stdout({**base, "FBT_THREADS": "1"})
+    assert stdout(base) == stdout({**base, "FBT_THREADS": "2"})
+
+
+def test_a_pool_variable_that_is_set_still_wins(monkeypatch):
+    from fbt.cli import _cap_threads
+
+    pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+    for var in pools:
+        monkeypatch.setenv(var, "")  # restored after the test
+        monkeypatch.delenv(var)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setenv("FBT_THREADS", "3")
+    _cap_threads()
+    assert [os.environ[var] for var in pools] == ["1", "2", "1", "1"]
 
 
 def test_bounds_largest_printable_lambda(capsys):
@@ -702,11 +736,10 @@ def _argv(draw, commands=_COMMANDS):
         kind = draw(st.sampled_from(["round", "rectangle", "flat-cylinder", "oval", None]))
         names = KINDS[kind].params if kind in KINDS else \
             ("r", "R", "a", "b", "circumference", "height")
+        family = draw(st.sampled_from([None, "separating", "joining", "bogus"]))
         return ["conformal", "grid", *([f"--kind={kind}"] if kind else []),
                 *draw(_flags(_GRID_WILD, h=_GRID_H, **{k: _GRID_LENGTH for k in names})),
-                *[f"--{flag}={v}" for flag, v in zip(("family", "marked"), draw(st.tuples(
-                    st.sampled_from([None, "separating", "joining", "bogus"]),
-                    st.sampled_from([None, "horizontal", "vertical", "bogus"])))) if v]]
+                *([f"--family={family}"] if family else [])]
     names = ("re1", "im1", "re2", "im2", "re3", "im3")
     points = [v.split("=", 1)[1]
               for v in draw(_flags(_WILD.filter(bool), **{k: _ANY for k in names}))]

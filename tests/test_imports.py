@@ -36,6 +36,41 @@ def test_unused_import_check_sees_one(tmp_path):
     assert _unused_imports(probe) == ["probe.py:2: sep"]
 
 
+def _shared_error_messages(paths) -> list[str]:
+    """Plain-literal ValidationError / NumericalError messages raised from
+    more than one module: a rule written twice, which should be one function
+    in fbt.errors."""
+    modules = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name)
+                    and node.exc.func.id in ("ValidationError", "NumericalError")
+                    and node.exc.args and isinstance(node.exc.args[0], ast.Constant)):
+                modules.setdefault(node.exc.args[0].value, set()).add(path.name)
+    return [f"{msg!r}: {', '.join(sorted(names))}"
+            for msg, names in sorted(modules.items()) if len(names) > 1]
+
+
+def test_no_error_message_raised_from_two_modules():
+    assert _shared_error_messages(sorted((SRC / "fbt").glob("*.py"))) == []
+
+
+def test_shared_error_message_check_sees_one(tmp_path):
+    # twice in one module, an f-string or another exception type do not count
+    (tmp_path / "a.py").write_text(
+        "def f(x):\n    if x:\n        raise ValidationError('x must be 1')\n"
+        "    raise ValidationError('x must be 1')\n"
+        "    raise NumericalError('no convergence')\n")
+    (tmp_path / "b.py").write_text(
+        "def g(x):\n    raise NumericalError('x must be 1')\n"
+        "def h(x):\n    raise ValidationError(f'{x} must be 1')\n")
+    (tmp_path / "c.py").write_text(
+        "raise ValueError('no convergence')\nraise ValidationError(f'no convergence')\n")
+    found = _shared_error_messages(sorted(tmp_path.glob("*.py")))
+    assert found == ["'x must be 1': a.py, b.py"]
+
+
 def _module_level_scipy_imports(path: Path) -> list[str]:
     """Imports of scipy that run when the module is imported: those outside
     every function body."""

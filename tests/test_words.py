@@ -1,7 +1,9 @@
 import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbt import words as W
 from fbt.errors import ValidationError
@@ -419,6 +421,36 @@ def test_tuple_canonical_long_tuple():
     canon = tuple_canonical(t)
     assert tuple_canonical(MonodromyTuple(entries, genus=2)).entries == canon.entries
     assert tuple_canonical(canon).entries == canon.entries
+
+
+def test_tuple_canonical_huge_exponent():
+    # the key-minimal tuple is chosen from the terms: a1^(10^8) is never
+    # written out letter by letter
+    t = MonodromyTuple((word((1, 10 ** 8)), word((2, 1))), genus=1)
+    start = time.perf_counter()
+    canon = tuple_canonical(t)
+    assert time.perf_counter() - start < 1.0
+    assert canon.entries == t.entries
+
+
+_TERMS = st.lists(st.tuples(st.sampled_from([1, 2]), st.integers(-4, 4).filter(bool)),
+                  max_size=5)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(head=_TERMS, tail1=_TERMS, tail2=_TERMS)
+def test_order_key_orders_words_as_their_letters(head, tail1, tail2):
+    # the two words share the head, so that they often differ only in the
+    # length of one run, or one is a prefix of the other
+    u, v = reduce(head + tail1), reduce(head + tail2)
+    ku, kv = W._order_key(u), W._order_key(v)
+    assert (ku < kv) == (u.letters() < v.letters())
+    assert (ku == kv) == (u == v)
+
+
+def test_order_key_sorts_the_enumerated_words_as_their_letters():
+    words = enumerate_words(4.0)
+    assert sorted(words, key=W._order_key) == sorted(words, key=FreeWord.letters)
 
 
 def test_tuple_validation():
