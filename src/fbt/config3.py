@@ -14,6 +14,11 @@ with the segment acting as the spanning-tree edge (no letter emitted).
 A counterclockwise loop around -1 crosses (-inf,-1) once downward and
 reads a1; around 1 it crosses (1,inf) once upward and reads a2.
 
+A loop is held as one read-only numpy array, checked in one vectorized
+pass: a PlaneLoop as its 1-D complex samples, a ConfigLoop as an (n, 3)
+complex array whose rows are configurations sorted by (Re, Im), as
+Triple.points.  A Triple is the type of a single configuration only.
+
 decode_braid reads a geometric braid from an (n, 3) array of strands,
 labelled by matching each point to the nearest point of the next sample.
 After a generic rotation, sign changes of the pairwise x-differences give
@@ -126,19 +131,28 @@ def affine_normalize(t: Triple, anchors: tuple[complex, complex]) -> tuple[Tripl
 # plane loops and the word decoder
 
 
-@dataclass(frozen=True)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class PlaneLoop:
-    samples: tuple[complex, ...]
+    """A sampled loop: a read-only 1-D complex array."""
+
+    samples: np.ndarray
 
     @_refuse_overflow
     def __post_init__(self):
-        if len(self.samples) < 2:
+        z = _read_only(np.array(self.samples, dtype=complex))
+        object.__setattr__(self, "samples", z)
+        if len(z) < 2:
             raise ValidationError("loop needs at least two samples")
-        if abs(self.samples[0] - self.samples[-1]) > CLOSE_TOL:
+        # in Python complex arithmetic: an overflowing difference is inf
+        if abs(complex(z[0]) - complex(z[-1])) > CLOSE_TOL:
             raise ValidationError("loop is not closed")
         # all samples at once; the first bad one is reported, as not finite,
         # too large (its distance to a puncture overflows) or too close
-        z = np.array(self.samples, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             to_minus, to_plus = np.abs(z + 1.0), np.abs(z - 1.0)
         finite = np.isfinite(z)
@@ -153,25 +167,25 @@ class PlaneLoop:
             raise ValidationError(f"sample {i} violates puncture clearance")
 
 
-def plane_loop(samples: Sequence[complex]) -> PlaneLoop:
-    return PlaneLoop(tuple(complex(z) for z in samples))
+def plane_loop(samples: Sequence[complex] | np.ndarray) -> PlaneLoop:
+    return PlaneLoop(samples)
 
 
 @_refuse_overflow
 def compose_loops(l1: PlaneLoop, l2: PlaneLoop) -> PlaneLoop:
-    if abs(l1.samples[-1] - l2.samples[0]) > CLOSE_TOL:
+    if abs(complex(l1.samples[-1]) - complex(l2.samples[0])) > CLOSE_TOL:
         raise ValidationError("loops do not share a base point")
-    return PlaneLoop(l1.samples + l2.samples[1:])
+    return PlaneLoop(np.concatenate([l1.samples, l2.samples[1:]]))
 
 
 def reverse_loop(l: PlaneLoop) -> PlaneLoop:
-    return PlaneLoop(tuple(reversed(l.samples)))
+    return PlaneLoop(l.samples[::-1])
 
 
 @_refuse_overflow
 def decode_word(loop: PlaneLoop) -> FreeWord:
     """Reduced word of the loop in pi_1 of the twice punctured plane."""
-    z = np.array(loop.samples)
+    z = loop.samples
     up = z.imag >= 0
     k = np.flatnonzero(up[:-1] != up[1:])
     a, b = z[k], z[k + 1]
@@ -190,7 +204,7 @@ def decode_word(loop: PlaneLoop) -> FreeWord:
 @_refuse_overflow
 def winding_numbers(loop: PlaneLoop) -> tuple[int, int]:
     """Winding numbers about -1 and 1 (an independent abelianized oracle)."""
-    z = np.array(loop.samples)
+    z = loop.samples
     w1, w2 = (np.angle((z[1:] - p) / (z[:-1] - p)).sum() / (2 * math.pi)
               for p in (-1.0, 1.0))
     return round(w1), round(w2)
@@ -200,43 +214,70 @@ def winding_numbers(loop: PlaneLoop) -> tuple[int, int]:
 # configuration loops and the braid decoder
 
 
-@dataclass(frozen=True)
+def _configurations(rows: np.ndarray) -> np.ndarray:
+    """The rows as Triples would store them, checked in one pass: the first
+    bad row is refused as Triple refuses it, and each row is sorted by
+    (Re, Im) by a stable sort (-0.0 ties 0.0, as in sorted)."""
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValidationError("configuration samples must be an (n, 3) array")
+    order = np.lexsort((rows.imag, rows.real), axis=1)
+    pts = np.take_along_axis(rows, order, axis=1)
+    finite = np.isfinite(rows).all(axis=1)
+    bad = ~finite | (pts[:, 0] == pts[:, 1]) | (pts[:, 1] == pts[:, 2])
+    if bad.any():
+        if not finite[bad.argmax()]:
+            raise ValidationError("triple points must be finite")
+        raise ValidationError("triple points must be pairwise distinct")
+    return pts
+
+
+def _config_gap(a: np.ndarray, b: np.ndarray) -> bool:
+    """True iff two configurations differ by more than 1e-9 in some point,
+    compared in Python complex arithmetic (an overflowing difference is inf)."""
+    return any(abs(x - y) > 1e-9 for x, y in zip(a.tolist(), b.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class ConfigLoop:
-    samples: tuple[Triple, ...]
+    """A sampled loop of configurations: a read-only (n, 3) complex array."""
+
+    samples: np.ndarray
 
     @_refuse_overflow
     def __post_init__(self):
-        if len(self.samples) < 2:
+        pts = _read_only(_configurations(np.asarray(self.samples, dtype=complex)))
+        object.__setattr__(self, "samples", pts)
+        if len(pts) < 2:
             raise ValidationError("loop needs at least two samples")
-        first, last = self.samples[0].points, self.samples[-1].points
-        if any(abs(a - b) > 1e-9 for a, b in zip(first, last)):
+        if _config_gap(pts[0], pts[-1]):
             raise ValidationError("configuration loop is not closed")
 
 
-def config_loop(samples: Sequence[Triple]) -> ConfigLoop:
-    return ConfigLoop(tuple(samples))
+def config_loop(samples: Sequence[Triple] | np.ndarray) -> ConfigLoop:
+    """A loop from Triples or from an (n, 3) array of points."""
+    if not isinstance(samples, np.ndarray):
+        samples = np.array([t.points for t in samples], dtype=complex).reshape(-1, 3)
+    return ConfigLoop(samples)
 
 
 @_refuse_overflow
 def compose_config_loops(l1: ConfigLoop, l2: ConfigLoop) -> ConfigLoop:
-    a, b = l1.samples[-1].points, l2.samples[0].points
-    if any(abs(x - y) > 1e-9 for x, y in zip(a, b)):
+    if _config_gap(l1.samples[-1], l2.samples[0]):
         raise ValidationError("loops do not share a base configuration")
-    return ConfigLoop(l1.samples + l2.samples[1:])
+    return ConfigLoop(np.concatenate([l1.samples, l2.samples[1:]]))
 
 
 def reverse_config_loop(l: ConfigLoop) -> ConfigLoop:
-    return ConfigLoop(tuple(reversed(l.samples)))
+    return ConfigLoop(l.samples[::-1])
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _track_strands(samples: Sequence[Triple]) -> np.ndarray:
+def _track_strands(pts: np.ndarray) -> np.ndarray:
     """Strands as rows of samples.  A step must match points to their nearest
     points bijectively, each moving less than half the smaller minimum gap
     of the two triples: then it is the only matching within that bound."""
-    pts = np.array([t.points for t in samples])
     a, b, c = pts.T
     gap = np.minimum(np.minimum(np.abs(a - b), np.abs(a - c)), np.abs(b - c))
     dist = np.abs(pts[:-1, :, None] - pts[1:, None, :])
@@ -328,13 +369,12 @@ def _read_crossings(tracks: np.ndarray):
 
 
 def load_plane_loop(path: str) -> PlaneLoop:
-    return plane_loop(_read_csv(path, ("t", "re", "im"))[:, 0].tolist())
+    return PlaneLoop(_read_csv(path, ("t", "re", "im"))[:, 0])
 
 
 def load_config_loop(path: str) -> ConfigLoop:
     # closure is checked on unordered triples (strands may permute)
-    rows = _read_csv(path, ("t", "re1", "im1", "re2", "im2", "re3", "im3"))
-    return config_loop([triple(*pts) for pts in rows.tolist()])
+    return ConfigLoop(_read_csv(path, ("t", "re1", "im1", "re2", "im2", "re3", "im3")))
 
 
 def _read_csv(path: str, header: tuple[str, ...]) -> np.ndarray:

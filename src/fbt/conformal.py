@@ -195,9 +195,18 @@ class GridDomain:
             raise ValidationError("marked families must be nonempty")
         if (self.marked_a & self.marked_b).any():
             raise ValidationError("marked families must be disjoint")
-        marked = self.marked_a | self.marked_b
-        counts = [int(np.count_nonzero(_shift(marked, dy, dx, False) & self.inside))
-                  for dy, dx in _DIRECTIONS]
+        # boundary edges to each family, per direction; their sums are the
+        # theta lengths, since the families are disjoint
+        edges = [[int(np.count_nonzero(_shift(m, dy, dx, False) & self.inside))
+                  for m in (self.marked_a, self.marked_b)] for dy, dx in _DIRECTIONS]
+        if not all(sum(family) for family in zip(*edges)):
+            raise ValidationError("each marked family must border an inside node")
+        counts = [a + b for a, b in edges]
+        if self.x_guess is not None and (
+                self.x_guess.shape != self.inside.shape
+                or not np.isfinite(self.x_guess[self.inside]).all()):
+            raise ValidationError("x_guess must be finite on the inside nodes "
+                                  "of an array shaped like inside")
         if self.theta is None:
             self.theta = tuple(np.full(c, 0.5) for c in counts)
         elif ([len(t) for t in self.theta] != counts

@@ -841,6 +841,6 @@ def demo_construct(alpha: float, sigma: float, target: FreeWord,
 
     from .config3 import decode_word, plane_loop
 
-    decoded = decode_word(plane_loop(list(samples)))
+    decoded = decode_word(plane_loop(samples))
     return DemoResult(alpha, sigma, target, decoded, sup_f, clearance,
                       residual, np.concatenate([circle, circle[:1]]), samples)

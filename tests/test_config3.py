@@ -1,6 +1,9 @@
 import cmath
+import contextlib
+import io
 import itertools
 import math
+import os
 import random
 
 import numpy as np
@@ -231,8 +234,8 @@ def test_loops_avoiding_collinearity_are_periodic():
             for i in range(n + 1)])
 
     loop = third(0)
-    for t in loop.samples:
-        assert not in_h(t)
+    for row in loop.samples.tolist():
+        assert not in_h(triple(*row))
     b = decode_braid(loop)
     assert b.exponent_sum() == 2
     cube = C.compose_config_loops(C.compose_config_loops(loop, third(1)), third(2))
@@ -279,8 +282,7 @@ def test_loop_csv_round_trip(tmp_path):
     rot = rotation_loop(math.pi, n=256)
     with open(path2, "w") as fh:
         fh.write("t,re1,im1,re2,im2,re3,im3\n")
-        for k, t in enumerate(rot.samples):
-            a, b, c = t.points
+        for k, (a, b, c) in enumerate(rot.samples.tolist()):
             fh.write(f"{k},{a.real!r},{a.imag!r},{b.real!r},{b.imag!r},{c.real!r},{c.imag!r}\n")
     loop2 = C.load_config_loop(str(path2))
     assert B.equal(decode_braid(loop2), B.parse_braid("d"))
@@ -300,13 +302,15 @@ _PERMS3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
 def _ref_track_strands(samples):
     """Min-max matching over the six strand permutations, sample by sample."""
+    samples = samples.tolist()
+
     def min_gap(t):
-        a, b, c = t.points
+        a, b, c = t
         return min(abs(a - b), abs(a - c), abs(b - c))
 
-    tracks = [samples[0].points]
+    tracks = [tuple(samples[0])]
     for idx in range(1, len(samples)):
-        prev, cur = tracks[-1], samples[idx].points
+        prev, cur = tracks[-1], samples[idx]
         gap = min(min_gap(samples[idx]), min_gap(samples[idx - 1]))
         best, best_cost = None, None
         for perm in _PERMS3:
@@ -389,10 +393,11 @@ def _ref_decode_braid(loop):
 
 
 def _ref_decode_word(loop):
+    samples = loop.samples.tolist()
     letters = []
-    prev = loop.samples[0]
+    prev = samples[0]
     prev_state = 1 if prev.imag >= 0 else -1
-    for z in loop.samples[1:]:
+    for z in samples[1:]:
         state = 1 if z.imag >= 0 else -1
         if state != prev_state:
             t = prev.imag / (prev.imag - z.imag)
@@ -409,10 +414,11 @@ def _ref_decode_word(loop):
 
 
 def _ref_winding_numbers(loop):
+    samples = loop.samples.tolist()
     out = []
     for p in (-1.0, 1.0):
         total = 0.0
-        for za, zb in zip(loop.samples, loop.samples[1:]):
+        for za, zb in zip(samples, samples[1:]):
             total += cmath.phase((zb - p) / (za - p))
         out.append(round(total / (2 * math.pi)))
     return tuple(out)
@@ -512,7 +518,7 @@ def test_decode_braid_retries_next_angle(monkeypatch, k):
     assert B.equal(decode_braid(loop), B.parse_braid("d"))
     beta = 0.7548776662466927 + k * 2.399963229728653
     assert len(seen) == k + 1
-    assert seen[-1].tolist() == [z * cmath.exp(-1j * beta) for z in loop.samples[0].points]
+    assert seen[-1].tolist() == [z * cmath.exp(-1j * beta) for z in loop.samples[0].tolist()]
 
 
 def test_decode_braid_gives_up_after_all_angles(monkeypatch, tmp_path, capsys):
@@ -526,8 +532,8 @@ def test_decode_braid_gives_up_after_all_angles(monkeypatch, tmp_path, capsys):
     path = tmp_path / "strands.csv"
     with open(path, "w") as fh:
         fh.write("t,re1,im1,re2,im2,re3,im3\n")
-        for k, t in enumerate(loop.samples):
-            fh.write(",".join([str(k)] + [repr(x) for z in t.points
+        for k, row in enumerate(loop.samples.tolist()):
+            fh.write(",".join([str(k)] + [repr(x) for z in row
                                           for x in (z.real, z.imag)]) + "\n")
     from fbt import cli
 
@@ -700,3 +706,257 @@ def test_read_csv_reports_the_first_bad_row(tmp_path, body, message):
     got = _raised(C._read_csv, str(path), ("t", "re", "im"))
     assert got == _raised(_ref_read_csv, str(path), ("t", "re", "im"))
     assert got[0] is ValidationError and got[1].startswith("bad loop file: " + message)
+
+
+# ---------------------------------------------------------------------------
+# configuration loops held as arrays: the per-row Triple construction is the
+# reference for the array checks of ConfigLoop
+
+@C._refuse_overflow
+def _ref_config_loop(rows):
+    samples = [triple(*row) for row in rows.tolist()]
+    if len(samples) < 2:
+        raise ValidationError("loop needs at least two samples")
+    first, last = samples[0].points, samples[-1].points
+    if any(abs(a - b) > 1e-9 for a, b in zip(first, last)):
+        raise ValidationError("configuration loop is not closed")
+    return np.array([t.points for t in samples], dtype=complex)
+
+
+_SIGNED_ZEROS = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+_POINT = st.one_of(
+    st.complex_numbers(), st.complex_numbers(max_magnitude=2.0),
+    # few values, so that points coincide, also as signed zeros
+    st.sampled_from(_SIGNED_ZEROS + [1 + 0j, complex(1.0, -0.0), 1j, complex(-0.0, 1.0)]),
+    st.sampled_from([complex(math.nan, 0.0), complex(0.0, -math.inf), complex(math.inf, 1.0),
+                     complex(1.7e308, 1.7e308), complex(-1.7e308, 1e308), complex(1e308, 0.0),
+                     complex(-1.7e308, 0.0)]))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(rows=st.lists(st.lists(_POINT, min_size=3, max_size=3), max_size=8),
+       end=st.sampled_from(["open", "closed", "permuted"]))
+def test_config_loop_array_matches_per_row_triples(rows, end):
+    if rows and end != "open":
+        rows = rows + [rows[0][::-1] if end == "permuted" else rows[0]]
+    rows = np.array(rows, dtype=complex).reshape(-1, 3)
+    got = _raised(lambda r: C.config_loop(r).samples, rows)
+    want = _raised(_ref_config_loop, rows)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([[0, 1, 2], [0, 0, math.nan], [1, 1, 2]], "finite"),
+    ([[0, 1, 2], [1, 1, 2], [0, 0, math.nan]], "pairwise distinct"),
+    ([[0, 1, 2], [complex(-0.0, 0.0), 0j, 1], [math.inf, 0, 1]], "pairwise distinct"),
+    ([[0, 1, 2], [2, 1j, complex(2.0, -0.0)], [0, 1, 2]], "pairwise distinct"),
+])
+def test_config_loop_reports_the_first_bad_row(rows, message):
+    rows = np.array(rows, dtype=complex)
+    with pytest.raises(ValidationError, match=message):
+        C.config_loop(rows)
+    assert _raised(_ref_config_loop, rows) == \
+        (ValidationError, f"triple points must be {message}")
+
+
+def test_loops_hold_read_only_arrays():
+    points = [triple(-1, 0, 1), triple(1j, 2, -3), triple(-1, 0, 1)]
+    loop = config_loop(points)
+    same = config_loop(np.array([[1, 0, -1], [-3, 2, 1j], [0, 1, -1]], dtype=complex))
+    assert loop.samples.tolist() == [list(t.points) for t in points]
+    assert same.samples.tobytes() == loop.samples.tobytes()
+    plane = plane_loop(circle(-1.0, 0.5, n=16))
+    for arr in (loop.samples, reverse_config_loop(loop).samples, plane.samples,
+                compose_loops(plane, plane).samples):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    with pytest.raises(ValidationError, match="an \\(n, 3\\) array"):
+        config_loop(np.zeros((4, 2), dtype=complex))
+
+
+def test_loop_file_path_builds_no_triple(tmp_path, monkeypatch):
+    built = []
+    post_init = C.Triple.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(C.Triple, "__post_init__", counted)
+    triple(-1, 0, 1)
+    assert len(built) == 1  # the counter sees every Triple
+    letters = [(1 + k % 2, (-1) ** k * (1 + k % 3)) for k in range(42)]
+    samples = _half_twists(letters, 120)
+    path = tmp_path / "strands.csv"
+    with open(path, "w") as fh:
+        fh.write("t,re1,im1,re2,im2,re3,im3\n")
+        for k, pts in enumerate(samples):
+            fh.write(",".join([str(k)] + [repr(x) for z in pts for x in (z.real, z.imag)]) + "\n")
+    built.clear()
+    loop = C.load_config_loop(str(path))
+    b = decode_braid(loop)
+    assert built == [] and len(loop.samples) == len(samples) > 10000
+    assert B.equal(b, B.BraidWord(tuple((f"s{g}", e) for g, e in letters)))
+
+# ---------------------------------------------------------------------------
+# the config3 CLI on fixed-seed loop files, well formed and malformed: stdout,
+# stderr and exit codes are pinned to literals
+
+def _golden_files():
+    """{name: (header, rows)}: strands of wobbled half twists with shuffled
+    points, and a wobbled plane loop around both punctures."""
+    rng = random.Random(20)
+    letters = [(1 + k % 2, rng.choice((-2, -1, 1, 2))) for k in range(6)]
+    strands = _half_twists(letters, 24)
+    n = len(strands) - 1
+    wobble = [complex(rng.gauss(0, 0.03), rng.gauss(0, 0.03)) for _ in range(3)]
+    rows = []
+    for k, pts in enumerate(strands):
+        bump = cmath.exp(2j * math.pi * k / n) - 1
+        pts = [z + w * bump for z, w in zip(pts, wobble)]
+        rng.shuffle(pts)
+        rows.append([repr(x) for z in pts for x in (z.real, z.imag)])
+
+    def edited(base, **cells):
+        out = [list(r) for r in base]
+        for k, row in cells.items():
+            out[int(k[1:])] = row.split(",")
+        return out
+
+    head3 = "re1,im1,re2,im2,re3,im3"
+    files = {
+        "strands.csv": (head3, rows),
+        "strands-nan-then-dup.csv": (head3, edited(
+            rows, r40="0.5,nan,0.0,0.0,1.0,0.0", r90="-0.0,0.0,0.0,-0.0,1.0,0.0")),
+        "strands-dup-then-nan.csv": (head3, edited(
+            rows, r30="2.0,1.0,0.5,0.5,2.0,1.0", r70="0.5,0.0,inf,0.0,1.0,0.0")),
+        "strands-nan-and-dup-in-one-row.csv": (head3, edited(
+            rows, r60="0.5,0.5,0.5,0.5,nan,1.0")),
+        "strands-open.csv": (head3, rows[:n // 2]),
+        "strands-huge.csv": (head3, edited(
+            rows, r0="0.0,0.0,1.0,0.0,1.5e308,1.5e308",
+            **{f"r{n}": "0.0,0.0,1.0,0.0,2.0,0.0"})),
+        "strands-huge-tracking.csv": (head3, edited(
+            rows, r0="1.5e308,1.5e308,0.0,0.0,1.0,0.0",
+            **{f"r{n}": "0.0,0.0,1.5e308,1.5e308,1.0,0.0"})),
+    }
+    m = 700
+    modes = [complex(rng.gauss(0, 0.4), rng.gauss(0, 0.4)) for _ in range(4)]
+    plane = []
+    for k in range(m + 1):
+        s = 2 * math.pi * k / m
+        z = 1.6j * math.sin(s) + 1.5 * math.sin(2 * s) + sum(
+            c * (cmath.exp(1j * (f + 3) * s) - 1) for f, c in enumerate(modes))
+        plane.append([repr(z.real), repr(z.imag)])
+    files.update({
+        "loop.csv": ("re,im", plane),
+        "loop-nan.csv": ("re,im", edited(plane, r50="nan,0.5", r80="1.0,0.0")),
+        "loop-puncture.csv": ("re,im", edited(plane, r80="1.0,0.0")),
+        "loop-open.csv": ("re,im", plane[:-3]),
+        "loop-huge.csv": ("re,im", edited(plane, r33="1.7e308,1.7e308")),
+    })
+    return files
+
+
+def _golden_outcomes(directory):
+    from fbt import cli
+
+    out = {}
+    for name, (header, rows) in _golden_files().items():
+        path = os.path.join(directory, name)
+        with open(path, "w") as fh:
+            fh.write("t," + header + "\n")
+            fh.writelines(",".join([str(k)] + r) + "\n" for k, r in enumerate(rows))
+        argvs = [["decode-word"]] if name.startswith("loop") else \
+            [["decode-braid"], ["decode-braid", "--mod-center"]]
+        for argv in argvs:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(["config3", *argv, path])
+            out[" ".join(argv[1:] + [name])] = (code, stdout.getvalue(), stderr.getvalue())
+    return out
+
+
+# captured from the per-row Triple loader, before loops were held as arrays
+_GOLDEN = {
+    'strands.csv': (
+        0, ('{"ambient": "B3", "braid": "s1^-1 s2 s1^-2 s2 s1^-1 s2^-2", '
+            '"exponent_sum": -4, "l_minus": 4.68213122712422, '
+            '"l_plus": 5.545177444479561, '
+            '"normal_form": {"b1": "a2^-2 a1^-1 a2^-1", "j": 1, "k": -2, '
+            '"kind": "general", "l": 2}, "syllables": [{"degree": 1, '
+            '"kind": "minus-run"}, {"degree": 2, "kind": "big-power"}, '
+            '{"degree": 2, "kind": "minus-run"}], '
+            '"theta": "a1^-1 a2^-2 a1^-1 a2^-1"}\n'),
+        ''),
+    '--mod-center strands.csv': (
+        0, ('{"ambient": "B3-mod-center", '
+            '"braid": "s1^-1 s2 s1^-2 s2 s1^-1 s2^-2", "exponent_sum": -4, '
+            '"l_minus": 4.68213122712422, "l_plus": 5.545177444479561, '
+            '"normal_form": {"b1": "a2^-2 a1^-1 a2^-1", "j": 1, "k": -2, '
+            '"kind": "general", "l": 0}, "syllables": [{"degree": 1, '
+            '"kind": "minus-run"}, {"degree": 2, "kind": "big-power"}, '
+            '{"degree": 2, "kind": "minus-run"}], '
+            '"theta": "a1^-1 a2^-2 a1^-1 a2^-1"}\n'),
+        ''),
+    'strands-nan-then-dup.csv': (
+        2, '',
+        'error: triple points must be finite\n'),
+    '--mod-center strands-nan-then-dup.csv': (
+        2, '',
+        'error: triple points must be finite\n'),
+    'strands-dup-then-nan.csv': (
+        2, '',
+        'error: triple points must be pairwise distinct\n'),
+    '--mod-center strands-dup-then-nan.csv': (
+        2, '',
+        'error: triple points must be pairwise distinct\n'),
+    'strands-nan-and-dup-in-one-row.csv': (
+        2, '',
+        'error: triple points must be finite\n'),
+    '--mod-center strands-nan-and-dup-in-one-row.csv': (
+        2, '',
+        'error: triple points must be finite\n'),
+    'strands-open.csv': (
+        2, '',
+        'error: configuration loop is not closed\n'),
+    '--mod-center strands-open.csv': (
+        2, '',
+        'error: configuration loop is not closed\n'),
+    'strands-huge.csv': (
+        2, '',
+        'error: coordinates too large: the arithmetic overflows\n'),
+    '--mod-center strands-huge.csv': (
+        2, '',
+        'error: coordinates too large: the arithmetic overflows\n'),
+    'strands-huge-tracking.csv': (
+        2, '',
+        'error: tracking condition violated at sample 1\n'),
+    '--mod-center strands-huge-tracking.csv': (
+        2, '',
+        'error: tracking condition violated at sample 1\n'),
+    'loop.csv': (
+        0, '{"windings": [1, 1], "word": "a1 a2"}\n',
+        ''),
+    'loop-nan.csv': (
+        2, '',
+        'error: sample 50 is not finite\n'),
+    'loop-puncture.csv': (
+        2, '',
+        'error: sample 80 violates puncture clearance\n'),
+    'loop-open.csv': (
+        2, '',
+        'error: loop is not closed\n'),
+    'loop-huge.csv': (
+        2, '',
+        'error: coordinates too large: the arithmetic overflows\n'),
+}
+
+
+def test_config3_cli_golden(tmp_path):
+    assert _golden_outcomes(str(tmp_path)) == _GOLDEN

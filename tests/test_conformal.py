@@ -452,6 +452,51 @@ def test_grid_domain_theta_validation():
             Cf.GridDomain(*fields, theta=tuple(bad))
 
 
+
+def _square(n=90):
+    """A square of n x n inside nodes, its left column of outside cells
+    marked a; marked_b is left to the caller."""
+    import numpy as np
+
+    inside = np.zeros((n + 2, n + 2), dtype=bool)
+    inside[1:-1, 1:-1] = True
+    marked_a = np.zeros_like(inside)
+    marked_a[1:-1, 0] = True
+    return 1 / n, inside, marked_a
+
+
+@pytest.mark.parametrize("corner", [(0, 0), (0, -1), (-1, -1)])
+def test_grid_domain_refuses_a_family_that_borders_no_inside_node(corner):
+    # a corner cell has no inside neighbour: solved, it gave lambda <= 0
+    import numpy as np
+
+    h, inside, marked_a = _square()
+    marked_b = np.zeros_like(inside)
+    marked_b[corner] = True
+    for a, b in ((marked_a, marked_b), (marked_b, marked_a)):
+        with pytest.raises(ValidationError, match="each marked family must border"):
+            Cf.GridDomain(h, 0.0, 0.0, inside, a, b)
+    marked_b[1, -1] = True  # one boundary edge is enough
+    dom = Cf.GridDomain(h, 0.0, 0.0, inside, marked_a, marked_b)
+    assert [len(t) for t in dom.theta] == [0, 90, 1, 0]
+    assert grid_extremal_length(dom).lam > 0
+
+
+def test_grid_domain_refuses_a_bad_x_guess():
+    import numpy as np
+
+    h, inside, marked_a = _square(20)
+    marked_b = marked_a[:, ::-1].copy()
+    fields = (h, 0.0, 0.0, inside, marked_a, marked_b)
+    outside_nan = np.where(inside, 0.5, np.nan)
+    rep = grid_extremal_length(Cf.GridDomain(*fields, x_guess=outside_nan))
+    assert rep.lam == pytest.approx(1.0, rel=1e-9)
+    for bad in (np.zeros((3, 3)), np.zeros((len(inside), 5)),
+                np.full(inside.shape, np.inf), np.where(inside, np.nan, 0.5),
+                np.where(np.eye(*inside.shape, dtype=bool), -np.inf, 0.5)):
+        with pytest.raises(ValidationError, match="x_guess must be finite"):
+            Cf.GridDomain(*fields, x_guess=bad)
+
 @pytest.mark.parametrize("big_r", [2.0, 4.0])
 def test_annulus_grid_is_second_order(big_r):
     exact = lambda_closed_form(round_annulus(1.0, big_r))
