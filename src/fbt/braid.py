@@ -30,7 +30,6 @@ from .bounds import LogNumber
 from .errors import ValidationError, check_nonnegative
 from .words import (
     ENUM_BUDGET_CAP,
-    EXPONENT_DIGITS_MAX,
     FreeWord,
     IDENTITY,
     enumerate_words,
@@ -38,6 +37,7 @@ from .words import (
     l_minus,
     _merge_syllables,
     _order_key,
+    _tokens,
     reduce as reduce_word,
     word_json,
 )
@@ -455,27 +455,13 @@ def braid_count_bound(budget: float) -> LogNumber:
 
 
 def parse_braid(text: str, ambient: str | None = None) -> BraidWord:
-    """Whitespace separated tokens s1^k, s2^k, d^k; a leading @mod-center
-    directive selects the quotient."""
+    """Whitespace separated tokens s1^k, s2^k, d^k with the words' k; a
+    leading @mod-center directive selects the quotient."""
     toks = text.split()
     amb = ambient or B3
-    if toks and toks[0] == "@mod-center":
-        amb = MOD_CENTER
-        toks = toks[1:]
-    letters: list[BraidLetter] = []
-    for tok in toks:
-        if "^" in tok:
-            gen, _, etext = tok.partition("^")
-            if len(etext.lstrip("+-")) > EXPONENT_DIGITS_MAX:
-                raise ValidationError(f"braid exponent of more than {EXPONENT_DIGITS_MAX} digits")
-            try:
-                exp = int(etext)
-            except ValueError:
-                raise ValidationError(f"bad braid token {tok!r}") from None
-        else:
-            gen, exp = tok, 1
-        letters.append((gen, exp))
-    return BraidWord(tuple(letters), amb)  # refuses unknown generators, zero exponents
+    if toks[:1] == ["@mod-center"]:
+        amb, toks = MOD_CENTER, toks[1:]
+    return BraidWord(tuple(_tokens(toks, "s[12]|d", "braid")), amb)  # refuses zero exponents
 
 
 def format_braid(b: BraidWord) -> str:

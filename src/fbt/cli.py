@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -95,8 +96,7 @@ def _cmd_word(args) -> int:
                "canonical": W.format_word(W.cyclic_canonical(w)),
                "primitive": None if w.is_identity else W.is_primitive(w)})
     else:  # enum
-        cap = args.cap if args.cap is not None else W.ENUM_BUDGET_CAP
-        ws = W.enumerate_words(args.budget, cap=cap)
+        ws = W.enumerate_words(args.budget, cap=args.cap)
         if args.table:
             _emit_csv(["budget", "count"], [[args.budget, len(ws)]])
         else:
@@ -129,17 +129,16 @@ def _cmd_braid(args) -> int:
         return 0
     # census
     budgets = _sweep(args.budgets)
-    cap = args.cap if args.cap is not None else W.ENUM_BUDGET_CAP
     if args.table:
         rows = []
         for y in budgets:
-            elems = B.census(y, cap=cap)
+            elems = B.census(y, cap=args.cap)
             rows.append([y, len(elems), B.braid_count_bound(y).ln])
         _emit_csv(["budget", "count", "ln_bound"], rows)
     else:
         out = []
         for y in budgets:
-            elems = B.census(y, cap=cap)
+            elems = B.census(y, cap=args.cap)
             out.append({"budget": y, "count": len(elems),
                         "elements": [B.format_braid(e) for e in elems]})
         _emit({"census": out})
@@ -322,8 +321,13 @@ def _bounds_table(args) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once a process: parse_args leaves it as it is, and
+    it writes usage and errors to sys.stdout / sys.stderr as they are when
+    it runs."""
     from .bounds import THEOREMS
+    from .words import ENUM_BUDGET_CAP
 
     p = argparse.ArgumentParser(prog="fbt")
     sub = p.add_subparsers(dest="command", required=True)
@@ -335,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("word")
     q = wsub.add_parser("enum")
     q.add_argument("--budget", type=float, required=True)
-    q.add_argument("--cap", type=float, default=None)
+    q.add_argument("--cap", type=float, default=ENUM_BUDGET_CAP)
     q.add_argument("--table", action="store_true")
 
     b = sub.add_parser("braid")
@@ -345,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("braid")
     q = bsub.add_parser("census")
     q.add_argument("--budgets", required=True)
-    q.add_argument("--cap", type=float, default=None)
+    q.add_argument("--cap", type=float, default=ENUM_BUDGET_CAP)
     q.add_argument("--table", action="store_true")
 
     c = sub.add_parser("config3")

@@ -277,15 +277,21 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 def _track_strands(pts: np.ndarray) -> np.ndarray:
     """Strands as rows of samples.  A step must match points to their nearest
     points bijectively, each moving less than half the smaller minimum gap
-    of the two triples: then it is the only matching within that bound."""
+    of the two triples: then it is the only matching within that bound.  A
+    step whose distances are not finite overflowed (np.abs of a complex
+    difference goes to inf without raising)."""
     a, b, c = pts.T
     gap = np.minimum(np.minimum(np.abs(a - b), np.abs(a - c)), np.abs(b - c))
     dist = np.abs(pts[:-1, :, None] - pts[1:, None, :])
+    finite = np.isfinite(dist).all(axis=(1, 2)) & np.isfinite(gap[:-1]) & np.isfinite(gap[1:])
     nearest = dist.argmin(axis=2)
-    ok = (np.sort(nearest, axis=1) == (0, 1, 2)).all(axis=1) & \
+    ok = finite & (np.sort(nearest, axis=1) == (0, 1, 2)).all(axis=1) & \
         (dist.min(axis=2).max(axis=1) < np.minimum(gap[:-1], gap[1:]) / 2)
     if not ok.all():
-        raise ValidationError(f"tracking condition violated at sample {ok.argmin() + 1}")
+        k = int(ok.argmin())
+        if not finite[k]:
+            raise OverflowError
+        raise ValidationError(f"tracking condition violated at sample {k + 1}")
     # compose the labels only where the matching permutes the points
     moved = (nearest != (0, 1, 2)).any(axis=1)
     perms = [np.arange(3)]

@@ -172,8 +172,6 @@ class GridDomain:
     """
 
     h: float
-    x0: float
-    y0: float
     inside: np.ndarray            # bool (ny, nx)
     marked_a: np.ndarray          # bool (ny, nx)
     marked_b: np.ndarray          # bool (ny, nx)
@@ -500,7 +498,7 @@ def annulus_grid(r: float, big_r: float, h: float,
         # |t - sqrt(s^2 - u^2)| = |rho^2 - s^2| / (t + sqrt(s^2 - u^2))
         root = np.sqrt(np.maximum((s - u) * (s + u), 0.0))
         theta.append(np.clip(np.abs(rho - s) * (rho + s) / (root + t), _THETA_MIN, 1.0))
-    return GridDomain(h, -m / 2 * h, -m / 2 * h, inside, marked_a, marked_b,
+    return GridDomain(h, inside, marked_a, marked_b,
                       family=family or KINDS["round"].family, x_guess=guess,
                       theta=tuple(theta), mirrored=(True, True))
 
@@ -527,7 +525,7 @@ def rectangle_grid(a: float, b: float, h: float,
     else:
         raise ValidationError("marked must be horizontal or vertical")
     inside, marked_a, marked_b, guess = arrays
-    return GridDomain(h, 0.0, 0.0, inside, marked_a, marked_b,
+    return GridDomain(h, inside, marked_a, marked_b,
                       family=family or KINDS["rectangle"].family, x_guess=guess,
                       mirrored=mirrored)
 

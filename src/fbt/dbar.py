@@ -15,10 +15,9 @@ The correction uses the doubly periodic kernels
 with u running over the lattice Z + i alpha Z minus the origin and
 nu = (1 + i alpha)/2.  `wp` and `wp_nu` truncate the sums to the box
 |n|,|m| <= N, with documented tails O(1/N) for wp_nu and O(1/N^2) for wp
-on compact pole-free sets.  They sum in blocks of whole points, so their
-temporaries stay in cache and do not grow with the number of points,
-while each point's terms are still summed in one row; the solver uses
-the exact q-series form of wp_nu (`ThetaKernel`).  The solution
+on compact pole-free sets.  They sum one point at a time, O((2N+1)^2)
+terms whatever the number of points; the solver uses the exact q-series
+form of wp_nu (`ThetaKernel`).  The solution
 
   f(z) = -(1/pi) * int_{Q_eps} phi(zeta) wp_nu(zeta - z) dm(zeta)
 
@@ -112,14 +111,12 @@ def _raising(name: str):
 
 
 def _row_sums(zz: np.ndarray, u: np.ndarray, terms) -> np.ndarray:
-    """terms(z - u).sum() for each point z of zz, in blocks of whole points
-    of about _BLOCK_PAIRS (point, lattice term) pairs: each row is summed
-    whole, so the values are the bits of one broadcast over all points."""
+    """terms(z - u).sum() for each point z of zz, one point at a time: the
+    temporaries hold one row of lattice terms whatever the number of points."""
     flat = zz.ravel()
     out = np.empty(flat.shape, dtype=complex)
-    step = max(1, _BLOCK_PAIRS // u.size)
-    for lo in range(0, flat.size, step):
-        out[lo:lo + step] = terms(flat[lo:lo + step, None] - u).sum(axis=-1)
+    for k, z in enumerate(flat):
+        out[k] = terms(z - u).sum()
     return out.reshape(zz.shape)
 
 
@@ -452,10 +449,6 @@ _PROXY_N = 10
 _MULTIPOLE_P = 30
 # Targets per chunk of f: bounds the (target, source) temporaries.
 _TARGET_CHUNK = 512
-# (point, lattice term) pairs per block of the truncated sums wp and wp_nu:
-# a block's temporaries (256 KB each) stay in cache.  A block holds whole
-# points, so from N = 64 on it is one point's row of (2N+1)^2 - 1 terms.
-_BLOCK_PAIRS = 1 << 14
 
 
 def _chebyshev(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -661,6 +654,11 @@ def cross_grid(params: KernelParams, cfg: DbarConfig,
 
 @dataclass
 class SolveDiagnostics:
+    """What solve_diagnostics measures of a solution.  periodic_defect, the
+    largest jump of f across the torus gluing, cannot fail: f reduces each
+    target modulo the lattice first, so it is only the rounding of that
+    reduction (1.13e-17 for `fbt dbar solve --eps 0.01`)."""
+
     sup_f: float
     budget: float
     c1: float

@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import groupby
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError, check_nonnegative
 from .bounds import LogNumber
@@ -156,34 +157,21 @@ def power(w: FreeWord, k: int) -> FreeWord:
 
 
 def syllables(w: FreeWord) -> list[Syllable]:
-    """Left-to-right syllable decomposition with big powers split out first."""
+    """Left-to-right syllable decomposition with big powers split out first:
+    each term of exponent +-n, n >= 2, is a big power, and each maximal group
+    of exponent +1 (-1) terms is a plus-run (minus-run)."""
     out: list[Syllable] = []
     pos = 0
-    run_start = None
-    run_sign = 0
-    run_len = 0
-
-    def flush_run():
-        nonlocal run_start, run_len
-        if run_len:
-            kind = "plus-run" if run_sign > 0 else "minus-run"
-            out.append(Syllable(kind, run_len, (run_start, run_start + run_len)))
-        run_start, run_len = None, 0
-
-    for gen, exp in w.terms:
-        n = abs(exp)
-        sign = 1 if exp > 0 else -1
-        if n >= 2:
-            flush_run()
-            out.append(Syllable("big-power", n, (pos, pos + n)))
+    for sign, group in groupby(w.terms, key=lambda t: t[1] if -1 <= t[1] <= 1 else 0):
+        if sign:  # a run's terms alternate generators, so they are its letters
+            n = len(list(group))
+            out.append(Syllable("plus-run" if sign > 0 else "minus-run", n, (pos, pos + n)))
+            pos += n
         else:
-            if run_len and sign != run_sign:
-                flush_run()
-            if not run_len:
-                run_start, run_sign = pos, sign
-            run_len += 1
-        pos += n
-    flush_run()
+            for _, e in group:
+                n = abs(e)
+                out.append(Syllable("big-power", n, (pos, pos + n)))
+                pos += n
     return out
 
 
@@ -515,18 +503,24 @@ def tuple_canonical(t: MonodromyTuple) -> MonodromyTuple:
 #: most digits of an exponent in word or braid text: a sum of a few of them
 #: still prints (int and str convert at most 4300 digits)
 EXPONENT_DIGITS_MAX = 4000
-_TOKEN = re.compile(rf"^a([12])(?:\^(-?\d{{1,{EXPONENT_DIGITS_MAX}}}))?$")
+
+
+def _tokens(toks: Iterable[str], names: str, what: str) -> Iterator[tuple[str, int]]:
+    """(name, k) for each token name^k or name (k = 1), where names is a
+    regex of the generator names and k a decimal of at most
+    EXPONENT_DIGITS_MAX digits with an optional '-'."""
+    token = re.compile(rf"({names})(?:\^(-?\d{{1,{EXPONENT_DIGITS_MAX}}}))?")
+    for tok in toks:
+        m = token.fullmatch(tok)
+        if not m:
+            raise ValidationError(f"bad {what} token {tok[:60]!r}")
+        name, k = m.groups()
+        yield name, 1 if k is None else int(k)
 
 
 def parse_word(text: str) -> FreeWord:
     """Parse whitespace separated tokens a1^k / a2^k (a1 means a1^1)."""
-    terms: list[Term] = []
-    for tok in text.split():
-        m = _TOKEN.match(tok)
-        if not m:
-            raise ValidationError(f"bad word token {tok[:60]!r}")
-        exp = int(m.group(2)) if m.group(2) is not None else 1
-        terms.append((int(m.group(1)), exp))
+    terms = [(int(name[1]), k) for name, k in _tokens(text.split(), "a[12]", "word")]
     return FreeWord(tuple(terms))  # refuses zero exponents and unreduced text
 
 

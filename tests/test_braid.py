@@ -26,7 +26,7 @@ from fbt.braid import (
     theta_preimages,
 )
 from fbt.errors import ValidationError
-from fbt.words import IDENTITY, l_minus, word
+from fbt.words import IDENTITY, l_minus, parse_word, word
 
 LOG3 = math.log(3)
 LOG6 = math.log(6)
@@ -403,6 +403,21 @@ def test_grammar():
         parse_braid("s3")
     with pytest.raises(ValidationError):
         parse_braid("s1^0")
+
+
+# k, and the exponent both grammars read from it (None: both refuse it)
+@pytest.mark.parametrize("k, want", [
+    ("3", 3), ("-3", -3), ("+3", None), ("1_0", None), ("-0", None), ("\u0663", 3),
+    ("9" * 4000, int("9" * 4000)), ("9" * 4001, None), ("", None)])
+def test_words_and_braids_read_the_same_exponents(k, want):
+    def read(parse, text, term):
+        try:
+            return term(parse(text))[1]
+        except ValidationError:
+            return None
+
+    assert read(parse_word, "a1^" + k, lambda w: w.terms[0]) == want
+    assert read(parse_braid, "s1^" + k, lambda b: b.letters[0]) == want
 
 
 def test_braid_json():

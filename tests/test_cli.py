@@ -535,6 +535,32 @@ def test_conformal_lambda_round_with_overflowing_quotient(tmp_path, capsys, r, b
         assert json.loads(out)["lambda"] == pytest.approx(want, rel=1e-15)
 
 
+def test_main_builds_one_parser_and_reports_usage_on_the_current_stderr(monkeypatch, capsys):
+    import argparse
+    import contextlib
+
+    from fbt import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    assert run_cli(capsys, "word", "linv", "a1")[0] == 0
+    first = len(built)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["word", "nope"]) == 2
+    assert first > 0 and len(built) == first
+    assert err.getvalue().startswith("usage: fbt word ")
+    assert "invalid choice: 'nope'" in err.getvalue()
+    assert capsys.readouterr() == ("", "")
+
+
 def test_determinism_byte_identical(capsys):
     outs = []
     for _ in range(2):
@@ -557,21 +583,26 @@ def _readme_cli_commands():
     return [line.strip() for line in block.splitlines() if line.startswith("fbt ")]
 
 
-def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
+def _write_readme_inputs(directory):
+    """The files the README commands read: loop.csv, strands.csv, domain.json."""
     import cmath
 
     n = 128
-    with open(tmp_path / "loop.csv", "w") as fh:
+    with open(directory / "loop.csv", "w") as fh:
         fh.write("t,re,im\n")
         for k in range(n + 1):
             z = 1 + 0.4 * cmath.exp(1j * (math.pi + 2 * math.pi * k / n))
             fh.write(f"{k},{z.real!r},{z.imag!r}\n")
-    with open(tmp_path / "strands.csv", "w") as fh:
+    with open(directory / "strands.csv", "w") as fh:
         fh.write("t,re1,im1,re2,im2,re3,im3\n")
         for k in range(n + 1):
             w = cmath.exp(1j * math.pi * k / n)
             fh.write(f"{k},{(-w).real!r},{(-w).imag!r},0.0,0.0,{w.real!r},{w.imag!r}\n")
-    (tmp_path / "domain.json").write_text('{"kind": "round", "params": {"r": 1.0, "R": 2.0}}')
+    (directory / "domain.json").write_text('{"kind": "round", "params": {"r": 1.0, "R": 2.0}}')
+
+
+def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
+    _write_readme_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     commands = _readme_cli_commands()
     assert len(commands) == 20
@@ -587,6 +618,141 @@ def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
             json.loads(out)
     with open(tmp_path / "circle.csv") as fh:
         assert fh.readline() == "re_z,im_z,re_f,im_f\n"
+
+
+# runs each README command through main in one process and prints, per
+# command, [command, exit code, stdout, stderr] as one JSON list
+_README_RUNNER = """\
+import contextlib, io, json, shlex, sys
+from fbt.cli import main
+results = []
+for command in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(shlex.split(command)[1:])
+    results.append([command, code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _readme_outcomes(directory):
+    """The README commands' outcomes from a fresh interpreter whose BLAS
+    pools are sized by the CLI alone, and the bytes of the demo's dump."""
+    import hashlib
+
+    _write_readme_inputs(directory)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    res = subprocess.run([sys.executable, "-c", _README_RUNNER,
+                          json.dumps(_readme_cli_commands())],
+                         cwd=directory, env=env, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    outcomes = {command: (code, out, err) for command, code, out, err in json.loads(res.stdout)}
+    dump = (directory / "circle.csv").read_bytes()
+    return outcomes, (len(dump), hashlib.sha256(dump).hexdigest())
+
+
+# captured at the parent of the change that retired the braid parser's own
+# token grammar; the dump is compared by its length and sha256
+_README_GOLDEN = {
+    'fbt word linv "a1^2 a2^-3"': (
+        0, ('{"l_minus": 3.9889840465642745, "l_plus": 4.564348191467836, '
+            '"syllables": [{"degree": 2, "kind": "big-power"}, {"degree": 3, '
+            '"kind": "big-power"}], "word": "a1^2 a2^-3"}\n'),
+        ''),
+    'fbt word enum --budget 1.0986122886681098': (
+        0, ('{"budget": 1.0986122886681098, "count": 5, "words": ["", "a1^-1", '
+            '"a1", "a2^-1", "a2"]}\n'),
+        ''),
+    'fbt word canon "a2 a1 a2^-1"': (
+        0, '{"canonical": "a1", "primitive": true, "word": "a2 a1 a2^-1"}\n',
+        ''),
+    'fbt braid nf "s2^-2 s1 s2 s2^2"': (
+        0, ('{"ambient": "B3", "braid": "s2^-2 s1 s2 s2^2", "exponent_sum": 2, '
+            '"l_minus": 2.1972245773362196, "l_plus": 2.772588722239781, '
+            '"normal_form": {"b1": "a1", "j": 2, "k": -3, "kind": "general", '
+            '"l": 1}, "syllables": [{"degree": 1, "kind": "minus-run"}, '
+            '{"degree": 1, "kind": "plus-run"}], "theta": "a2^-1 a1"}\n'),
+        ''),
+    'fbt braid theta "s1^-4 d s1^4"': (
+        0, ('{"braid": "s1^-4 d s1^4", "l_minus": 3.58351893845611, '
+            '"theta": "a1^-2 a2^2"}\n'),
+        ''),
+    'fbt braid bracket "s1^5 d^3"': (
+        0, '{"braid": "s1^5 d^3", "exceptional": true, "lambda_tr_lower": 0.0}\n',
+        ''),
+    'fbt braid census --budgets 0,1.0986122886681098 --table': (
+        0, ('budget,count,ln_bound\n0.0,10,2.70805020110221\n'
+            '1.0986122886681098,42,6.00388706710654\n'),
+        ''),
+    'fbt config3 in-h --points=-1,0,0,0,1,0': (
+        0, '{"defect": 0.0, "in_h": true}\n',
+        ''),
+    'fbt config3 decode-word loop.csv': (
+        0, '{"windings": [0, 1], "word": "a2"}\n',
+        ''),
+    'fbt config3 decode-braid strands.csv --mod-center': (
+        0, ('{"ambient": "B3-mod-center", "braid": "s1 s2 s1", "exponent_sum": 3, '
+            '"l_minus": 0, "l_plus": 0, "normal_form": {"kind": "delta-power", '
+            '"l": 1}, "syllables": [], "theta": ""}\n'),
+        ''),
+    'fbt conformal lambda --kind round --r 1 --R 2': (
+        0, '{"kind": "round", "lambda": 9.064720283654388}\n',
+        ''),
+    'fbt conformal lambda --spec-file domain.json': (
+        0, '{"kind": "round", "lambda": 9.064720283654388}\n',
+        ''),
+    'fbt conformal grid --kind round --r 1 --R 2 --h 0.005': (
+        0, ('{"h": 0.005, "iterations": 7, "lambda": 9.064709702573055, '
+            '"residual": 3.4117180816890035e-11}\n'),
+        ''),
+    'fbt conformal torus-bounds --alpha 1 --sigma 0.1': (
+        0, '{"e": 10.0, "e_prime": 10.0, "lambda3_upper": 120.0}\n',
+        ''),
+    'fbt dbar kernel --alpha 1 --N 60 --re 0.2 --im 0.3': (
+        0, ('{"N": 60, "alpha": 1.0, "wp": [-3.37209001346673, '
+            '-5.991451385101451], "wp_nu": [4.0185287631930855, '
+            '-4.018528763193086], "z": [0.2, 0.3]}\n'),
+        ''),
+    'fbt dbar solve --eps 0.01': (
+        0, ('{"alpha": 1.0, "budget": 0.636771112754504, "c1": 2.001337385716932, '
+            '"c2": 8.09040780162718, "fd_dbar_residual": 0.000483696421519198, '
+            '"off_support_residual": 2.659982699530347e-09, '
+            '"periodic_defect": 1.130121503276712e-17, "sigma": 0.001, '
+            '"sup_f": 0.0017118050498352011}\n'),
+        ''),
+    'fbt dbar demo --sigma 0.01 --target "a1^2" --dump circle.csv': (
+        0, ('{"alpha": 1.0, "clearance": 0.13075445656556817, '
+            '"dbar_residual": 0.00010700615949233713, "decoded": "a1^2", '
+            '"sigma": 0.01, "sup_f": 0.023786832434942045, "target": "a1^2"}\n'),
+        ''),
+    'fbt bounds thm1 --g 0 --m 1 --lambda4 0': (
+        0, ('{"bound": {"decimal": "4.500000000000E+0", "ln": 1.5040773967762742}, '
+            '"formula": "3*(3/2*e^{24 pi lambda4})^{2g+m}", "inputs": {"g": 0, '
+            '"lambda4": 0.0, "m": 1}}\n'),
+        ''),
+    'fbt bounds prop1a --alpha 1 --sigma 0.1 --C 0.07 --c 0.5': (
+        0, ('{"bound": {"decimal": "4.496723345271E+7859", '
+            '"ln": 18097.519594826263}, '
+            '"formula": "7*e^{192 pi (2 alpha+1)/sigma}", "inputs": {"alpha": 1.0, '
+            '"sigma": 0.1}, "lower": {"decimal": "1.006876353735E+0", '
+            '"formula": "c*e^{C alpha/sigma}", "ln": 0.00685281944005478}}\n'),
+        ''),
+    'fbt bounds table --formula prop1a-upper --alpha 1 --sigmas 0.2,0.1,0.05': (
+        0, ('alpha,sigma,ln,decimal\n1.0,0.2,9049.73275248766,1.774177652239E+3930\n'
+            '1.0,0.1,18097.519594826263,4.496723345271E+7859\n'
+            '1.0,0.05,36193.093279503475,2.888645834859E+15718\n'),
+        ''),
+}
+_README_DUMP = (57641, 'f8073764c13a2bb9d84ee392d561955a0d0fcc30f624f8f79c3dbb0c24bf0f33')
+
+
+def test_readme_cli_golden(tmp_path):
+    outcomes, dump = _readme_outcomes(tmp_path)
+    assert outcomes == _README_GOLDEN
+    assert dump == _README_DUMP
 
 
 def _loop_rows(op, n):

@@ -936,10 +936,10 @@ _GOLDEN = {
         'error: coordinates too large: the arithmetic overflows\n'),
     'strands-huge-tracking.csv': (
         2, '',
-        'error: tracking condition violated at sample 1\n'),
+        'error: coordinates too large: the arithmetic overflows\n'),
     '--mod-center strands-huge-tracking.csv': (
         2, '',
-        'error: tracking condition violated at sample 1\n'),
+        'error: coordinates too large: the arithmetic overflows\n'),
     'loop.csv': (
         0, '{"windings": [1, 1], "word": "a1 a2"}\n',
         ''),

@@ -250,11 +250,11 @@ def test_grid_domain_validation():
     marked[0, 1] = True
     marked_b[5, 4] = True
     with pytest.raises(ValidationError, match="connected"):
-        Cf.GridDomain(0.1, 0.0, 0.0, inside, marked, marked_b)
+        Cf.GridDomain(0.1, inside, marked, marked_b)
     ok = np.zeros((6, 6), dtype=bool)
     ok[1:3, 1:3] = True
     with pytest.raises(ValidationError, match="disjoint"):
-        Cf.GridDomain(0.1, 0.0, 0.0, ok, marked, marked)
+        Cf.GridDomain(0.1, ok, marked, marked)
 
 
 def _spec_to_json(spec):
@@ -402,7 +402,6 @@ def test_annulus_theta_matches_mpmath(r, big_r, h):
     mh = mpmath.mpf(h)
     # the lattice is centred on the origin: cell (j, i) has its center at
     # ((i + 1/2 - m/2) h, (j + 1/2 - m/2) h)
-    assert dom.x0 == dom.y0 == -m / 2 * h
 
     def center(j, i):
         return ((i + mpmath.mpf(0.5) - mpmath.mpf(m) / 2) * mh,
@@ -432,7 +431,6 @@ def test_annulus_lattice_has_no_centre_node():
         dom = annulus_grid(1.0, 2.0, h)
         assert dom.mirrored == (True, True)
         assert dom.inside.shape[0] == dom.inside.shape[1]
-        assert dom.x0 == dom.y0 == -dom.inside.shape[0] * h
     with pytest.raises(ValidationError, match="marked families must be nonempty"):
         annulus_grid(0.001, 2.0, 0.06)
 
@@ -443,7 +441,7 @@ def test_grid_domain_theta_validation():
     dom = rectangle_grid(1.0, 1.0, 1 / 10)  # the left half of the square
     assert [len(t) for t in dom.theta] == [5, 0, 0, 5]
     assert all((t == 0.5).all() for t in dom.theta)
-    fields = (dom.h, dom.x0, dom.y0, dom.inside, dom.marked_a, dom.marked_b)
+    fields = (dom.h, dom.inside, dom.marked_a, dom.marked_b)
     for bad in ([np.full(5, 0.5), np.empty(0), np.empty(0), np.full(4, 0.5)],
                 [np.full(5, 0.5), np.empty(0), np.empty(0), np.full(5, 1.5)],
                 [np.full(5, 0.0), np.empty(0), np.empty(0), np.full(5, 0.5)],
@@ -475,9 +473,9 @@ def test_grid_domain_refuses_a_family_that_borders_no_inside_node(corner):
     marked_b[corner] = True
     for a, b in ((marked_a, marked_b), (marked_b, marked_a)):
         with pytest.raises(ValidationError, match="each marked family must border"):
-            Cf.GridDomain(h, 0.0, 0.0, inside, a, b)
+            Cf.GridDomain(h, inside, a, b)
     marked_b[1, -1] = True  # one boundary edge is enough
-    dom = Cf.GridDomain(h, 0.0, 0.0, inside, marked_a, marked_b)
+    dom = Cf.GridDomain(h, inside, marked_a, marked_b)
     assert [len(t) for t in dom.theta] == [0, 90, 1, 0]
     assert grid_extremal_length(dom).lam > 0
 
@@ -487,7 +485,7 @@ def test_grid_domain_refuses_a_bad_x_guess():
 
     h, inside, marked_a = _square(20)
     marked_b = marked_a[:, ::-1].copy()
-    fields = (h, 0.0, 0.0, inside, marked_a, marked_b)
+    fields = (h, inside, marked_a, marked_b)
     outside_nan = np.where(inside, 0.5, np.nan)
     rep = grid_extremal_length(Cf.GridDomain(*fields, x_guess=outside_nan))
     assert rep.lam == pytest.approx(1.0, rel=1e-9)
@@ -596,7 +594,7 @@ def _whole_annulus(r, big_r, h, family=None):
         s = np.where(to_a[ys, xs_i], s_r, s_big)
         root = np.sqrt(np.maximum((s - u) * (s + u), 0.0))
         theta.append(np.clip(np.abs(rho - s) * (rho + s) / (root + t), Cf._THETA_MIN, 1.0))
-    return Cf.GridDomain(h, -m / 2 * h, -m / 2 * h, inside, marked_a, marked_b,
+    return Cf.GridDomain(h, inside, marked_a, marked_b,
                          family=family or "separating", x_guess=guess, theta=tuple(theta))
 
 
@@ -617,13 +615,12 @@ def _whole_rectangle(a, b, h, marked="horizontal"):
     masks = (inside, marked_a, marked_b, guess)
     if marked == "horizontal":
         masks = tuple(m.T for m in masks)
-    return Cf.GridDomain(h, 0.0, 0.0, *masks[:3], family="joining", x_guess=masks[3])
+    return Cf.GridDomain(h, *masks[:3], family="joining", x_guess=masks[3])
 
 
 def _assert_same_domain(got, want):
     """Equal fields, with the arrays equal in shape, dtype and bits."""
-    assert (got.h, got.x0, got.y0, got.family, got.mirrored) == \
-        (want.h, want.x0, want.y0, want.family, want.mirrored)
+    assert (got.h, got.family, got.mirrored) == (want.h, want.family, want.mirrored)
     for g, w in zip((got.inside, got.marked_a, got.marked_b, got.x_guess, *got.theta),
                     (want.inside, want.marked_a, want.marked_b, want.x_guess, *want.theta)):
         assert (g.shape, g.dtype) == (w.shape, w.dtype)
@@ -704,7 +701,7 @@ def _random_part(rng):
         return None
     family = ("separating", "joining")[int(rng.integers(2))]
     try:
-        return Cf.GridDomain(0.1, 0.0, 0.0, inside, marked_a, marked_b, family=family,
+        return Cf.GridDomain(0.1, inside, marked_a, marked_b, family=family,
                              theta=theta, mirrored=mirrored)
     except ValidationError as exc:  # the largest component misses a seam
         assert "connected" in str(exc)
@@ -740,7 +737,7 @@ def test_mirrored_part_needs_a_node_on_each_seam():
     marked_b = np.zeros_like(inside)
     marked_a[1, 0] = True
     marked_b[2, 3] = True
-    fields = (0.1, 0.0, 0.0, inside, marked_a, marked_b)
+    fields = (0.1, inside, marked_a, marked_b)
     Cf.GridDomain(*fields)
     # the part touches neither its last row nor its last column, so its
     # copies would not touch each other
@@ -749,10 +746,10 @@ def test_mirrored_part_needs_a_node_on_each_seam():
             Cf.GridDomain(*fields, mirrored=mirrored)
     touching = inside.copy()
     touching[3, 1] = True  # a node on the last row
-    part = Cf.GridDomain(0.1, 0.0, 0.0, touching, marked_a, marked_b, mirrored=(True, False))
+    part = Cf.GridDomain(0.1, touching, marked_a, marked_b, mirrored=(True, False))
     assert Cf._connected(_unfold(part).inside)
     with pytest.raises(ValidationError, match="grid domain must be connected"):
-        Cf.GridDomain(0.1, 0.0, 0.0, touching, marked_a, marked_b, mirrored=(True, True))
+        Cf.GridDomain(0.1, touching, marked_a, marked_b, mirrored=(True, True))
 
 
 def test_annulus_build_keeps_to_the_quadrant():

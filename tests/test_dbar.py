@@ -222,8 +222,8 @@ def _broadcast_wp_nu(params, z):
     return out if out.shape else complex(out)
 
 
-# rows of 25 points: several blocks at small N, and reference temporaries
-# of at most about 23 MB at large N
+# rows of 25 points, summed one point at a time against one broadcast
+# over all of them; reference temporaries of at most about 23 MB at large N
 @pytest.mark.parametrize("trunc, rows", [(2, 40), (7, 40), (50, 4), (120, 1)])
 def test_blocked_sums_match_broadcast_reference(trunc, rows):
     rng = np.random.default_rng(trunc)
@@ -695,7 +695,7 @@ def test_demo_sigma_mismatch():
                        cfg=DbarConfig(eps=0.5, delta=0.1))
 
 
-def test_remainder_table_pole_guard():
+def test_demo_refuses_a_wide_lath_at_large_eps():
     with pytest.raises((ValidationError, NumericalError)):
         demo_construct(1.0, 0.19, parse_word("a1^6"),
                        cfg=DbarConfig(eps=0.95, delta=0.2, quad_n=128))

@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fbt import words as W
 from fbt.errors import ValidationError
@@ -80,6 +80,57 @@ def test_syllable_spans_partition_letters():
             assert lo == pos and hi > lo
             pos = hi
         assert pos == w.letter_length()
+
+
+def _ref_syllables(w):
+    """The syllable state machine syllables replaced, kept as its reference:
+    one pass over the terms that flushes the open run at each big power and
+    at each change of sign."""
+    out = []
+    pos = 0
+    run_start = None
+    run_sign = 0
+    run_len = 0
+
+    def flush_run():
+        nonlocal run_start, run_len
+        if run_len:
+            kind = "plus-run" if run_sign > 0 else "minus-run"
+            out.append(W.Syllable(kind, run_len, (run_start, run_start + run_len)))
+        run_start, run_len = None, 0
+
+    for gen, exp in w.terms:
+        n = abs(exp)
+        sign = 1 if exp > 0 else -1
+        if n >= 2:
+            flush_run()
+            out.append(W.Syllable("big-power", n, (pos, pos + n)))
+        else:
+            if run_len and sign != run_sign:
+                flush_run()
+            if not run_len:
+                run_start, run_sign = pos, sign
+            run_len += 1
+        pos += n
+    flush_run()
+    return out
+
+
+# exponents of a word on alternating generators, as blocks: runs of up to 40
+# equal signs, and big powers up to 10^30
+_RUN = st.builds(lambda sign, n: [sign] * n, st.sampled_from([1, -1]), st.integers(1, 40))
+_BIG = st.builds(lambda n, sign: [sign * n],
+                 st.one_of(st.integers(2, 9), st.integers(2, 10 ** 30)), st.sampled_from([1, -1]))
+_EXPONENTS = st.lists(st.one_of(_RUN, _BIG), max_size=8).map(
+    lambda blocks: [e for block in blocks for e in block])
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(first=st.sampled_from([1, 2]), exps=_EXPONENTS)
+@example(first=1, exps=[])
+def test_syllables_match_state_machine(first, exps):
+    w = FreeWord(tuple((first if k % 2 == 0 else 3 - first, e) for k, e in enumerate(exps)))
+    assert syllables(w) == _ref_syllables(w)
 
 
 def test_l_values_examples():
