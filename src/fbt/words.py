@@ -20,6 +20,7 @@ satisfy L-(w) <= Y, and the number is at most e^{3Y}/2 + 1.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -300,20 +301,13 @@ def primitive_root(w: FreeWord) -> tuple[FreeWord, int]:
     return conjugate(c, reduce(root)), s
 
 
-def _fits_budget(degrees: Sequence[int], budget: float) -> bool:
-    # compare Pi(3 d_k) <= e^budget on exact integers against a slightly
-    # padded exponential so that budgets given as log(n) behave exactly
-    prod = 1
-    for d in degrees:
-        prod *= 3 * d
-    return prod <= math.exp(budget) * (1.0 + 1e-12)
-
-
-def _max_degree(budget: float) -> int:
-    """One more than the largest syllable degree d with log(3 d) <= budget."""
+def _budget_limit(budget: float) -> int:
+    """The largest product of syllable factors 3 d that fits L- <= budget:
+    floor(e^budget (1 + 1e-12)), padded so that budgets given as log(n)
+    admit the product n."""
     try:
-        return int(math.exp(budget) / 3 * (1 + 1e-12)) + 1
-    except OverflowError:
+        return int(math.exp(budget) * (1.0 + 1e-12))
+    except OverflowError:  # e^budget, or its padding, is beyond the float range
         raise ValidationError(f"enumeration budget {budget} overflows e^budget") from None
 
 
@@ -327,16 +321,15 @@ def enumerate_words(budget: float, cap: float = ENUM_BUDGET_CAP) -> list[FreeWor
     Depth first over one-term extensions, each word carrying its syllable
     state down the stack: the product of 3 d over its closed syllables, the
     sign and length of its open run of exponents +-1 (0 when it ends in a
-    big power), and its syllable count.
+    big power), and its syllable count.  A word is kept while its product,
+    open run included, is at most _budget_limit(budget).
     """
     check_nonnegative("enumeration budget", budget)
     if not math.isfinite(cap):
         raise ValidationError("enumeration cap must be finite")
     if budget > cap:
         raise ValidationError("enumeration budget exceeded")
-    max_deg = _max_degree(budget)  # refuses an e^budget beyond the float range
-    # the padded limit of _fits_budget, on the same exact integer products
-    limit = math.exp(budget) * (1.0 + 1e-12)
+    limit = _budget_limit(budget)  # compared with exact integer products
     # the letters are spelled one character each, in the order of the
     # (generator, sign) pairs, so that strings compare as the letter tuples
     found: list[tuple[int, str, tuple[Term, ...]]] = [(0, "", ())]
@@ -355,7 +348,7 @@ def enumerate_words(budget: float, cap: float = ENUM_BUDGET_CAP) -> list[FreeWor
                     state = (closed, sign, run_len + 1, count)
                 else:
                     state = (shut, sign, 1, count + 1)
-                for n in range(1, max_deg + 1):
+                for n in range(1, limit // 3 + 1):
                     if n >= 2:
                         state = (shut * 3 * n, 0, 0, count + 1)
                     prod, rsign, rlen, k = state
@@ -371,46 +364,34 @@ def enumerate_words(budget: float, cap: float = ENUM_BUDGET_CAP) -> list[FreeWor
 
 
 def count_words_by_patterns(budget: float) -> int:
-    """Independent word counter: sums over syllable patterns.
+    """Independent word counter: a memoized recursion over syllable ends.
 
-    Recursively builds admissible syllable sequences (kind, degree, boundary
-    generators) and counts the reduced words realizing each, without ever
-    writing the words down.  Used as an oracle against enumerate_words.
+    After the first syllable, each syllable's generator is forced by the
+    letter before it, and a run's parity does not matter.  So the words
+    that extend a word depend only on the kind of its last syllable (none
+    yet, a big power or a run) and on the integer budget P left for the
+    product of the factors 3 d:
+
+        count(end, P) = 1 + sum over 3 d <= P of
+                        c * (2 [d >= 2] count(big, P // 3d) + r count(run, P // 3d))
+
+    with c = 2 at the start (the first syllable picks its generator), else
+    1, and r = 1 after a run (the next run has the other sign), else 2.
+    Never writes a word down; used as an oracle against enumerate_words.
     """
     check_nonnegative("enumeration budget", budget)
-    max_deg = _max_degree(budget)
 
-    # syllable choices: ("big", sign, d>=2) with one generator choice fixed by
-    # the boundary, ("run", sign, d) whose letters alternate generators, so a
-    # run is pinned by its first generator.
-    def count_from(prev_kind: str | None, prev_sign: int, prev_end_gen: int,
-                   degrees: list[int]) -> int:
-        # returns number of admissible continuations (including stopping here)
+    @functools.cache
+    def count(end: str, left: int) -> int:
+        c = 2 if end == "start" else 1
+        r = 1 if end == "run" else 2
         n = 1
-        for d in range(1, max_deg + 1):
-            if not _fits_budget(degrees + [d], budget):
-                break
-            for sign in (1, -1):
-                # big power of degree d (needs d >= 2): generator must differ
-                # from the previous boundary letter's generator
-                if d >= 2:
-                    for gen in (1, 2):
-                        if prev_end_gen and gen == prev_end_gen:
-                            continue
-                        n += count_from("big", sign, gen, degrees + [d])
-                # run of length d and sign `sign`: may not follow a run of the
-                # same sign (maximality); first generator differs from the
-                # previous boundary generator
-                if prev_kind == "run" and sign == prev_sign:
-                    continue
-                for first_gen in (1, 2):
-                    if prev_end_gen and first_gen == prev_end_gen:
-                        continue
-                    end_gen = first_gen if d % 2 == 1 else 3 - first_gen
-                    n += count_from("run", sign, end_gen, degrees + [d])
+        for d in range(1, left // 3 + 1):
+            rest = left // (3 * d)
+            n += c * ((2 * count("big", rest) if d >= 2 else 0) + r * count("run", rest))
         return n
 
-    return count_from(None, 0, 0, [])
+    return count("start", _budget_limit(budget))
 
 
 def word_count_bound(budget: float) -> LogNumber:
@@ -507,9 +488,9 @@ EXPONENT_DIGITS_MAX = 4000
 
 def _tokens(toks: Iterable[str], names: str, what: str) -> Iterator[tuple[str, int]]:
     """(name, k) for each token name^k or name (k = 1), where names is a
-    regex of the generator names and k a decimal of at most
+    regex of the generator names and k an ASCII decimal of at most
     EXPONENT_DIGITS_MAX digits with an optional '-'."""
-    token = re.compile(rf"({names})(?:\^(-?\d{{1,{EXPONENT_DIGITS_MAX}}}))?")
+    token = re.compile(rf"({names})(?:\^(-?\d{{1,{EXPONENT_DIGITS_MAX}}}))?", re.ASCII)
     for tok in toks:
         m = token.fullmatch(tok)
         if not m:

@@ -201,9 +201,13 @@ def _argv_id(argv):
     ("word", "enum", "--budget", "1", "--cap", "inf"),
     ("word", "enum", "--budget", "800", "--cap", "inf"),
     ("braid", "census", "--budgets", "800", "--cap", "1e308"),
+    # e^budget is finite and its padding e^budget (1 + 1e-12) is not
+    ("word", "enum", "--budget", "709.782712893384", "--cap", "800"),
     ("braid", "census", "--budgets", "abc"),
     ("word", "linv", "a1^" + "9" * 4001),
     ("braid", "nf", "s1^" + "9" * 4001),
+    ("word", "linv", "a1^\u0663"),  # an Arabic-Indic digit three
+    ("braid", "nf", "s1^\u0663"),
 ], ids=_argv_id)
 def test_exact_input_contract_exit_code(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -3,6 +3,7 @@ import math
 import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fbt import conformal as Cf
 from fbt.conformal import (
@@ -764,3 +765,148 @@ def test_annulus_build_keeps_to_the_quadrant():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# random masked domains against a dense solve
+
+
+def _masked_domain(inside, marked_a, marked_b, theta_lattices):
+    """The separating-family domain on these masks, each boundary edge in
+    direction k taking its theta from the cell of theta_lattices[k] at its
+    inside node, so that an edge keeps its theta when the masks change
+    elsewhere."""
+    marked = marked_a | marked_b
+    theta = tuple(t[_edges(inside, marked, k)] for k, t in enumerate(theta_lattices))
+    return Cf.GridDomain(0.1, inside, marked_a, marked_b, theta=theta)
+
+
+def _random_masks(ny, nx, seed):
+    """ny x nx masks: each cell inside with probability 0.75 (the largest
+    4-connected component kept), column 0 in family a, the last column in
+    family b, and a quarter of the other outside cells in family a; and a
+    theta lattice in (0, 1] for each direction.  None when the component
+    misses the column next to column 0 or the one next to the last."""
+    import numpy as np
+    from scipy.ndimage import label
+
+    rng = np.random.default_rng(seed)
+    inside = rng.random((ny, nx)) < 0.75
+    inside[:, [0, -1]] = False
+    labels, _ = label(inside)
+    inside = labels == np.bincount(labels.ravel())[1:].argmax() + 1
+    marked_a = ~inside & (rng.random((ny, nx)) < 0.25)
+    marked_a[:, 0], marked_a[:, -1] = True, False
+    marked_b = np.zeros_like(inside)
+    marked_b[:, -1] = True
+    theta_lattices = 1.0 - rng.random((4, ny, nx))  # in (0, 1]
+    if not (inside[:, 1].any() and inside[:, -2].any()):
+        return None
+    return inside, marked_a, marked_b, theta_lattices
+
+
+def _dense_energy(dom):
+    """The minimal energy of dom from a dense solve of its graph Laplacian,
+    assembled edge by edge (unit conductance between inside neighbours,
+    1/theta from an inside node to a marked neighbour of value 1 in family
+    a and 0 in family b, each direction's theta read in row-major order),
+    and the total conductance into family a."""
+    import numpy as np
+
+    ny, nx = dom.inside.shape
+    nodes = [(y, x) for y in range(ny) for x in range(nx) if dom.inside[y, x]]
+    index = {cell: i for i, cell in enumerate(nodes)}
+    lap = np.zeros((len(nodes), len(nodes)))
+    rhs = np.zeros(len(nodes))
+    pairs, ends = [], []  # the inside edges (i, j), the boundary edges (i, g, value)
+    used = [0, 0, 0, 0]
+    for i, (y, x) in enumerate(nodes):
+        for k, (dy, dx) in enumerate(Cf._DIRECTIONS):
+            cell = (y + dy, x + dx)
+            if not (0 <= cell[0] < ny and 0 <= cell[1] < nx):
+                continue
+            if dom.inside[cell]:
+                j = index[cell]
+                lap[i, i] += 1.0
+                lap[i, j] -= 1.0
+                if i < j:
+                    pairs.append((i, j))
+            elif dom.marked_a[cell] or dom.marked_b[cell]:
+                g = 1.0 / dom.theta[k][used[k]]
+                used[k] += 1
+                value = 1.0 if dom.marked_a[cell] else 0.0
+                lap[i, i] += g
+                rhs[i] += g * value
+                ends.append((i, g, value))
+    assert used == [len(t) for t in dom.theta]
+    u = np.linalg.solve(lap, rhs)
+    # a sum of squares: the error of u enters only to second order
+    energy = (sum((u[i] - u[j]) ** 2 for i, j in pairs)
+              + sum(g * (u[i] - value) ** 2 for i, g, value in ends))
+    return energy, sum(g for _, g, value in ends if value)
+
+
+def _slack(energy, into_a):
+    """How far a solved energy may stray: 1e-12 of it, plus the rounding of
+    the solver's u.Au - 2 b.u + c, whose terms are as large as the
+    conductance into family a (a theta of 1e-5 costs about 1e-11)."""
+    return 1e-12 * energy + 64 * sys.float_info.epsilon * into_a
+
+
+def _unmarked_neighbour(inside, marked, rng):
+    """A random outside, unmarked cell next to an inside node, or None."""
+    import numpy as np
+
+    near = np.zeros_like(inside)
+    for dy, dx in Cf._DIRECTIONS:
+        near |= Cf._shift(inside, dy, dx, False)
+    cells = np.argwhere(near & ~inside & ~marked)
+    return None if len(cells) == 0 else tuple(cells[rng.integers(len(cells))])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(ny=st.integers(8, 29), nx=st.integers(8, 29), seed=st.integers(0, 2**32 - 1))
+def test_random_domains_match_a_dense_solve(ny, nx, seed):
+    # Rayleigh monotonicity: a new inside node or a new marked cell only
+    # adds conductance or constraints, so the energy never falls
+    import numpy as np
+
+    masks = _random_masks(ny, nx, seed)
+    assume(masks is not None)
+    inside, marked_a, marked_b, theta_lattices = masks
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Cf, "_COARSE_NODES", 40)  # so that the V-cycle runs
+        dom = _masked_domain(*masks)
+        lam = grid_extremal_length(dom).lam
+        energy, into_a = _dense_energy(dom)
+        assert abs(lam - energy) <= _slack(energy, into_a)
+        grown = _unmarked_neighbour(inside, marked_a | marked_b, rng)
+        if grown is not None:
+            more = inside.copy()
+            more[grown] = True
+            dom = _masked_domain(more, marked_a, marked_b, theta_lattices)
+            assert grid_extremal_length(dom).lam >= lam - _slack(lam, into_a)
+        marked = _unmarked_neighbour(inside, marked_a | marked_b, rng)
+        if marked is not None:
+            family = [marked_a.copy(), marked_b.copy()]
+            family[int(rng.integers(2))][marked] = True
+            dom = _masked_domain(inside, *family, theta_lattices)
+            assert grid_extremal_length(dom).lam >= lam - _slack(lam, _dense_energy(dom)[1])
+
+
+def test_random_symmetric_domain_matches_its_mirrored_part():
+    # the part continues past its last row as its mirror image; the domain
+    # built whole has both halves
+    seed = 0
+    while (masks := _random_masks(17, 23, [20261020, seed])) is None or not masks[0][-1].any():
+        seed += 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Cf, "_COARSE_NODES", 40)
+        part = dataclasses.replace(_masked_domain(*masks), mirrored=(True, False))
+        whole = _unfold(part)
+        assert whole.inside.shape == (34, 23)
+        lam = grid_extremal_length(whole).lam
+        assert abs(grid_extremal_length(part).lam - lam) <= 1e-12 * lam
+        energy, into_a = _dense_energy(whole)
+        assert abs(lam - energy) <= _slack(energy, into_a)

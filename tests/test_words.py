@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import sys
 import time
 
 import pytest
@@ -196,7 +198,7 @@ def _ref_enumerate_words(budget):
     """The enumeration the carried-state search replaced: every candidate
     is a FreeWord whose syllable degrees are recomputed from scratch."""
     found = [IDENTITY]
-    max_deg = W._max_degree(budget)
+    limit = W._budget_limit(budget)
     stack = [IDENTITY]
     while stack:
         terms = stack.pop().terms
@@ -205,14 +207,82 @@ def _ref_enumerate_words(budget):
             if gen == last_gen:
                 continue
             for sign in (1, -1):
-                for n in range(1, max_deg + 1):
+                for n in range(1, limit // 3 + 2):
                     w = FreeWord(terms + ((gen, sign * n),))
-                    if not W._fits_budget(W.syllable_degrees(w), budget):
+                    if math.prod(3 * d for d in W.syllable_degrees(w)) > limit:
                         break
                     found.append(w)
                     stack.append(w)
     found.sort(key=lambda w: (len(syllables(w)), w.letters()))
     return found
+
+
+def _ref_count_words_by_patterns(budget):
+    """The pattern walk that the memoized counter replaced: it builds every
+    admissible syllable sequence (kind, sign, degree, boundary generators)
+    and counts the reduced words realizing each, multiplying out the
+    degrees at every node."""
+    limit = W._budget_limit(budget)
+    max_deg = limit // 3 + 1
+
+    # syllable choices: ("big", sign, d>=2) with one generator choice fixed by
+    # the boundary, ("run", sign, d) whose letters alternate generators, so a
+    # run is pinned by its first generator.
+    def count_from(prev_kind, prev_sign, prev_end_gen, degrees):
+        # returns number of admissible continuations (including stopping here)
+        n = 1
+        for d in range(1, max_deg + 1):
+            if math.prod(3 * e for e in degrees + [d]) > limit:
+                break
+            for sign in (1, -1):
+                # big power of degree d (needs d >= 2): generator must differ
+                # from the previous boundary letter's generator
+                if d >= 2:
+                    for gen in (1, 2):
+                        if prev_end_gen and gen == prev_end_gen:
+                            continue
+                        n += count_from("big", sign, gen, degrees + [d])
+                # run of length d and sign `sign`: may not follow a run of the
+                # same sign (maximality); first generator differs from the
+                # previous boundary generator
+                if prev_kind == "run" and sign == prev_sign:
+                    continue
+                for first_gen in (1, 2):
+                    if prev_end_gen and first_gen == prev_end_gen:
+                        continue
+                    end_gen = first_gen if d % 2 == 1 else 3 - first_gen
+                    n += count_from("run", sign, end_gen, degrees + [d])
+        return n
+
+    return count_from(None, 0, 0, [])
+
+
+def _neighbours(y):
+    """y and the floats around it where the 1e-12 padding of the budget
+    limit decides: one ulp, a relative 1e-12 and an absolute 1e-12 either
+    side."""
+    return [y, math.nextafter(y, 0.0), math.nextafter(y, math.inf),
+            y * (1 - 1e-12), y * (1 + 1e-12), y - 1e-12, y + 1e-12]
+
+
+# log n for every n < 200, the floats around the logarithms of products of
+# factors 3 d, and budgets spread over [0, 5.5]
+_COUNTER_BUDGETS = sorted(
+    {math.log(n) for n in range(1, 200)}
+    | {y for n in (3, 6, 9, 12, 18, 27, 36, 54, 81, 108, 162) for y in _neighbours(math.log(n))
+       if y >= 0}
+    | {k / 8 for k in range(45)})
+
+
+def test_counter_matches_the_pattern_walk():
+    for budget in _COUNTER_BUDGETS:
+        assert W.count_words_by_patterns(budget) == _ref_count_words_by_patterns(budget), budget
+
+
+@pytest.mark.parametrize("budget, count", [(7.0, 41_089), (9.0, 1_011_773)])
+def test_counter_pins_and_the_word_bound(budget, count):
+    assert W.count_words_by_patterns(budget) == count
+    assert math.log(count) <= word_count_bound(budget).ln
 
 
 @pytest.mark.parametrize("budget", [LOG3, 2.0, 4.2, 5.0])
@@ -261,6 +331,21 @@ def test_budget_functions_refuse_non_finite():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValidationError, match="finite"):
                 fn(bad)
+
+
+#: e^Y is finite here, and e^Y (1 + 1e-12) is not
+_OVERFLOW_WINDOW = math.log(sys.float_info.max)
+
+
+@pytest.mark.parametrize("budget", [_OVERFLOW_WINDOW, 710.0, 1e300])
+@pytest.mark.parametrize("fn", [lambda y: enumerate_words(y, cap=1e308),
+                                W.count_words_by_patterns], ids=["enumerate", "count"])
+def test_budget_functions_refuse_overflowing_budgets(fn, budget):
+    assert math.isfinite(math.exp(_OVERFLOW_WINDOW))
+    assert math.isinf(math.exp(_OVERFLOW_WINDOW) * (1 + 1e-12))
+    message = f"enumeration budget {budget} overflows e^budget"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        fn(budget)
 
 
 def test_power_matches_repeated_concat():
