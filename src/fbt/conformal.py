@@ -264,12 +264,27 @@ def grid_extremal_length(dom: GridDomain) -> SolverReport:
     requested curve-family extremal length.  A part mirrored on k axes
     holds 1/2^k of the whole domain's energy, and its relative residual is
     the whole domain's."""
-    a, rhs, const = _assemble(dom)
+    a, g_a, g_b = _assemble(dom)
     x0 = None if dom.x_guess is None else dom.x_guess[dom.inside]
-    u, iters, res = _cg(a, rhs, x0, dom.inside)
-    energy = 2 ** sum(dom.mirrored) * (float(u @ (a @ u) - 2.0 * (rhs @ u)) + const)
+    u, iters, res = _cg(a, g_a, x0, dom.inside)
+    energy = _energy(dom, u, g_a, g_b)
     lam = energy if dom.family == "separating" else 1.0 / energy
     return SolverReport(lam, dom.h, iters, res)
+
+
+def _energy(dom: GridDomain, u: np.ndarray, g_a: np.ndarray, g_b: np.ndarray) -> float:
+    """The Dirichlet energy of u over the whole domain, as the sum of squares
+    sum_(inside edges) (u_i - u_j)^2 + sum g_a (u - 1)^2 + sum g_b u^2 of the
+    part, times 2^k for a part mirrored on k axes.  Its terms are no larger
+    than the energy, where those of u.Au - 2 b.u + c reach the conductance
+    into family a and cancel."""
+    inside = dom.inside
+    grid = np.zeros(inside.shape)
+    grid[inside] = u
+    across = np.diff(grid, axis=1)[inside[:, 1:] & inside[:, :-1]]
+    down = np.diff(grid, axis=0)[inside[1:] & inside[:-1]]
+    return 2 ** sum(dom.mirrored) * float(
+        across @ across + down @ down + g_a @ (u - 1.0) ** 2 + g_b @ u ** 2)
 
 
 def _cg(a, rhs: np.ndarray, x0: np.ndarray | None,
@@ -311,9 +326,9 @@ def _shift(a: np.ndarray, dy: int, dx: int, fill) -> np.ndarray:
 
 
 def _assemble(dom: GridDomain) -> tuple:
-    """CSR matrix A, right-hand side b and constant c of the discrete
-    Dirichlet energy E(u) = u.Au - 2 b.u + c over the inside nodes
-    (row-major order).
+    """CSR matrix A and the per-node boundary conductances g_a and g_b to
+    the two families, over the inside nodes (row-major order), of the
+    discrete Dirichlet energy E(u) = u.Au - 2 g_a.u + sum g_a (see _energy).
 
     Interior edges have unit conductance, and the edge from a node to a
     marked cell has conductance 1/theta (see GridDomain).
@@ -328,18 +343,16 @@ def _assemble(dom: GridDomain) -> tuple:
     cols = np.empty((n, 5), dtype=np.int32)
     cols[:, 2] = np.arange(n, dtype=np.int32)
     diag = np.zeros(n)
-    rhs = np.zeros(n)
-    const = 0.0
+    g_a, g_b = np.zeros(n), np.zeros(n)
     for k, (dy, dx), theta in zip((0, 1, 3, 4), _DIRECTIONS, dom.theta):
         nb = cols[:, k] = _shift(idx, dy, dx, -1)[inside]
         diag += nb >= 0
         to_a = _shift(dom.marked_a, dy, dx, False)[inside]
         edge = to_a | _shift(dom.marked_b, dy, dx, False)[inside]
         g = 1.0 / theta
-        g_a = np.where(to_a[edge], g, 0.0)  # the edges to the value 1
         diag[edge] += g
-        rhs[edge] += g_a
-        const += float(g_a.sum())
+        g_a[edge] += np.where(to_a[edge], g, 0.0)  # the edges to the value 1
+        g_b[edge] += np.where(to_a[edge], 0.0, g)
     if (diag <= 0).any():
         raise ValidationError("grid has isolated nodes")
     keep = cols >= 0
@@ -347,7 +360,7 @@ def _assemble(dom: GridDomain) -> tuple:
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
     data = np.full(int(indptr[-1]), -1.0)
     data[indptr[:-1] + keep[:, 0] + keep[:, 1]] = diag
-    return sp.csr_matrix((data, cols[keep], indptr), shape=(n, n)), rhs, const
+    return sp.csr_matrix((data, cols[keep], indptr), shape=(n, n)), g_a, g_b
 
 
 _COARSE_NODES = 4000  # the coarsest level is factorized directly
@@ -380,7 +393,11 @@ class _Multigrid:
     _ALPHA; at 2 the two-grid correction would no longer contract every
     error component.  A level smooths with one damped Jacobi sweep before
     and one after its coarse correction, which keeps the cycle symmetric;
-    the coarsest level is factorized by SuperLU.  Nothing is random, so
+    the coarsest level is factorized by SuperLU.  The Galerkin matrices are
+    symmetric positive definite (the domain is connected and borders a
+    marked cell, and P has full column rank), so that factor takes its
+    pivots on the diagonal, in the fill-reducing minimum-degree order of
+    A^T + A (SymmetricMode).  Nothing is random, so
     repeated solves agree to the bit.  `_cg` builds the hierarchy on first
     use, so a solve seeded at its solution skips the aggregation, the
     Galerkin products and the factorization.  It is built for the part of
@@ -402,7 +419,8 @@ class _Multigrid:
             self.levels.append((a, _OMEGA / a.diagonal(), agg))
             a = coarse
         try:
-            self.coarse = spla.splu(a.tocsc())
+            self.coarse = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise NumericalError(
                 f"multigrid coarse factorization failed: {exc}") from None

@@ -28,7 +28,9 @@ for the sub-boxes near the target and by exact analytic integration over
 the cells nearest to it.  The smooth kernel remainder wp_nu(w) - 1/w is
 summed exactly over Chebyshev proxy sources in the two support boxes of
 phi, on which it is analytic (Fong-Darve), its theta q-series separated
-into moments of the sources.
+into moments of the sources and its cotangent terms turned into Cauchy
+sums over the sources, which one clustered multipole helper sums as it
+sums the cells.
 
 The cutoff profile chi0 integrates a C^1 trapezoid of height 3/2 (the
 least possible maximum slope): chi0' rises along the cubic ramp
@@ -111,12 +113,15 @@ def _raising(name: str):
 
 
 def _row_sums(zz: np.ndarray, u: np.ndarray, terms) -> np.ndarray:
-    """terms(z - u).sum() for each point z of zz, one point at a time: the
-    temporaries hold one row of lattice terms whatever the number of points."""
+    """terms(w, spare).sum() for w = z - u at each point z of zz, one point
+    at a time: terms works in place in the two preallocated rows w and
+    spare, so the temporaries hold two rows whatever the number of points."""
     flat = zz.ravel()
     out = np.empty(flat.shape, dtype=complex)
+    w, spare = np.empty_like(u), np.empty_like(u)
     for k, z in enumerate(flat):
-        out[k] = terms(z - u).sum()
+        np.subtract(z, u, out=w)
+        out[k] = terms(w, spare).sum()
     return out.reshape(zz.shape)
 
 
@@ -126,10 +131,16 @@ def wp(params: KernelParams, z) -> np.ndarray | complex:
     if zz.size == 0:
         return np.empty(zz.shape, dtype=complex)
     _check_poles(params, zz, with_nu=False)
+
+    def terms(w, _):  # 1/w^2 - 1/u^2
+        np.square(w, out=w)
+        np.divide(1.0, w, out=w)
+        return np.subtract(w, inv_u2, out=w)
+
     with _raising("wp"):
         u = _lattice(params)
         inv_u2 = 1.0 / u ** 2
-        out = 1.0 / zz ** 2 + _row_sums(zz, u, lambda w: 1.0 / w ** 2 - inv_u2)
+        out = 1.0 / zz ** 2 + _row_sums(zz, u, terms)
     return out if out.shape else complex(out)
 
 
@@ -140,10 +151,18 @@ def wp_nu(params: KernelParams, z) -> np.ndarray | complex:
         return np.empty(zz.shape, dtype=complex)
     _check_poles(params, zz, with_nu=True)
     nu = params.nu_value
+
+    def terms(w, w_nu):  # 1/w - 1/(w - nu) + nu/u^2
+        np.subtract(w, nu, out=w_nu)
+        np.divide(1.0, w, out=w)
+        np.divide(1.0, w_nu, out=w_nu)
+        np.subtract(w, w_nu, out=w)
+        return np.add(w, nu_u2, out=w)
+
     with _raising("wp_nu"):
         u = _lattice(params)
         nu_u2 = nu / u ** 2
-        out = _row_sums(zz, u, lambda w: 1.0 / w - 1.0 / (w - nu) + nu_u2)
+        out = _row_sums(zz, u, terms)
         out = out + 1.0 / zz - 1.0 / (zz - nu)
     return out if out.shape else complex(out)
 
@@ -168,6 +187,85 @@ def wp_nu_tail_bound(params: KernelParams, wmax: float) -> float:
     a = 4.0 * nu * (2.0 * wmax + nu)
     b = 4.0 * nu * wmax * (wmax + nu)
     return a * 8.0 / n + b * 4.0 / n ** 2
+
+
+# ---------------------------------------------------------------------------
+# clustered Cauchy sums
+
+# Order of the Laurent expansion of a Cauchy sum about each cluster centre;
+# beyond three cluster radii the tail is below about 1.5 * 3^-(p+1) of sum |W_j|/d.
+_MULTIPOLE_P = 30
+
+
+def _sum_rows(rows: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
+    """The complex terms summed per row index, for rows 0..size-1."""
+    return np.bincount(rows, terms.real, size) + 1j * np.bincount(rows, terms.imag, size)
+
+
+def _sign_halves(x: np.ndarray) -> np.ndarray:
+    """Cluster labels 0..3 of points x: by the sign of Re x, then the lower
+    or upper half of the range of |Re x| on that side."""
+    side = (x.real > 0).astype(int)
+    size = np.abs(x.real)
+    lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
+    np.minimum.at(lo, side, size)
+    np.maximum.at(hi, side, size)
+    return 2 * side + (size > 0.5 * (lo + hi)[side])
+
+
+class _Clusters:
+    """A weighted point set x_j, W_j in clusters b, for the Cauchy sums
+    S(y) = sum_j W_j/(x_j - y) (Greengard-Rokhlin, one level).
+
+    The points are held sorted by cluster (`order` sorts the caller's
+    companion arrays alike), with each cluster's CSR offsets, its centre x_b
+    (by default the midpoint of its bounding box), its radius
+    r_b = max |x_j - x_b| and its moments M_{b,k} = sum_{j in b} W_j (x_j - x_b)^k,
+    k <= _MULTIPOLE_P.  A target y is far from a cluster beyond
+    |y - x_b| > 3 r_b + pad; there the cluster's share of S(y) is
+    -sum_k M_{b,k}/(y - x_b)^{k+1}.
+    """
+
+    def __init__(self, points: np.ndarray, weights: np.ndarray, labels: np.ndarray,
+                 count: int, centres: np.ndarray | None = None):
+        self.order = np.argsort(labels, kind="stable")
+        labels = labels[self.order]
+        self.points, self.weights = points[self.order], weights[self.order]
+        self.offsets = np.searchsorted(labels, np.arange(count + 1))
+        if centres is None:
+            centres = np.array([0.5 * complex(x.real.min() + x.real.max(),
+                                              x.imag.min() + x.imag.max()) if x.size else 0j
+                                for x in np.split(self.points, self.offsets[1:-1])])
+        self.centres = centres
+        d = self.points - centres[labels]
+        self.radii = np.zeros(count)
+        np.maximum.at(self.radii, labels, np.abs(d))
+        self.moments = np.zeros((count, _MULTIPOLE_P + 1), dtype=complex)
+        np.add.at(self.moments, labels,
+                  self.weights[:, None] * np.vander(d, _MULTIPOLE_P + 1, increasing=True))
+
+    def far(self, y: np.ndarray, pad: float = 0.0) -> np.ndarray:
+        """The (target, cluster) mask |y - x_b| > 3 r_b + pad."""
+        return np.abs(y[:, None] - self.centres) > 3.0 * self.radii + pad
+
+    def split(self, y: np.ndarray, far: np.ndarray, scale: np.ndarray | None = None):
+        """(laurent, rows, cols): scale(y) S_b(y) summed from the moments over
+        the far clusters b of each target, and the (target, point) pairs of
+        the other clusters.  The scale enters after Horner: for |e| near
+        1e307, e S_E(e) is about M_0 while S_E(e) alone would be subnormal."""
+        w = y[:, None] - self.centres
+        u = 1.0 / np.where(far, w, 1.0)
+        acc = np.zeros_like(u)
+        for m in self.moments.T[::-1]:  # Horner in u from the highest order
+            acc = acc * u + m
+        last = u if scale is None else u * scale[:, None]
+        laurent = -np.where(far, acc * last, 0.0).sum(axis=1)
+        # the points of every near (target, cluster) pair, from the CSR offsets
+        t, b = np.nonzero(~far)
+        start, count = self.offsets[b], self.offsets[b + 1] - self.offsets[b]
+        rows = np.repeat(t, count)
+        cols = np.arange(rows.size) + np.repeat(start - (np.cumsum(count) - count), count)
+        return laurent, rows, cols
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +352,16 @@ class ThetaKernel:
         at v = pi (xi_j - z), and the sine series of L separates:
         sum_j W_j (P(E_j/e_z) - P(e_z/E_j))/(2i) = sum_n c_n (A_n e_z^-n - B_n e_z^n)/(2i)
         with the moments A_n = sum_j W_j E_j^n, B_n = sum_j W_j E_j^-n taken
-        here once.  Per (target, source) pair only the two cot terms are
-        left, cot v = i + 2i/(e^{2iv} - 1) from the outer product E_j/e_z;
-        their constants i cancel, and cot v - 1/v is summed from its Taylor
-        series where |v| < _SMALL_V.  The nu term takes z + nu reduced per
+        here once.  The two cot terms are left, cot v = i + 2i/(e^{2iv} - 1):
+        their constants i cancel, and 2i/(E_j/e - 1) = 2i e/(E_j - e), so
+        the pair sum is 2 pi i [e_z S_E(e_z) - e_nu S_E(e_nu)] - S_xi(z) with
+        the Cauchy sums S_x(y) = sum_j W_j/(x_j - y) over the sources, in
+        four clusters: by the sign of Re xi_j, then two equal bins of
+        |Re xi_j| per sign (`_Clusters`).  A (target, cluster) pair far in
+        both the xi plane at z and the E plane at e_z is summed from the
+        Laurent moments; otherwise each of its sources is summed directly,
+        cot v - 1/v from its Taylor series where |v| < _SMALL_V.  The e_nu
+        term has its own far test.  The nu term takes z + nu reduced per
         target to z' = z + nu - (n + i alpha m), where
         L(pi (xi_j - z - nu)) = L(pi (xi_j - z')) + 2i m."""
         n = np.arange(len(self.coef), 0, -1)  # the order of self.coef
@@ -265,6 +369,9 @@ class ThetaKernel:
         a_n = self.coef * (big_e ** n[:, None] @ weights)
         b_n = self.coef * ((1.0 / big_e) ** n[:, None] @ weights)
         total = weights.sum()
+        labels = _sign_halves(nodes)
+        xi = _Clusters(nodes, weights, labels, 4)
+        e_plane = _Clusters(big_e, weights, labels, 4)
 
         def series(e_z):
             """sum_j W_j (P(E_j/e_z) - P(e_z/E_j))/(2i), by Horner in 1/e_z and e_z."""
@@ -274,16 +381,27 @@ class ThetaKernel:
             z_nu = z + self.nu - _nearest_lattice_point(z + self.nu, self.alpha)
             m = np.round((z + self.nu).imag / self.alpha)
             e_z, e_nu = np.exp(2j * math.pi * z), np.exp(2j * math.pi * z_nu)
-            w = nodes - z[:, None]
-            e = big_e * (1.0 / e_z)[:, None]
-            r, c = np.nonzero(np.abs(w) < _SMALL_V / math.pi)
-            w[r, c], e[r, c] = 1.0, 0.0  # replaced below
-            pair = 2j * math.pi * (1.0 / (e - 1.0)
-                                   - 1.0 / (big_e * (1.0 / e_nu)[:, None] - 1.0)) - 1.0 / w
-            v = math.pi * (nodes[c] - z[r])
-            pair[r, c] = (math.pi * (v * np.polyval(_COT_TAYLOR, v * v) - 1j)
-                          - 2j * math.pi / (big_e[c] / e_nu[r] - 1.0))
-            return (pair @ weights + math.pi * (series(e_z) - series(e_nu))
+            far = xi.far(z) & e_plane.far(e_z)
+            s_xi, r, c = xi.split(z, far)
+            s_e = e_plane.split(e_z, far, e_z)[0]
+            s_nu, r_nu, c_nu = e_plane.split(e_nu, e_plane.far(e_nu), e_nu)
+            # the pairs summed directly; each complex product has its temporary
+            # operand first: numpy reuses a large temporary in place, which
+            # would swap the factors (and the rounding) of a product with it
+            # second, so a target's bits would depend on its chunk
+            w = xi.points[c] - z[r]
+            e = e_plane.points[c] / e_z[r]
+            small = np.abs(w) < _SMALL_V / math.pi
+            v = math.pi * w[small]
+            w[small], e[small] = 1.0, 0.0  # replaced below
+            pair = 2j * math.pi / (e - 1.0) - 1.0 / w
+            pair[small] = math.pi * (np.polyval(_COT_TAYLOR, v * v) * v - 1j)
+            pair_nu = 2j * math.pi / (e_plane.points[c_nu] / e_nu[r_nu] - 1.0)
+            direct = _sum_rows(np.concatenate([r, r_nu]),
+                               np.concatenate([xi.weights[c] * pair,
+                                               -e_plane.weights[c_nu] * pair_nu]), z.size)
+            return (2j * math.pi * (s_e - s_nu) - s_xi + direct
+                    + math.pi * (series(e_z) - series(e_nu))
                     + (2.0 * self.eta1 * self.nu - 2j * math.pi * m) * total)
 
         return evaluate
@@ -444,9 +562,6 @@ def rect_cauchy_integral(x0, x1, y0, y1, w):
 
 # Chebyshev nodes per phi support box in each direction: 100 proxy sources a box.
 _PROXY_N = 10
-# Order of the Laurent expansion of the Cauchy sum about each sub-box centre;
-# beyond three sub-box radii the tail is below about 1.5 * 3^-(p+1) of sum |a_c|/d.
-_MULTIPOLE_P = 30
 # Targets per chunk of f: bounds the (target, source) temporaries.
 _TARGET_CHUNK = 512
 
@@ -470,12 +585,11 @@ class DbarSolution:
     |Im| <= sigma/2.
 
     The Cauchy sum sum_c a_c/(c - z), a_c = phi_c hx hy, runs over a grid of
-    sub-boxes b of each support box, about square: a sub-box with
-    |z - z_b| > 3 r_b + sing_radius is summed from its Laurent moments
-    M_{b,k} = sum_{c in b} a_c (c - z_b)^k, k <= _MULTIPOLE_P, as
-    -sum_k M_{b,k}/(z - z_b)^{k+1}; the cells of nearer sub-boxes are summed
-    directly, with the Cauchy factor integrated exactly over cells within
-    `sing_radius` of the target.  The smooth remainder is summed over the
+    sub-boxes b of each support box, about square (`_Clusters`): a sub-box
+    with |z - z_b| > 3 r_b + sing_radius is summed from its Laurent moments;
+    the cells of nearer sub-boxes are summed directly, with the Cauchy
+    factor integrated exactly over cells within `sing_radius` of the
+    target.  The smooth remainder is summed over the
     tensor Chebyshev nodes xi_j of each box with weights
     W_j = sum_c phi_c hx hy ell_j(c) (`ThetaKernel.regular_sum`).  Targets
     that bring a pole of the nu class within reach of the support are refused.
@@ -507,19 +621,11 @@ class DbarSolution:
         kx = np.clip(np.floor((np.abs(c.real) - d / 2) / (d / nx)), 0, nx - 1)
         ky = np.clip(np.floor((c.imag + s / 2) / (s / ny)), 0, ny - 1)
         sub = ((right * nx + kx) * ny + ky).astype(int)
-        order = np.argsort(sub, kind="stable")
-        sub = sub[order]
-        self._cells = (c[order], quad.phi[order], pa[order])
-        self._offsets = np.searchsorted(sub, np.arange(2 * nx * ny + 1))
         mid_x = d / 2 + (np.arange(nx) + 0.5) * d / nx
         mid_y = -s / 2 + (np.arange(ny) + 0.5) * s / ny
-        self._sub_centers = (np.concatenate([-mid_x, mid_x])[:, None] + 1j * mid_y).ravel()
-        dc = c[order] - self._sub_centers[sub]
-        self._sub_radii = np.zeros(2 * nx * ny)
-        np.maximum.at(self._sub_radii, sub, np.abs(dc))
-        self._moments = np.zeros((2 * nx * ny, _MULTIPOLE_P + 1), dtype=complex)
-        np.add.at(self._moments, sub,
-                  pa[order, None] * np.vander(dc, _MULTIPOLE_P + 1, increasing=True))
+        self._cells = _Clusters(c, pa, sub, 2 * nx * ny,
+                                (np.concatenate([-mid_x, mid_x])[:, None] + 1j * mid_y).ravel())
+        self._phi = quad.phi[self._cells.order]
 
     def _reduce(self, z: np.ndarray) -> np.ndarray:
         """z minus the nearest lattice point."""
@@ -573,31 +679,18 @@ class DbarSolution:
     def _cauchy_sum(self, z: np.ndarray) -> np.ndarray:
         """sum_c a_c/(c - z) at reduced targets z: Laurent moments for the far
         sub-boxes, direct pairs (exact within sing_radius) for the near ones."""
-        centers, phi, pa = self._cells
         hx, hy = self.quad.hx, self.quad.hy
         sing_radius = 2.5 * max(hx, hy)
-        w = z[:, None] - self._sub_centers
-        far = np.abs(w) > 3.0 * self._sub_radii + sing_radius
-        u = 1.0 / np.where(far, w, 1.0)
-        acc = np.zeros_like(u)
-        for m in self._moments.T[::-1]:  # Horner in u from the highest order
-            acc = acc * u + m
-        out = -np.where(far, acc * u, 0.0).sum(axis=1)
-
-        # the cells of every near (target, sub-box) pair, from the CSR offsets
-        t, b = np.nonzero(~far)
-        start, count = self._offsets[b], self._offsets[b + 1] - self._offsets[b]
-        rows = np.repeat(t, count)
-        cols = np.arange(rows.size) + np.repeat(start - (np.cumsum(count) - count), count)
-        w0 = centers[cols] - z[rows]
+        cells = self._cells
+        out, rows, cols = cells.split(z, cells.far(z, sing_radius))
+        w0 = cells.points[cols] - z[rows]
         near = np.abs(w0) < sing_radius
-        terms = pa[cols] / np.where(near, 1.0, w0)
+        terms = cells.weights[cols] / np.where(near, 1.0, w0)
         cn = cols[near]
-        x, y = centers.real[cn], centers.imag[cn]
-        terms[near] = phi[cn] * rect_cauchy_integral(
+        x, y = cells.points.real[cn], cells.points.imag[cn]
+        terms[near] = self._phi[cn] * rect_cauchy_integral(
             x - hx / 2, x + hx / 2, y - hy / 2, y + hy / 2, z[rows[near]])
-        return out + (np.bincount(rows, terms.real, z.size)
-                      + 1j * np.bincount(rows, terms.imag, z.size))
+        return out + _sum_rows(rows, terms, z.size)
 
     def f(self, z) -> np.ndarray | complex:
         zz = np.atleast_1d(np.asarray(z, dtype=complex))

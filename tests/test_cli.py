@@ -659,7 +659,10 @@ def _readme_outcomes(directory):
 
 
 # captured at the parent of the change that retired the braid parser's own
-# token grammar; the dump is compared by its length and sha256
+# token grammar; the dump is compared by its length and sha256.  The
+# `conformal grid`, `dbar solve` and `dbar demo` lines and the dump were
+# captured again when the grid energy became a sum of squares and the smooth
+# dbar remainder became cluster sums (last digits only)
 _README_GOLDEN = {
     'fbt word linv "a1^2 a2^-3"': (
         0, ('{"l_minus": 3.9889840465642745, "l_plus": 4.564348191467836, '
@@ -709,8 +712,8 @@ _README_GOLDEN = {
         0, '{"kind": "round", "lambda": 9.064720283654388}\n',
         ''),
     'fbt conformal grid --kind round --r 1 --R 2 --h 0.005': (
-        0, ('{"h": 0.005, "iterations": 7, "lambda": 9.064709702573055, '
-            '"residual": 3.4117180816890035e-11}\n'),
+        0, ('{"h": 0.005, "iterations": 7, "lambda": 9.0647097025722, '
+            '"residual": 3.411718081319637e-11}\n'),
         ''),
     'fbt conformal torus-bounds --alpha 1 --sigma 0.1': (
         0, '{"e": 10.0, "e_prime": 10.0, "lambda3_upper": 120.0}\n',
@@ -722,14 +725,14 @@ _README_GOLDEN = {
         ''),
     'fbt dbar solve --eps 0.01': (
         0, ('{"alpha": 1.0, "budget": 0.636771112754504, "c1": 2.001337385716932, '
-            '"c2": 8.09040780162718, "fd_dbar_residual": 0.000483696421519198, '
-            '"off_support_residual": 2.659982699530347e-09, '
-            '"periodic_defect": 1.130121503276712e-17, "sigma": 0.001, '
+            '"c2": 8.09040780162718, "fd_dbar_residual": 0.00048369642151890895, '
+            '"off_support_residual": 2.6599826135878368e-09, '
+            '"periodic_defect": 1.1318364473395126e-17, "sigma": 0.001, '
             '"sup_f": 0.0017118050498352011}\n'),
         ''),
     'fbt dbar demo --sigma 0.01 --target "a1^2" --dump circle.csv': (
         0, ('{"alpha": 1.0, "clearance": 0.13075445656556817, '
-            '"dbar_residual": 0.00010700615949233713, "decoded": "a1^2", '
+            '"dbar_residual": 0.00010700615949255805, "decoded": "a1^2", '
             '"sigma": 0.01, "sup_f": 0.023786832434942045, "target": "a1^2"}\n'),
         ''),
     'fbt bounds thm1 --g 0 --m 1 --lambda4 0': (
@@ -750,7 +753,7 @@ _README_GOLDEN = {
             '1.0,0.05,36193.093279503475,2.888645834859E+15718\n'),
         ''),
 }
-_README_DUMP = (57641, 'f8073764c13a2bb9d84ee392d561955a0d0fcc30f624f8f79c3dbb0c24bf0f33')
+_README_DUMP = (57637, 'e0c6e829046bfa32df12e3b361c62bc74599a88c0e27788d20dc9e9d6bb2f27c')
 
 
 def test_readme_cli_golden(tmp_path):

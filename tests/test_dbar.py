@@ -507,8 +507,9 @@ def _f_targets(sol, alpha, cfg):
     s, d = cfg.sigma, cfg.delta
     cross = D.cross_grid(sol.params, cfg, along=48, across=3)
     xs = np.linspace(-0.3, 0.3, 13)
-    edges = np.unique(np.concatenate([sol._sub_centers.real + sol._sub_radii,
-                                      sol._sub_centers.real - sol._sub_radii]))
+    cells = sol._cells
+    edges = np.unique(np.concatenate([cells.centres.real + cells.radii,
+                                      cells.centres.real - cells.radii]))
     rng = np.random.default_rng(11)
     inside = (rng.choice((-1, 1), 64) * rng.uniform(d / 2, 1.5 * d, 64)
               + 1j * rng.uniform(-s / 2, s / 2, 64))
@@ -520,7 +521,7 @@ def _f_targets(sol, alpha, cfg):
         xs + 1j * (alpha / 2 - 1e-3), xs - 1j * (alpha / 2 - 1e-3),
         xs + 1j * alpha / 2, xs - 1j * alpha / 2,
         (edges[:, None] + 1j * np.array([-s / 2, 0.0, s / 4, s / 2])).ravel(),
-        sol._sub_centers, sol.quad.centers[::37], inside])
+        cells.centres, sol.quad.centers[::37], inside])
     keep = []
     for k, zk in enumerate(z):
         try:
@@ -562,6 +563,92 @@ def test_theta_kernel_regular_sum_matches_regular():
         want = ker.regular(nodes - z[:, None]) @ weights
         got = ker.regular_sum(nodes, weights)(z)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _ref_regular_sum(ker, nodes, weights, z):
+    """The former ThetaKernel.regular_sum evaluation, kept as the reference:
+    the (target, source) pair matrix of the two cot terms, cot v - 1/v from
+    its Taylor series where |v| < _SMALL_V, times the weights; the q-series
+    from the moments of the sources and the constants."""
+    n = np.arange(len(ker.coef), 0, -1)
+    big_e = np.exp(2j * math.pi * nodes)
+    a_n = ker.coef * (big_e ** n[:, None] @ weights)
+    b_n = ker.coef * ((1.0 / big_e) ** n[:, None] @ weights)
+
+    def series(e_z):
+        return (np.polyval(a_n, 1.0 / e_z) / e_z - np.polyval(b_n, e_z) * e_z) / 2j
+
+    z_nu = z + ker.nu - D._nearest_lattice_point(z + ker.nu, ker.alpha)
+    m = np.round((z + ker.nu).imag / ker.alpha)
+    e_z, e_nu = np.exp(2j * math.pi * z), np.exp(2j * math.pi * z_nu)
+    w = nodes - z[:, None]
+    e = big_e * (1.0 / e_z)[:, None]
+    r, c = np.nonzero(np.abs(w) < D._SMALL_V / math.pi)
+    w[r, c], e[r, c] = 1.0, 0.0
+    pair = 2j * math.pi * (1.0 / (e - 1.0)
+                           - 1.0 / (big_e * (1.0 / e_nu)[:, None] - 1.0)) - 1.0 / w
+    v = math.pi * (nodes[c] - z[r])
+    pair[r, c] = (math.pi * (v * np.polyval(D._COT_TAYLOR, v * v) - 1j)
+                  - 2j * math.pi / (big_e[c] / e_nu[r] - 1.0))
+    return (pair @ weights + math.pi * (series(e_z) - series(e_nu))
+            + (2.0 * ker.eta1 * ker.nu - 2j * math.pi * m) * weights.sum())
+
+
+def _unguarded(sol, z):
+    """The reduced targets among z that the nu-pole guard of f accepts."""
+    z = sol._reduce(z)
+    keep = []
+    for k, zk in enumerate(z):
+        try:
+            sol._check_nu_poles(np.array([zk]))
+            keep.append(k)
+        except ValidationError:
+            pass
+    return z[keep]
+
+
+@pytest.mark.parametrize("name", ["acceptance", "demo a1^2"])
+def test_regular_sum_matches_the_pair_matrix(name, acceptance_solution):
+    sol = acceptance_solution[0] if name == "acceptance" else _geometry(name)[0]
+    cfg = sol.cfg
+    nodes, weights = sol._proxies
+    hy = sol.quad.hy
+    # the four clusters in the xi plane and the E plane, and targets on both
+    # sides of their far test |y - x_b| = 3 r_b (the E rim shifted by -nu
+    # puts e_nu there); the nu-pole guard drops some of them
+    labels = D._sign_halves(nodes)
+    rim = np.exp(2j * math.pi * np.arange(16) / 16)
+    rims = []
+    for plane in (nodes, np.exp(2j * math.pi * nodes)):
+        cl = D._Clusters(plane, weights, labels, 4)
+        assert cl.offsets.tolist() == [0, 50, 100, 150, 200]
+        y = (cl.centres[:, None, None] + 3.0 * cl.radii[:, None, None]
+             * np.array([1 - 1e-9, 1 + 1e-9])[:, None] * rim).ravel()
+        rims.append(y if plane is nodes else np.log(y) / (2j * math.pi))
+    rng = np.random.default_rng(5)
+    close = nodes[rng.integers(0, 200, 200)] + (D._SMALL_V / math.pi * rng.uniform(0, 1.2, 200)
+                                                 * np.exp(2j * math.pi * rng.random(200)))
+    fd = D.fd_nodes(sol.quad, cfg)
+    z = _unguarded(sol, np.concatenate([
+        D.cross_grid(sol.params, cfg), fd + hy, fd - hy, fd + 1j * hy, fd - 1j * hy,
+        close, *rims, rims[1] - sol.params.nu_value]))
+    assert z.size > 2000
+    got = np.concatenate([sol._smooth(zc) for zc in np.array_split(z, z.size // 500)])
+    want = _ref_regular_sum(sol.kernel, nodes, weights, z)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_regular_sum_keeps_its_digits_at_the_largest_alpha():
+    # targets up to |Im z| = alpha/2 put e_z near e^(pi alpha), about 1e307
+    # at THETA_ALPHA_MAX: e_z S_E(e_z) must not pass through a subnormal
+    alpha = D.THETA_ALPHA_MAX
+    cfg = DbarConfig(eps=0.01, delta=0.1, quad_n=300)
+    sol = solve_dbar(quadrature_phi(demo_g(alpha, 1, 1, 0.2), cfg), KernelParams(alpha), cfg)
+    z = _unguarded(sol, np.concatenate([
+        D.cross_grid(sol.params, cfg), 0.3 + 1j * np.linspace(-alpha / 2, alpha / 2, 301)]))
+    got = np.concatenate([sol._smooth(zc) for zc in np.array_split(z, z.size // 500)])
+    want = _ref_regular_sum(sol.kernel, *sol._proxies, z)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_phi_zero_gives_f_zero():
