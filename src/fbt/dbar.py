@@ -390,13 +390,13 @@ class ThetaKernel:
             # would swap the factors (and the rounding) of a product with it
             # second, so a target's bits would depend on its chunk
             w = xi.points[c] - z[r]
-            e = e_plane.points[c] / e_z[r]
+            e = e_plane.points[c] * (1.0 / e_z)[r]
             small = np.abs(w) < _SMALL_V / math.pi
             v = math.pi * w[small]
             w[small], e[small] = 1.0, 0.0  # replaced below
             pair = 2j * math.pi / (e - 1.0) - 1.0 / w
             pair[small] = math.pi * (np.polyval(_COT_TAYLOR, v * v) * v - 1j)
-            pair_nu = 2j * math.pi / (e_plane.points[c_nu] / e_nu[r_nu] - 1.0)
+            pair_nu = 2j * math.pi / (e_plane.points[c_nu] * (1.0 / e_nu)[r_nu] - 1.0)
             direct = _sum_rows(np.concatenate([r, r_nu]),
                                np.concatenate([xi.weights[c] * pair,
                                                -e_plane.weights[c_nu] * pair_nu]), z.size)
