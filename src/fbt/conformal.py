@@ -40,18 +40,16 @@ last row and last column the domain continues as its mirror image.  The
 potential is then symmetric too, so the edges across a seam carry no
 current and the energy is 2 or 4 times that of the part (Bossavit, CMAME
 56, 1986).  A domain built by hand is solved as given.  The matrix is
-symmetric positive definite; it is solved by conjugate gradients to a
-`1e-10` relative residual, preconditioned by a plain-aggregation
-multigrid V-cycle (2x2 lattice aggregates, Galerkin coarse matrices,
-damped Jacobi smoothing, SuperLU on the coarsest level), whose iteration
-count grows only slowly as h shrinks: 1, 7 and 6 for annulus(1, 2) at
-h = 1/40, 1/80 and 1/160, whose quadrants have 3,771, 15,086 and 60,311
-unknowns.  The minimal energy is the extremal length of the curves
-separating the marked sets, the reciprocal of that of the curves joining
-them.  Only the grid code needs scipy (`scipy.sparse` and
-`scipy.sparse.linalg`, to solve a domain), and it imports it where it is
-used: a process that never builds a grid (the closed forms, the torus
-bounds) does not load it.
+symmetric positive definite, a 5-point stencil on the inside nodes; it is
+solved by conjugate gradients to a `1e-10` relative residual,
+preconditioned by a plain-aggregation multigrid V-cycle (2x2 lattice
+aggregates, Galerkin coarse operators, two damped Jacobi sweeps before and
+after each coarse correction, a dense Cholesky inverse on a coarsest level
+of at most 150 nodes), whose iteration count does not grow as h shrinks:
+7, 6 and 5 for annulus(1, 2) at h = 1/40, 1/80 and 1/160, whose quadrants
+have 3,771, 15,086 and 60,311 unknowns.  The minimal energy is the
+extremal length of the curves separating the marked sets, the reciprocal
+of that of the curves joining them.  The solver needs numpy alone.
 """
 
 from __future__ import annotations
@@ -287,33 +285,40 @@ def _energy(dom: GridDomain, u: np.ndarray, g_a: np.ndarray, g_b: np.ndarray) ->
         across @ across + down @ down + g_a @ (u - 1.0) ** 2 + g_b @ u ** 2)
 
 
-def _cg(a, rhs: np.ndarray, x0: np.ndarray | None,
+def _cg(a: _Stencil, rhs: np.ndarray, x0: np.ndarray | None,
         inside: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Multigrid-preconditioned conjugate gradients on the CSR matrix a from
-    x0.  The hierarchy is built when CG first applies the preconditioner: CG
-    tests the start residual first, so a seed that already meets _RTOL
+    """Multigrid-preconditioned conjugate gradients (Hestenes and Stiefel
+    1952) on a from x0 (zero when None), until the residual is below _RTOL
+    of rhs.  That test comes before each preconditioner application, and the
+    hierarchy is built on its first use, so a seed that already meets _RTOL
     builds none."""
-    import scipy.sparse.linalg as spla
-
-    count = [0]
-    mg: list[_Multigrid] = []
-
-    def cb(_):
-        count[0] += 1
-
-    def vcycle(r):
-        if not mg:
-            mg.append(_Multigrid(a, inside))
-        return mg[0].vcycle(r)
-
-    precond = spla.LinearOperator(a.shape, matvec=vcycle, dtype=float)
-    x, info = spla.cg(a, rhs, x0=x0, rtol=_RTOL, atol=0.0, maxiter=_MAX_ITER,
-                      M=precond, callback=cb)
+    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
+    r = rhs - a @ x if x.any() else rhs.copy()
+    tol = _RTOL * np.linalg.norm(rhs)
+    mg = p = rho_prev = None
+    for iterations in range(_MAX_ITER + 1):
+        norm = np.linalg.norm(r)
+        if not norm >= tol or iterations == _MAX_ITER:  # met, or not a number
+            break
+        if mg is None:
+            mg = _Multigrid(a, inside)
+        z = mg.vcycle(r)
+        rho = r @ z
+        if p is None:
+            p = z
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = a @ p
+        step = rho / (p @ q)
+        x += step * p
+        r -= step * q
+        rho_prev = rho
     res = float(np.linalg.norm(rhs - a @ x) / np.linalg.norm(rhs))
-    if info != 0 or not np.isfinite(res) or res > 10 * _RTOL:
+    if not norm < tol or not np.isfinite(res) or res > 10 * _RTOL:
         raise NumericalError(
             f"conjugate gradients failed to converge: residual {res:.3e}")
-    return x, count[0], res
+    return x, iterations, res
 
 
 def _shift(a: np.ndarray, dy: int, dx: int, fill) -> np.ndarray:
@@ -325,28 +330,101 @@ def _shift(a: np.ndarray, dy: int, dx: int, fill) -> np.ndarray:
     return out
 
 
-def _assemble(dom: GridDomain) -> tuple:
-    """CSR matrix A and the per-node boundary conductances g_a and g_b to
-    the two families, over the inside nodes (row-major order), of the
+def _neighbours(inside: np.ndarray) -> np.ndarray:
+    """For each direction of _DIRECTIONS, the index of each inside node's
+    neighbour among the n inside nodes (row-major), n where it has none."""
+    n = int(inside.sum())
+    idx = np.full(inside.shape, n, dtype=np.intp)
+    idx[inside] = np.arange(n)
+    return np.stack([_shift(idx, dy, dx, n)[inside] for dy, dx in _DIRECTIONS])
+
+
+class _Stencil:
+    """A symmetric 5-point operator on the n inside nodes of a lattice mask
+    (row-major): (A x)_i = diag_i x_i + sum_k weights[k, i] x[nbrs[k, i]]
+    over the directions k of _DIRECTIONS, where nbrs[k, i] = n and
+    weights[k, i] = 0 when node i has no neighbour in direction k.  weights
+    None stands for -1 on every edge, the unit conductances of the fine
+    level; the product then sums each row in the order below, left, self,
+    right, above, the order of the row of a CSR matrix, and gives its bits.
+
+    A direction whose neighbours all sit one step away in row-major order
+    (left and right always, below and above on whole rows) reads them as a
+    shifted slice of x; the others gather them from a copy of x whose pad
+    slot n holds 0.
+    """
+
+    def __init__(self, diag: np.ndarray, nbrs: np.ndarray, weights: np.ndarray | None = None):
+        n = len(diag)
+        self.diag, self.nbrs, self.weights = diag, nbrs, weights
+        self._padded = np.zeros(n + 1)
+        self._steps = []  # per direction: (step, the nodes without a neighbour), or None
+        for nb in nbrs:
+            has = np.flatnonzero(nb < n)
+            step = nb[has] - has
+            self._steps.append((int(step[0]), np.flatnonzero(nb == n))
+                               if has.size and (step == step[0]).all() else None)
+
+    def _neighbours(self, k: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = x at each node's neighbour in direction k, 0 where it has none."""
+        if self._steps[k] is None:
+            return np.take(self._padded, self.nbrs[k], mode="clip", out=out)
+        step, missing = self._steps[k]
+        if step > 0:
+            out[:-step] = x[step:]
+        else:
+            out[-step:] = x[:step]
+        out[missing] = 0.0  # the first or last |step| nodes among them
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        self._padded[:-1] = x
+        y, t = np.empty_like(x), np.empty_like(x)
+        if self.weights is None:
+            np.subtract(0.0, self._neighbours(0, x, y), out=y)
+            y -= self._neighbours(1, x, t)
+            y += np.multiply(self.diag, x, out=t)
+            y -= self._neighbours(2, x, t)
+            y -= self._neighbours(3, x, t)
+            return y
+        np.multiply(self.diag, x, out=y)
+        for k, w in enumerate(self.weights):
+            t = self._neighbours(k, x, t)
+            t *= w
+            y += t
+        return y
+
+    def edge_weights(self) -> np.ndarray:
+        """weights, with the -1 and 0 that None stands for filled in."""
+        if self.weights is None:
+            return np.where(self.nbrs < len(self.diag), -1.0, 0.0)
+        return self.weights
+
+    def dense(self) -> np.ndarray:
+        n = len(self.diag)
+        m = np.zeros((n, n + 1))  # a last column for the pad slot
+        rows = np.arange(n)
+        m[rows, rows] = self.diag
+        for nb, w in zip(self.nbrs, self.edge_weights()):
+            m[rows, nb] = w
+        return m[:, :n]
+
+
+def _assemble(dom: GridDomain) -> tuple[_Stencil, np.ndarray, np.ndarray]:
+    """The 5-point operator A and the per-node boundary conductances g_a and
+    g_b to the two families, over the inside nodes (row-major order), of the
     discrete Dirichlet energy E(u) = u.Au - 2 g_a.u + sum g_a (see _energy).
 
     Interior edges have unit conductance, and the edge from a node to a
     marked cell has conductance 1/theta (see GridDomain).
     """
-    import scipy.sparse as sp
-
     inside = dom.inside
-    n = int(inside.sum())
-    idx = np.full(inside.shape, -1, dtype=np.int32)
-    idx[inside] = np.arange(n, dtype=np.int32)
-    # row i of A: neighbours below, left, the node itself, right, above
-    cols = np.empty((n, 5), dtype=np.int32)
-    cols[:, 2] = np.arange(n, dtype=np.int32)
+    nbrs = _neighbours(inside)
+    n = nbrs.shape[1]
     diag = np.zeros(n)
     g_a, g_b = np.zeros(n), np.zeros(n)
-    for k, (dy, dx), theta in zip((0, 1, 3, 4), _DIRECTIONS, dom.theta):
-        nb = cols[:, k] = _shift(idx, dy, dx, -1)[inside]
-        diag += nb >= 0
+    for nb, (dy, dx), theta in zip(nbrs, _DIRECTIONS, dom.theta):
+        diag += nb < n
         to_a = _shift(dom.marked_a, dy, dx, False)[inside]
         edge = to_a | _shift(dom.marked_b, dy, dx, False)[inside]
         g = 1.0 / theta
@@ -355,15 +433,10 @@ def _assemble(dom: GridDomain) -> tuple:
         g_b[edge] += np.where(to_a[edge], 0.0, g)
     if (diag <= 0).any():
         raise ValidationError("grid has isolated nodes")
-    keep = cols >= 0
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    data = np.full(int(indptr[-1]), -1.0)
-    data[indptr[:-1] + keep[:, 0] + keep[:, 1]] = diag
-    return sp.csr_matrix((data, cols[keep], indptr), shape=(n, n)), g_a, g_b
+    return _Stencil(diag, nbrs), g_a, g_b
 
 
-_COARSE_NODES = 4000  # the coarsest level is factorized directly
+_COARSE_NODES = 150   # the coarsest level is factorized densely
 _OMEGA = 0.8          # damped Jacobi weight; 4/5 smooths the 5-point Laplacian best
 _ALPHA = 1.7          # coarse correction scale, kept below 2 (see _Multigrid)
 
@@ -377,9 +450,25 @@ def _aggregate(inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     padded[:ny, :nx] = inside
     coarse = padded.reshape(padded.shape[0] // 2, 2,
                             padded.shape[1] // 2, 2).any(axis=(1, 3))
-    cidx = np.full(coarse.shape, -1, dtype=np.int32)
-    cidx[coarse] = np.arange(int(coarse.sum()), dtype=np.int32)
+    cidx = np.full(coarse.shape, -1, dtype=np.intp)
+    cidx[coarse] = np.arange(int(coarse.sum()))
     return coarse, cidx.repeat(2, axis=0).repeat(2, axis=1)[:ny, :nx][inside]
+
+
+def _galerkin(a: _Stencil, agg: np.ndarray, nbrs: np.ndarray) -> _Stencil:
+    """P^T A P for the piecewise-constant prolongation P of the aggregates
+    agg, on the coarse lattice whose neighbours are nbrs: a 5-point operator
+    again, since an edge that leaves a 2x2 block enters the next block in
+    its direction.  A coarse node's diagonal sums its nodes' diagonals and
+    the edges inside its block, each twice; its edge in a direction sums
+    the edges that leave the block in that direction."""
+    nc = nbrs.shape[1]
+    fine = a.edge_weights()
+    within = np.append(agg, -1)[a.nbrs] == agg  # the pad slot is no block
+    diag = np.bincount(agg, weights=a.diag + (fine * within).sum(axis=0), minlength=nc)
+    weights = np.stack([np.bincount(agg, weights=np.where(w_in, 0.0, w), minlength=nc)
+                        for w, w_in in zip(fine, within)])
+    return _Stencil(diag, nbrs, weights)
 
 
 class _Multigrid:
@@ -387,53 +476,55 @@ class _Multigrid:
 
     Each level groups the nodes of the level above in 2x2 lattice blocks
     (Vanek, Mandel and Brezina 1996); the prolongation P is piecewise
-    constant and the coarse matrix is the Galerkin product P^T A P, again a
-    5-point matrix.  With piecewise-constant P that product weighs twice the
-    coarse lattice's own Laplacian, so the coarse correction is scaled up by
-    _ALPHA; at 2 the two-grid correction would no longer contract every
-    error component.  A level smooths with one damped Jacobi sweep before
-    and one after its coarse correction, which keeps the cycle symmetric;
-    the coarsest level is factorized by SuperLU.  The Galerkin matrices are
-    symmetric positive definite (the domain is connected and borders a
-    marked cell, and P has full column rank), so that factor takes its
-    pivots on the diagonal, in the fill-reducing minimum-degree order of
-    A^T + A (SymmetricMode).  Nothing is random, so
-    repeated solves agree to the bit.  `_cg` builds the hierarchy on first
-    use, so a solve seeded at its solution skips the aggregation, the
-    Galerkin products and the factorization.  It is built for the part of
-    the domain that a builder keeps: a quadrant of at most _COARSE_NODES
-    unknowns (annulus(1, 2) at h = 1/40) has no V-cycle level, and SuperLU
-    solves it in one iteration.
+    constant and the coarse operator is the Galerkin product P^T A P, again
+    a 5-point operator (_galerkin).  With piecewise-constant P that product
+    weighs twice the coarse lattice's own Laplacian, so the coarse
+    correction is scaled up by _ALPHA; at 2 the two-grid correction would
+    no longer contract every error component.  A level smooths with two
+    damped Jacobi sweeps before its coarse correction and two after it,
+    which keeps the cycle symmetric.  The coarsest level, of at most
+    _COARSE_NODES nodes, is symmetric positive definite (the domain is
+    connected and borders a marked cell, and P has full column rank): it is
+    inverted once through its Cholesky factor, and each cycle multiplies by
+    that inverse.  Nothing is random, so repeated solves agree to the bit.
+    `_cg` builds the hierarchy on first use, so a solve seeded at its
+    solution skips the aggregation, the Galerkin products and the
+    factorization.
     """
 
-    def __init__(self, a, inside: np.ndarray):
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        self.levels: list[tuple[sp.csr_matrix, np.ndarray, np.ndarray]] = []
-        while a.shape[0] > _COARSE_NODES:
+    def __init__(self, a: _Stencil, inside: np.ndarray):
+        self.levels: list[tuple[_Stencil, np.ndarray, np.ndarray]] = []
+        while len(a.diag) > _COARSE_NODES:
             inside, agg = _aggregate(inside)
-            nc = int(inside.sum())
-            rows = np.repeat(agg, np.diff(a.indptr))
-            coarse = sp.csr_matrix((a.data, (rows, agg[a.indices])), shape=(nc, nc))
-            self.levels.append((a, _OMEGA / a.diagonal(), agg))
-            a = coarse
+            self.levels.append((a, _OMEGA / a.diag, agg))
+            a = _galerkin(a, agg, _neighbours(inside))
         try:
-            self.coarse = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        except RuntimeError as exc:
+            inv_l = np.linalg.inv(np.linalg.cholesky(a.dense()))
+        except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"multigrid coarse factorization failed: {exc}") from None
+        self.coarse = inv_l.T @ inv_l
 
     def vcycle(self, r: np.ndarray, level: int = 0) -> np.ndarray:
         if level == len(self.levels):
-            return self.coarse.solve(r)
+            return self.coarse @ r
         a, dinv, agg = self.levels[level]
         x = dinv * r
+        self._smooth(a, dinv, r, x)
         xc = self.vcycle(np.bincount(agg, weights=r - a @ x), level + 1)
-        x += _ALPHA * np.take(xc, agg)
-        x += dinv * (r - a @ x)
+        xc *= _ALPHA
+        x += np.take(xc, agg)
+        self._smooth(a, dinv, r, x)
+        self._smooth(a, dinv, r, x)
         return x
+
+    @staticmethod
+    def _smooth(a: _Stencil, dinv: np.ndarray, r: np.ndarray, x: np.ndarray) -> None:
+        """One damped Jacobi sweep on A x = r, in place."""
+        t = a @ x
+        np.subtract(r, t, out=t)
+        t *= dinv
+        x += t
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +537,9 @@ class _Multigrid:
 _THETA_MIN = 1e-3
 
 #: most lattice cells of a grid domain, counted on the whole lattice: a
-#: solve of a domain built whole peaks at about 190 bytes a cell (498 MB
+#: solve of a domain built whole peaks at about 167 bytes a cell (430 MB
 #: peak RSS for annulus(1, 4, h = 1/200), 1604^2 cells), annulus_grid's
-#: quadrant at about 66 (170 MB for the same annulus)
+#: quadrant at about 48 (124 MB for the same annulus)
 GRID_CELLS_MAX = 3_000_000
 
 

@@ -805,14 +805,17 @@ def solve_diagnostics(sol: DbarSolution, g, g_zero: complex) -> SolveDiagnostics
     off_res = _off_support_residual(sol.f, cross_grid(params, cfg, 120, 3), cfg)
 
     grid = cross_grid(params, cfg)
-    sup_f = float(np.abs(sol.f(grid)).max())
+    f_grid = sol.f(grid)
+    sup_f = float(np.abs(f_grid).max())
 
     # the torus gluing shifts each lath along its own direction
-    vert = grid[np.abs(grid.real) <= cfg.sigma / 2][::5]
-    horiz = grid[np.abs(grid.imag) <= cfg.sigma / 2][::5]
+    in_vert = np.abs(grid.real) <= cfg.sigma / 2
+    in_horiz = np.abs(grid.imag) <= cfg.sigma / 2
+    vert, f_vert = grid[in_vert][::5], f_grid[in_vert][::5]
+    horiz, f_horiz = grid[in_horiz][::5], f_grid[in_horiz][::5]
     defect = max(
-        float(np.abs(sol.f(horiz + 1.0) - sol.f(horiz)).max()),
-        float(np.abs(sol.f(vert + 1j * params.alpha) - sol.f(vert)).max()))
+        float(np.abs(sol.f(horiz + 1.0) - f_horiz).max()),
+        float(np.abs(sol.f(vert + 1j * params.alpha) - f_vert).max()))
 
     c1 = _c1_estimate(g, params, cfg)
     return SolveDiagnostics(sup_f, sup_f_budget(c1, c2, cfg.eps, cfg.delta),

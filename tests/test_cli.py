@@ -667,7 +667,10 @@ def _readme_outcomes(directory):
 # of step sigma/8, and g - f at about 1 on the circle), so any summation of
 # the smooth remainder other than the former dense matrix-vector product
 # moves them: summed in extended precision, dbar_residual reads
-# 0.0001070061594923382 and 36 of the 1,025 dump rows change.
+# 0.0001070061594923382 and 36 of the 1,025 dump rows change.  The `conformal grid` line was captured again when the grid
+# solver's multigrid went to numpy alone (two Jacobi sweeps a side, a dense
+# coarsest level): 7 -> 5 iterations, lambda 9.0647097025722 ->
+# 9.064709702572209, residual 3.41e-11 -> 8.23e-11.
 _README_GOLDEN = {
     'fbt word linv "a1^2 a2^-3"': (
         0, ('{"l_minus": 3.9889840465642745, "l_plus": 4.564348191467836, '
@@ -717,8 +720,8 @@ _README_GOLDEN = {
         0, '{"kind": "round", "lambda": 9.064720283654388}\n',
         ''),
     'fbt conformal grid --kind round --r 1 --R 2 --h 0.005': (
-        0, ('{"h": 0.005, "iterations": 7, "lambda": 9.0647097025722, '
-            '"residual": 3.411718081319637e-11}\n'),
+        0, ('{"h": 0.005, "iterations": 5, "lambda": 9.064709702572209, '
+            '"residual": 8.229991777636891e-11}\n'),
         ''),
     'fbt conformal torus-bounds --alpha 1 --sigma 0.1': (
         0, '{"e": 10.0, "e_prime": 10.0, "lambda3_upper": 120.0}\n',

@@ -160,6 +160,21 @@ def test_strip_grid_unseeded_solve_is_exact(dom, exact):
     assert rep.lam == pytest.approx(exact, rel=1e-9)
 
 
+@pytest.mark.parametrize("dom,exact", [
+    (cylinder_grid(1.0, 1.0, 1 / 250), 1.0),
+    (rectangle_grid(1.7, 1.0, 1 / 100, marked="horizontal"), 1.7),
+    (rectangle_grid(1.7, 1.0, 1 / 100, marked="vertical"), 1 / 1.7),
+], ids=["cylinder-250", "rect-h-100", "rect-v-100"])
+def test_benchmark_strips_solve_unseeded(dom, exact):
+    # the benchmark's strips start at their exact seeds and take no
+    # iteration; from zero the V-cycle must carry them, the largest (31,250
+    # unknowns) in at most 15 iterations
+    rep = grid_extremal_length(dataclasses.replace(dom, x_guess=None))
+    assert rep.lam == pytest.approx(exact, rel=1e-9)
+    assert 0 < rep.iterations <= 15
+    assert rep.residual <= 1e-10
+
+
 @pytest.mark.parametrize("family", ["separating", "joining"])
 @pytest.mark.parametrize("kind,params,h,marking", [
     ("round", (1.0, 2.0), 1 / 50, {}),
@@ -190,10 +205,12 @@ def test_solver_deterministic():
 
 
 def test_coarse_factorization_failure_is_numerical_error(monkeypatch):
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+    import numpy as np
 
-    monkeypatch.setattr("scipy.sparse.linalg.splu", singular)
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr("numpy.linalg.cholesky", singular)
     with pytest.raises(NumericalError, match="coarse factorization"):
         grid_extremal_length(annulus_grid(1.0, 2.0, 1 / 20))
 
@@ -217,7 +234,7 @@ def test_multigrid_built_on_first_preconditioner_use(multigrids):
     rep = grid_extremal_length(rectangle_grid(1.0, 2.0, 1 / 40))
     assert rep.iterations == 0 and not multigrids
     # the quadrant of annulus(1, 2, 1/80) has 15,086 unknowns, so its
-    # hierarchy keeps a V-cycle level above the SuperLU one
+    # hierarchy keeps a V-cycle level above the dense one
     rep = grid_extremal_length(annulus_grid(1.0, 2.0, 1 / 80))
     assert rep.iterations > 0 and len(multigrids) == 1
     assert len(multigrids[0].levels) >= 1
@@ -229,7 +246,7 @@ def test_multigrid_levels_on_an_unfolded_domain(multigrids):
     assert dom.mirrored == (False, False)
     rep = grid_extremal_length(dom)
     assert rep.iterations > 0 and len(multigrids[0].levels) >= 2
-    assert multigrids[0].levels[0][0].shape[0] == int(dom.inside.sum())
+    assert len(multigrids[0].levels[0][0].diag) == int(dom.inside.sum())
     assert (rep.lam, rep.iterations, rep.residual) == _whole_lattice(dom)
 
 
@@ -328,6 +345,111 @@ def test_connected_large_random_mask_is_fast():
 # the 1/theta boundary edges
 
 
+def _ref_csr_assemble(dom):
+    """The CSR assembly that the 5-point operator replaced: the reference
+    whose matrix-vector product the fine level must reproduce bit for bit."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    inside = dom.inside
+    n = int(inside.sum())
+    idx = np.full(inside.shape, -1, dtype=np.int32)
+    idx[inside] = np.arange(n, dtype=np.int32)
+    # row i of A: neighbours below, left, the node itself, right, above
+    cols = np.empty((n, 5), dtype=np.int32)
+    cols[:, 2] = np.arange(n, dtype=np.int32)
+    diag = np.zeros(n)
+    g_a, g_b = np.zeros(n), np.zeros(n)
+    for k, (dy, dx), theta in zip((0, 1, 3, 4), Cf._DIRECTIONS, dom.theta):
+        nb = cols[:, k] = Cf._shift(idx, dy, dx, -1)[inside]
+        diag += nb >= 0
+        to_a = Cf._shift(dom.marked_a, dy, dx, False)[inside]
+        edge = to_a | Cf._shift(dom.marked_b, dy, dx, False)[inside]
+        g = 1.0 / theta
+        diag[edge] += g
+        g_a[edge] += np.where(to_a[edge], g, 0.0)
+        g_b[edge] += np.where(to_a[edge], 0.0, g)
+    keep = cols >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    data = np.full(int(indptr[-1]), -1.0)
+    data[indptr[:-1] + keep[:, 0] + keep[:, 1]] = diag
+    return sp.csr_matrix((data, cols[keep], indptr), shape=(n, n)), g_a, g_b
+
+
+def _csr(op):
+    """The CSR matrix of a 5-point operator, each row in the order below,
+    left, self, right, above, with int32 indices as the assembly had them."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    n = len(op.diag)
+    cols = np.empty((n, 5), dtype=np.int32)
+    data = np.empty((n, 5))
+    cols[:, 2], data[:, 2] = np.arange(n), op.diag
+    for k, nb, w in zip((0, 1, 3, 4), op.nbrs, op.edge_weights()):
+        cols[:, k], data[:, k] = np.where(nb < n, nb, -1), w
+    keep = cols >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(n, n))
+
+
+def _product_domains():
+    """The benchmark ladder, the README domain and the strips, then the
+    seeded draws of _random_masks."""
+    doms = [annulus_grid(1.0, 2.0, h) for h in (1 / 40, 1 / 80, 1 / 160, 0.005)]
+    doms += [cylinder_grid(1.0, 1.0, 1 / 250), rectangle_grid(1.7, 1.0, 1 / 100),
+             rectangle_grid(1.7, 1.0, 1 / 100, marked="vertical")]
+    for seed in range(40):
+        masks = _random_masks(8 + seed % 22, 29 - seed % 22, [20261020, seed])
+        if masks is not None:
+            doms.append(_masked_domain(*masks))
+    return doms
+
+
+def test_fine_product_matches_the_csr_product_bit_for_bit():
+    import numpy as np
+
+    for dom in _product_domains():
+        a, g_a, g_b = Cf._assemble(dom)
+        ref, ref_a, ref_b = _ref_csr_assemble(dom)
+        assert g_a.tobytes() == ref_a.tobytes() and g_b.tobytes() == ref_b.tobytes()
+        rng = np.random.default_rng(len(g_a))
+        for x in (rng.standard_normal(len(g_a)), g_a, np.zeros(len(g_a)), -g_b):
+            assert (a @ x).tobytes() == (ref @ x).tobytes()
+
+
+def test_galerkin_levels_equal_the_triple_product():
+    # each level's operator against P^T A P with the level above's CSR
+    # matrix: the off-diagonals exactly, the diagonal to 1e-15 relative
+    import numpy as np
+    import scipy.sparse as sp
+
+    checked = 0
+    for dom in _product_domains():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Cf, "_COARSE_NODES", 40)
+            a, _, _ = Cf._assemble(dom)
+            mg = Cf._Multigrid(a, dom.inside)
+        ops = [level[0] for level in mg.levels]
+        for (fine, _, agg), coarse in zip(mg.levels, ops[1:] + [None]):
+            p = sp.csr_matrix((np.ones(len(agg)), (np.arange(len(agg)), agg)))
+            want = (p.T @ _csr(fine) @ p).tocsr()
+            if coarse is None:  # the dense level, through its Cholesky inverse
+                got = np.linalg.inv(mg.coarse)
+                assert len(got) <= 40
+                assert np.allclose(got, want.toarray(), rtol=0, atol=1e-12 * abs(want).max())
+                continue
+            got = _csr(coarse)
+            off = (got - want).tolil()
+            off.setdiag(0)
+            assert off.count_nonzero() == 0
+            assert np.allclose(got.diagonal(), want.diagonal(), rtol=1e-15, atol=0)
+            checked += 1
+    assert checked > 40
+
+
 def _staircase_assemble(dom):
     """The assembly with a conductance-2 half edge to every marked cell:
     the reference that theta = 1/2 must reproduce bit for bit."""
@@ -368,10 +490,10 @@ def test_strips_assemble_as_the_staircase(dom):
     import numpy as np
 
     a, g_a, g_b = Cf._assemble(dom)
-    ref, ref_a, ref_b = _staircase_assemble(dom)
-    for got, want in ((a.data, ref.data), (a.indices, ref.indices),
-                      (a.indptr, ref.indptr), (g_a, ref_a), (g_b, ref_b)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    got, ref, ref_a, ref_b = _csr(a), *_staircase_assemble(dom)
+    for got, want in ((got.data, ref.data), (got.indices, ref.indices),
+                      (got.indptr, ref.indptr), (g_a, ref_a), (g_b, ref_b)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _mp_theta(p, q, rho):

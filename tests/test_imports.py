@@ -1,10 +1,10 @@
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -71,94 +71,56 @@ def test_shared_error_message_check_sees_one(tmp_path):
     assert found == ["'x must be 1': a.py, b.py"]
 
 
-def _module_level_scipy_imports(path: Path) -> list[str]:
-    """Imports of scipy that run when the module is imported: those outside
-    every function body."""
+def _scipy_imports(path: Path) -> list[str]:
+    """Every import of scipy in a module, at module level or in a body."""
     found = []
-    stack = list(ast.parse(path.read_text(), str(path)).body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             names = [node.module or ""]
         else:
-            stack.extend(ast.iter_child_nodes(node))
             continue
         found += [f"{path.name}:{node.lineno}: {n}" for n in names
                   if n.split(".")[0] == "scipy"]
     return found
 
 
-def test_no_module_level_scipy_import():
-    # only the grid solver needs scipy; it imports it where it is used
-    found = [u for path in sorted((SRC / "fbt").glob("*.py"))
-             for u in _module_level_scipy_imports(path)]
+def test_no_scipy_import_in_fbt():
+    # fbt needs numpy alone; scipy serves only the tests' oracles
+    found = [u for path in sorted((SRC / "fbt").glob("*.py")) for u in _scipy_imports(path)]
     assert found == []
 
 
-def test_module_level_scipy_check_sees_them(tmp_path):
+def test_scipy_import_check_sees_them(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import numpy\nif True:\n    import scipy.sparse as sp\n"
                      "class A:\n    from scipy import linalg\n"
                      "def f():\n    import scipy.ndimage\n")
-    assert sorted(_module_level_scipy_imports(probe)) == [
-        "probe.py:3: scipy.sparse", "probe.py:5: scipy"]
+    assert sorted(_scipy_imports(probe)) == [
+        "probe.py:3: scipy.sparse", "probe.py:5: scipy", "probe.py:7: scipy.ndimage"]
 
 
-def _loads_scipy(code: str, module: str = "scipy") -> bool:
-    """Whether `module` (scipy by default) is in sys.modules after running
-    `code` in a fresh interpreter."""
-    code += f"\nimport sys\nsys.stderr.write(repr({module!r} in sys.modules))\n"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+# runs the README commands through main in one interpreter, then prints the
+# scipy modules it has loaded
+_RUNNER = """\
+import contextlib, io, json, shlex, sys
+from fbt.cli import main
+for command in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(shlex.split(command)[1:]) == 0, command
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_readme_commands_do_not_load_scipy(tmp_path):
+    from test_cli import _readme_cli_commands, _write_readme_inputs
+
+    _write_readme_inputs(tmp_path)
+    commands = _readme_cli_commands()
+    assert any(c.startswith("fbt conformal grid") for c in commands)
+    res = subprocess.run([sys.executable, "-c", _RUNNER, json.dumps(commands)],
+                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    assert res.stderr in ("True", "False"), res.stderr
-    return res.stderr == "True"
-
-
-def _cli(*argv: str) -> str:
-    return f"from fbt.cli import main\nassert main({list(argv)!r}) == 0"
-
-
-def test_word_command_does_not_load_scipy():
-    assert not _loads_scipy(_cli("word", "linv", "a1"))
-
-
-def test_importing_the_modules_does_not_load_scipy():
-    assert not _loads_scipy("import fbt.conformal, fbt.dbar, fbt.config3, fbt.braid, "
-                            "fbt.words, fbt.bounds")
-
-
-@pytest.mark.parametrize("argv", [
-    ("conformal", "lambda", "--kind", "round", "--r", "1", "--R", "2"),
-    ("conformal", "torus-bounds", "--alpha", "1", "--sigma", "0.1"),
-    ("dbar", "kernel", "--alpha", "1", "--N", "60", "--re", "0.2", "--im", "0.3"),
-    ("config3", "in-h", "--points=-1,0,0,0,1,0"),
-    ("bounds", "thm1", "--g", "0", "--m", "1", "--lambda4", "0"),
-], ids=lambda argv: " ".join(argv[:2]))
-def test_closed_form_commands_do_not_load_scipy(argv):
-    assert not _loads_scipy(_cli(*argv))
-
-
-def test_building_a_grid_does_not_load_scipy():
-    assert not _loads_scipy("import fbt.conformal as C\n"
-                            "C.annulus_grid(1.0, 2.0, 0.1)\nC.cylinder_grid(1.0, 1.0, 0.1)")
-
-
-def test_grid_command_loads_scipy():
-    assert _loads_scipy(_cli("conformal", "grid", "--kind", "rectangle", "--a", "1",
-                             "--b", "1", "--h", "0.25", "--family", "separating"))
-
-
-@pytest.mark.parametrize("argv", [
-    ("--kind", "rectangle", "--a", "1", "--b", "1", "--h", "0.25"),
-    ("--kind", "round", "--r", "1", "--R", "2", "--h", "0.1"),
-], ids=lambda argv: argv[1])
-def test_grid_command_does_not_load_scipy_ndimage(argv):
-    # the domain's connectivity is checked with numpy alone
-    code = _cli("conformal", "grid", *argv)
-    assert _loads_scipy(code, "scipy.sparse.linalg")
-    assert not _loads_scipy(code, "scipy.ndimage")
+    assert json.loads(res.stdout) == []
