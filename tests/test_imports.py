@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -124,3 +125,59 @@ def test_readme_commands_do_not_load_scipy(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout) == []
+
+
+def _loads_scipy(code: str) -> bool:
+    """Whether any scipy module is in sys.modules after running `code` in a
+    fresh interpreter."""
+    code += ("\nimport sys\n"
+             "sys.stderr.write(repr(any(m.split('.')[0] == 'scipy' for m in sys.modules)))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr in ("True", "False"), res.stderr
+    return res.stderr == "True"
+
+
+def _cli(*argv: str) -> str:
+    return f"from fbt.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+def test_loads_scipy_check_sees_it():
+    assert _loads_scipy("import scipy.linalg")
+
+
+def test_word_command_does_not_load_scipy():
+    assert not _loads_scipy(_cli("word", "linv", "a1"))
+
+
+def test_importing_the_modules_does_not_load_scipy():
+    assert not _loads_scipy("import fbt.conformal, fbt.dbar, fbt.config3, fbt.braid, "
+                            "fbt.words, fbt.bounds")
+
+
+@pytest.mark.parametrize("argv", [
+    ("conformal", "lambda", "--kind", "round", "--r", "1", "--R", "2"),
+    ("conformal", "torus-bounds", "--alpha", "1", "--sigma", "0.1"),
+    ("dbar", "kernel", "--alpha", "1", "--N", "60", "--re", "0.2", "--im", "0.3"),
+    ("config3", "in-h", "--points=-1,0,0,0,1,0"),
+    ("bounds", "thm1", "--g", "0", "--m", "1", "--lambda4", "0"),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_closed_form_commands_do_not_load_scipy(argv):
+    assert not _loads_scipy(_cli(*argv))
+
+
+def test_building_a_grid_does_not_load_scipy():
+    assert not _loads_scipy("import fbt.conformal as C\n"
+                            "C.annulus_grid(1.0, 2.0, 0.1)\nC.cylinder_grid(1.0, 1.0, 0.1)")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kind", "rectangle", "--a", "1", "--b", "1", "--h", "0.25", "--family", "separating"),
+    ("--kind", "rectangle", "--a", "1", "--b", "1", "--h", "0.25"),
+    ("--kind", "round", "--r", "1", "--R", "2", "--h", "0.1"),
+], ids=["rectangle-separating", "rectangle", "round"])
+def test_grid_command_does_not_load_scipy(argv):
+    # the operator, the coarse factor and the CG loop are numpy alone, and so
+    # is the domain's connectivity check
+    assert not _loads_scipy(_cli("conformal", "grid", *argv))
