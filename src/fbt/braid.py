@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from .bounds import LogNumber
 from .errors import ValidationError, check_nonnegative
 from .words import (
-    ENUM_BUDGET_CAP,
     FreeWord,
     IDENTITY,
     enumerate_words,
@@ -434,12 +433,11 @@ def theta_preimages(w: FreeWord) -> list[BraidWord]:
     return [expand(nf) for nf in _preimage_forms(w)]
 
 
-def census(budget: float, cap: float = ENUM_BUDGET_CAP) -> list[BraidWord]:
+def census(budget: float) -> list[BraidWord]:
     """All elements b of B3 mod center with L-(theta(b)) <= budget, sorted
     by normal form; each is written down from the normal forms of the
     theta-preimages of an enumerated word."""
-    forms = [nf for w in enumerate_words(budget, cap=cap)
-             for nf in _preimage_forms(w)]
+    forms = [nf for w in enumerate_words(budget) for nf in _preimage_forms(w)]
     forms.sort(key=BraidNormalForm.sort_key)
     return [expand(nf) for nf in forms]
 

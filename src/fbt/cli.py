@@ -96,7 +96,7 @@ def _cmd_word(args) -> int:
                "canonical": W.format_word(W.cyclic_canonical(w)),
                "primitive": None if w.is_identity else W.is_primitive(w)})
     else:  # enum
-        ws = W.enumerate_words(args.budget, cap=args.cap)
+        ws = W.enumerate_words(args.budget)
         if args.table:
             _emit_csv(["budget", "count"], [[args.budget, len(ws)]])
         else:
@@ -132,13 +132,13 @@ def _cmd_braid(args) -> int:
     if args.table:
         rows = []
         for y in budgets:
-            elems = B.census(y, cap=args.cap)
+            elems = B.census(y)
             rows.append([y, len(elems), B.braid_count_bound(y).ln])
         _emit_csv(["budget", "count", "ln_bound"], rows)
     else:
         out = []
         for y in budgets:
-            elems = B.census(y, cap=args.cap)
+            elems = B.census(y)
             out.append({"budget": y, "count": len(elems),
                         "elements": [B.format_braid(e) for e in elems]})
         _emit({"census": out})
@@ -327,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     it writes usage and errors to sys.stdout / sys.stderr as they are when
     it runs."""
     from .bounds import THEOREMS
-    from .words import ENUM_BUDGET_CAP
 
     p = argparse.ArgumentParser(prog="fbt")
     sub = p.add_subparsers(dest="command", required=True)
@@ -339,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("word")
     q = wsub.add_parser("enum")
     q.add_argument("--budget", type=float, required=True)
-    q.add_argument("--cap", type=float, default=ENUM_BUDGET_CAP)
     q.add_argument("--table", action="store_true")
 
     b = sub.add_parser("braid")
@@ -349,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("braid")
     q = bsub.add_parser("census")
     q.add_argument("--budgets", required=True)
-    q.add_argument("--cap", type=float, default=ENUM_BUDGET_CAP)
     q.add_argument("--table", action="store_true")
 
     c = sub.add_parser("config3")

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -710,6 +711,9 @@ def solve_dbar(quad: QuadratureData, params: KernelParams,
     outside = np.maximum(np.abs(np.abs(c.real) - d) - d / 2, np.abs(c.imag) - cfg.sigma / 2)
     if (outside > 1e-12).any():
         raise ValidationError("phi support must lie inside the two blending boxes")
+    if quad.hx * quad.hy < sys.float_info.min:
+        # every weight phi hx hy, and so f, would be subnormal or 0
+        raise ValidationError("quadrature cell area underflows: delta too small for --quad")
     min_h = min(quad.hx, quad.hy)
     if min_h > cfg.sigma / 2:
         raise NumericalError(

@@ -174,6 +174,8 @@ def test_validation_exit_code(capsys):
     ("dbar", "solve", "--eps", "0.01", "--rho", "nan"),
     ("dbar", "solve", "--eps", "0.01", "--winding", "1000000"),
     ("dbar", "solve", "--delta", "0.2", "--eps", "0.95", "--quad", "128"),
+    # the cell area (3 delta / n)(delta / n) underflows, so every weight is 0
+    ("dbar", "solve", "--eps", "0.01", "--delta", "1e-300"),
     ("dbar", "demo", "--alpha", "inf", "--sigma", "0.01", "--target", "a1"),
     # a winding or an exponent beyond the float range, and alpha = 0 in the
     # demo (it divided by alpha before checking it)
@@ -193,16 +195,15 @@ def _argv_id(argv):
 
 @pytest.mark.parametrize("argv", [
     ("word", "enum", "--budget", "nan"),
-    ("word", "enum", "--budget", "5", "--cap", "nan"),
     ("braid", "census", "--budgets", "nan"),
     ("braid", "census", "--budgets", "4.0,nan"),
     ("braid", "nf", "s1^1000000 s2^-3"),
     ("braid", "nf", "s2^35976124383057076 s1^-21"),  # refused without peeling 1e6 terms
-    ("word", "enum", "--budget", "1", "--cap", "inf"),
-    ("word", "enum", "--budget", "800", "--cap", "inf"),
-    ("braid", "census", "--budgets", "800", "--cap", "1e308"),
-    # e^budget is finite and its padding e^budget (1 + 1e-12) is not
-    ("word", "enum", "--budget", "709.782712893384", "--cap", "800"),
+    ("word", "enum", "--budget", "800"),
+    ("braid", "census", "--budgets", "800"),
+    # above ENUM_BUDGET_CAP, so refused before its padding e^budget (1 + 1e-12)
+    # could overflow
+    ("word", "enum", "--budget", "709.782712893384"),
     ("braid", "census", "--budgets", "abc"),
     ("word", "linv", "a1^" + "9" * 4001),
     ("braid", "nf", "s1^" + "9" * 4001),
@@ -879,13 +880,12 @@ _COMMANDS = [
 def _argv(draw, commands=_COMMANDS):
     command, op = draw(st.sampled_from(commands))
     table = ["--table"] if draw(st.booleans()) else []
-    cap = draw(_flags(cap=st.floats(4.5, 10.0).map(repr)))
     topology = draw(_flags(_WILD_INT, g=st.integers(0, 4).map(str), m=st.integers(0, 4).map(str)))
     if op == "enum":
-        return ["word", "enum", *draw(_flags(st.none(), budget=_BUDGET)), *cap, *table]
+        return ["word", "enum", *draw(_flags(st.none(), budget=_BUDGET)), *table]
     if op == "census":
         budgets = ",".join(draw(st.lists(_BUDGET, max_size=3)))
-        return ["braid", "census", f"--budgets={budgets}", *cap, *table]
+        return ["braid", "census", f"--budgets={budgets}", *table]
     if command == "word":
         return ["word", op, draw(_word_text(["a1", "a2"]))]
     if command == "braid":

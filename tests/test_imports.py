@@ -37,6 +37,40 @@ def test_unused_import_check_sees_one(tmp_path):
     assert _unused_imports(probe) == ["probe.py:2: sep"]
 
 
+def _unused_constants(paths) -> list[str]:
+    """Module-level UPPER_CASE names assigned in one of the modules and read
+    (as a name or an attribute) in none of them."""
+    assigned, read = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned += [(path.name, node.lineno, n.id) for t in targets
+                             for n in ast.walk(t) if isinstance(n, ast.Name) and n.id.isupper()]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{name}:{line}: {const}" for name, line, const in assigned if const not in read]
+
+
+def test_no_unused_module_constants():
+    assert _unused_constants(sorted((SRC / "fbt").glob("*.py"))) == []
+
+
+def test_unused_constant_check_sees_one(tmp_path):
+    # read in its own module, through another module's attribute, or not at
+    # all; a lower-case name and a name read only in a function do not count
+    (tmp_path / "a.py").write_text(
+        "LIMIT = 3\nWIDTH: int = 4\nSPARE, _HIDDEN = 5, 6\nlower = 7\n"
+        "def f():\n    LOCAL = 8\n    return LIMIT\n")
+    (tmp_path / "b.py").write_text("import a\nprint(a.WIDTH)\n")
+    found = _unused_constants(sorted(tmp_path.glob("*.py")))
+    assert found == ["a.py:3: SPARE", "a.py:3: _HIDDEN"]
+
+
 def _shared_error_messages(paths) -> list[str]:
     """Plain-literal ValidationError / NumericalError messages raised from
     more than one module: a rule written twice, which should be one function

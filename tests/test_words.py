@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fbt import words as W
+from fbt.braid import census
 from fbt.errors import ValidationError
 from fbt.words import (
+    ENUM_BUDGET_CAP,
     FreeWord,
     IDENTITY,
     MonodromyTuple,
@@ -285,10 +287,11 @@ def test_counter_pins_and_the_word_bound(budget, count):
     assert math.log(count) <= word_count_bound(budget).ln
 
 
-@pytest.mark.parametrize("budget", [LOG3, 2.0, 4.2, 5.0])
+@pytest.mark.parametrize("budget", [LOG3, 2.0, 4.2, 5.0, ENUM_BUDGET_CAP])
 def test_enumeration_matches_reference(budget):
-    got = enumerate_words(budget, cap=5.0)
+    got = enumerate_words(budget)
     assert got == _ref_enumerate_words(budget)
+    assert len(got) == W.count_words_by_patterns(budget)
     assert all(type(w) is FreeWord for w in got)
 
 
@@ -319,8 +322,16 @@ def test_enumeration_deterministic_and_capped():
     b = [format_word(w) for w in enumerate_words(LOG9)]
     assert a == b
     with pytest.raises(ValidationError, match="budget exceeded"):
-        enumerate_words(5.0)
-    assert len(enumerate_words(5.0, cap=5.0)) > 0
+        enumerate_words(ENUM_BUDGET_CAP + 1e-9)
+
+
+@pytest.mark.parametrize("fn", [enumerate_words, census], ids=["enumerate", "census"])
+def test_budget_above_the_cap_is_refused(fn):
+    budget = ENUM_BUDGET_CAP + 1e-9
+    message = (f"enumeration budget exceeded: {budget} is above "
+               f"ENUM_BUDGET_CAP = {ENUM_BUDGET_CAP}")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        fn(budget)
 
 
 def test_budget_functions_refuse_non_finite():
@@ -338,8 +349,7 @@ _OVERFLOW_WINDOW = math.log(sys.float_info.max)
 
 
 @pytest.mark.parametrize("budget", [_OVERFLOW_WINDOW, 710.0, 1e300])
-@pytest.mark.parametrize("fn", [lambda y: enumerate_words(y, cap=1e308),
-                                W.count_words_by_patterns], ids=["enumerate", "count"])
+@pytest.mark.parametrize("fn", [W.count_words_by_patterns], ids=["count"])
 def test_budget_functions_refuse_overflowing_budgets(fn, budget):
     assert math.isfinite(math.exp(_OVERFLOW_WINDOW))
     assert math.isinf(math.exp(_OVERFLOW_WINDOW) * (1 + 1e-12))
