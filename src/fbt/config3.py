@@ -44,7 +44,8 @@ from .words import FreeWord, _merge_syllables, reduce as reduce_word
 
 CLEARANCE = 1e-9
 IN_H_TOL = 1e-9
-CLOSE_TOL = 1e-12
+CLOSE_TOL = 1e-12  # plane loops, and the base points two loops share
+CONFIG_CLOSE_TOL = 1e-9  # configuration loops, per point of the triple
 _RETRIES = 8  # generic projection angles tried by decode_braid
 
 
@@ -232,9 +233,10 @@ def _configurations(rows: np.ndarray) -> np.ndarray:
 
 
 def _config_gap(a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff two configurations differ by more than 1e-9 in some point,
-    compared in Python complex arithmetic (an overflowing difference is inf)."""
-    return any(abs(x - y) > 1e-9 for x, y in zip(a.tolist(), b.tolist()))
+    """True iff two configurations differ by more than CONFIG_CLOSE_TOL in
+    some point, compared in Python complex arithmetic (an overflowing
+    difference is inf)."""
+    return any(abs(x - y) > CONFIG_CLOSE_TOL for x, y in zip(a.tolist(), b.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

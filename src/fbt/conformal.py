@@ -191,6 +191,8 @@ class GridDomain:
             raise ValidationError("marked families must be nonempty")
         if (self.marked_a & self.marked_b).any():
             raise ValidationError("marked families must be disjoint")
+        if ((self.marked_a | self.marked_b) & self.inside).any():
+            raise ValidationError("marked cells must lie outside the domain mask")
         # boundary edges to each family, per direction; their sums are the
         # theta lengths, since the families are disjoint
         edges = [[int(np.count_nonzero(_shift(m, dy, dx, False) & self.inside))
@@ -671,10 +673,16 @@ KINDS = {
 
 
 def spec_from_json(data: dict) -> AnnulusSpec:
+    """The spec of a JSON domain file, whose parameters are JSON numbers: a
+    string, a boolean or any other value is refused, not converted."""
     try:
         kind, p = data["kind"], data["params"]
         # an unknown kind is refused by the spec
-        params = tuple(float(p[n]) for n in KINDS[kind].params) if kind in KINDS else ()
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a huge integer
+        names = KINDS[kind].params if kind in KINDS else ()
+        for n in names:
+            if type(p[n]) not in (int, float):  # bool is a subclass of int
+                raise TypeError(f"parameter {n} is not a JSON number")
+        params = tuple(float(p[n]) for n in names)
+    except (KeyError, TypeError, OverflowError) as exc:  # a huge integer
         raise ValidationError(f"bad domain file: {exc}") from None
     return AnnulusSpec(kind, params)

@@ -13,11 +13,9 @@ The correction uses the doubly periodic kernels
   wp_nu(z) = 1/z - 1/(z-nu) + sum' [ 1/(z-u) - 1/(z-u-nu) + nu/u^2 ],
 
 with u running over the lattice Z + i alpha Z minus the origin and
-nu = (1 + i alpha)/2.  `wp` and `wp_nu` truncate the sums to the box
-|n|,|m| <= N, with documented tails O(1/N) for wp_nu and O(1/N^2) for wp
-on compact pole-free sets.  They sum one point at a time, O((2N+1)^2)
-terms whatever the number of points; the solver uses the exact q-series
-form of wp_nu (`ThetaKernel`).  The solution
+nu = (1 + i alpha)/2.  `wp` and `wp_nu` truncate the sums to a box
+(`_truncated_sum`); the solver uses the exact q-series form of wp_nu
+(`ThetaKernel`).  The solution
 
   f(z) = -(1/pi) * int_{Q_eps} phi(zeta) wp_nu(zeta - z) dm(zeta)
 
@@ -41,7 +39,6 @@ chi0(0) = 0, chi0(1) = 1 and |chi0'| <= 3/2.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -77,13 +74,6 @@ def _nearest_lattice_point(z, alpha: float):
     return np.round(np.real(z)) + 1j * alpha * np.round(np.imag(z) / alpha)
 
 
-def _lattice(params: KernelParams) -> np.ndarray:
-    n = params.trunc
-    ns, ms = np.meshgrid(np.arange(-n, n + 1), np.arange(-n, n + 1))
-    u = ns.ravel() + 1j * params.alpha * ms.ravel()
-    return u[np.abs(u) > 0.5]
-
-
 def _check_poles(params: KernelParams, z: np.ndarray, with_nu: bool) -> None:
     """Refuse points within 1e-6 of a box pole u (and u + nu when with_nu),
     |n|, |m| <= N: poles lie 1 apart, so only the nearest can be that close."""
@@ -102,70 +92,74 @@ def _check_poles(params: KernelParams, z: np.ndarray, with_nu: bool) -> None:
                 f"{complex(u[k] + shift)}")
 
 
-@contextlib.contextmanager
-def _raising(name: str):
-    """Turn floating-point overflow or invalid results in the truncated
-    lattice sums into a NumericalError."""
+def _unbox(out: np.ndarray, t):
+    """The scalar rule of every dbar point function: out for an array
+    argument t, and for a scalar t the single entry of out (of shape () or
+    (1,)) as a Python number."""
+    return out if np.ndim(t) else out.item()
+
+
+def _truncated_sum(name: str, with_nu: bool, params: KernelParams, z, row, closing):
+    """The truncated kernel `name` at the points z: closing(zz, s), where s
+    sums over the box |n|, |m| <= N of lattice points u = n + i alpha m != 0,
+    m outer and n inner, the terms row(u)(w, spare) at each point z.  These
+    work in place in two preallocated rows, w = z - u and a spare, so one
+    point costs O((2N+1)^2) and the temporaries hold two rows; the values
+    are the same bits as one broadcast sum over all points.  The tails are
+    O(1/N^2) for wp and O(1/N) for wp_nu on compact pole-free sets
+    (`wp_tail_bound`, `wp_nu_tail_bound`).  Points within 1e-6 of a box pole
+    are refused; overflow or an invalid result is a NumericalError."""
+    zz = np.asarray(z, dtype=complex)
+    if zz.size == 0:
+        return np.empty(zz.shape, dtype=complex)
+    _check_poles(params, zz, with_nu)
+    k = np.arange(-params.trunc, params.trunc + 1)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            yield
+            u = (k + 1j * params.alpha * k[:, None]).ravel()
+            u = u[np.abs(u) > 0.5]
+            terms, w, spare = row(u), np.empty_like(u), np.empty_like(u)
+            s = np.empty(zz.size, dtype=complex)
+            for i, zi in enumerate(zz.ravel()):
+                np.subtract(zi, u, out=w)
+                s[i] = terms(w, spare).sum()
+            out = closing(zz, s.reshape(zz.shape))
     except FloatingPointError as exc:
         raise NumericalError(f"truncated {name} sum is not representable: {exc}") from None
-
-
-def _row_sums(zz: np.ndarray, u: np.ndarray, terms) -> np.ndarray:
-    """terms(w, spare).sum() for w = z - u at each point z of zz, one point
-    at a time: terms works in place in the two preallocated rows w and
-    spare, so the temporaries hold two rows whatever the number of points."""
-    flat = zz.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    w, spare = np.empty_like(u), np.empty_like(u)
-    for k, z in enumerate(flat):
-        np.subtract(z, u, out=w)
-        out[k] = terms(w, spare).sum()
-    return out.reshape(zz.shape)
+    return _unbox(out, z)
 
 
 def wp(params: KernelParams, z) -> np.ndarray | complex:
     """Truncated lattice sum for the double-pole kernel."""
-    zz = np.asarray(z, dtype=complex)
-    if zz.size == 0:
-        return np.empty(zz.shape, dtype=complex)
-    _check_poles(params, zz, with_nu=False)
-
-    def terms(w, _):  # 1/w^2 - 1/u^2
-        np.square(w, out=w)
-        np.divide(1.0, w, out=w)
-        return np.subtract(w, inv_u2, out=w)
-
-    with _raising("wp"):
-        u = _lattice(params)
+    def row(u):
         inv_u2 = 1.0 / u ** 2
-        out = 1.0 / zz ** 2 + _row_sums(zz, u, terms)
-    return out if out.shape else complex(out)
+
+        def terms(w, _):  # 1/w^2 - 1/u^2
+            np.square(w, out=w)
+            np.divide(1.0, w, out=w)
+            return np.subtract(w, inv_u2, out=w)
+        return terms
+
+    return _truncated_sum("wp", False, params, z, row, lambda zz, s: 1.0 / zz ** 2 + s)
 
 
 def wp_nu(params: KernelParams, z) -> np.ndarray | complex:
     """Truncated lattice sum for the simple-pole kernel."""
-    zz = np.asarray(z, dtype=complex)
-    if zz.size == 0:
-        return np.empty(zz.shape, dtype=complex)
-    _check_poles(params, zz, with_nu=True)
     nu = params.nu_value
 
-    def terms(w, w_nu):  # 1/w - 1/(w - nu) + nu/u^2
-        np.subtract(w, nu, out=w_nu)
-        np.divide(1.0, w, out=w)
-        np.divide(1.0, w_nu, out=w_nu)
-        np.subtract(w, w_nu, out=w)
-        return np.add(w, nu_u2, out=w)
-
-    with _raising("wp_nu"):
-        u = _lattice(params)
+    def row(u):
         nu_u2 = nu / u ** 2
-        out = _row_sums(zz, u, terms)
-        out = out + 1.0 / zz - 1.0 / (zz - nu)
-    return out if out.shape else complex(out)
+
+        def terms(w, w_nu):  # 1/w - 1/(w - nu) + nu/u^2
+            np.subtract(w, nu, out=w_nu)
+            np.divide(1.0, w, out=w)
+            np.divide(1.0, w_nu, out=w_nu)
+            np.subtract(w, w_nu, out=w)
+            return np.add(w, nu_u2, out=w)
+        return terms
+
+    return _truncated_sum("wp_nu", True, params, z, row,
+                          lambda zz, s: s + 1.0 / zz - 1.0 / (zz - nu))
 
 
 def wp_tail_bound(params: KernelParams, wmax: float) -> float:
@@ -410,12 +404,6 @@ class ThetaKernel:
 
 # ---------------------------------------------------------------------------
 # cutoff
-
-
-def _unbox(out: np.ndarray, t):
-    """out for an array argument t, its one entry as a float for a scalar t
-    (which is evaluated as a 1-element array, so both round alike)."""
-    return out if np.ndim(t) else float(out[0])
 
 
 def _fold(t) -> tuple[np.ndarray, np.ndarray]:
@@ -702,7 +690,7 @@ class DbarSolution:
             zc = flat[lo:lo + _TARGET_CHUNK]
             out[lo:lo + _TARGET_CHUNK] = -(self._cauchy_sum(zc) + self._smooth(zc)) / math.pi
         out = out.reshape(zz.shape)
-        return out if out.shape != (1,) or np.ndim(z) else complex(out[0])
+        return _unbox(out, z)
 
 
 def solve_dbar(quad: QuadratureData, params: KernelParams,

@@ -583,6 +583,25 @@ def _square(n=90):
     return 1 / n, inside, marked_a
 
 
+def test_grid_domain_refuses_marked_cells_inside_its_mask():
+    # a 4 x 6 block marked on its two ends; also marking its last inside
+    # column solved to lambda = 5.12 instead of 2/3
+    import numpy as np
+
+    inside = np.zeros((6, 8), dtype=bool)
+    inside[1:5, 1:7] = True
+    marked_a, marked_b = np.zeros_like(inside), np.zeros_like(inside)
+    marked_a[1:5, 0] = True
+    marked_b[1:5, 7] = True
+    assert grid_extremal_length(Cf.GridDomain(0.25, inside, marked_a, marked_b)).lam == \
+        pytest.approx(2 / 3, rel=1e-12)
+    for overlap in (marked_a, marked_b):
+        overlap[1:5, 6] = True
+        with pytest.raises(ValidationError, match="outside the domain mask"):
+            Cf.GridDomain(0.25, inside, marked_a, marked_b)
+        overlap[1:5, 6] = False
+
+
 @pytest.mark.parametrize("corner", [(0, 0), (0, -1), (-1, -1)])
 def test_grid_domain_refuses_a_family_that_borders_no_inside_node(corner):
     # a corner cell has no inside neighbour: solved, it gave lambda <= 0

@@ -165,10 +165,19 @@ def test_pole_proximity_error():
         wp_nu(p, p.nu_value + 1e-8)
 
 
+def _box_lattice(params):
+    """The lattice points n + i alpha m != 0 with |n|, |m| <= N, m outer and
+    n inner: the order the truncated sums add their terms in."""
+    n = params.trunc
+    ns, ms = np.meshgrid(np.arange(-n, n + 1), np.arange(-n, n + 1))
+    u = ns.ravel() + 1j * params.alpha * ms.ravel()
+    return u[u != 0]
+
+
 def _all_poles_scan(params, z, with_nu):
     """The nearest box pole of the truncated sum to z and its distance, by
     measuring z against every pole (the former guard, kept as the oracle)."""
-    lat = np.concatenate([D._lattice(params), [0.0]])
+    lat = np.concatenate([_box_lattice(params), [0.0]])
     poles = np.concatenate([lat, lat + params.nu_value]) if with_nu else lat
     k = int(np.argmin(np.abs(poles - z)))
     return complex(poles[k]), float(abs(poles[k] - z))
@@ -204,7 +213,7 @@ def _broadcast_wp(params, z):
     """The truncated wp sum broadcast over all points at once (the former
     evaluator, kept as the reference)."""
     zz = np.asarray(z, dtype=complex)
-    u = D._lattice(params)
+    u = _box_lattice(params)
     w = zz[..., None] - u
     out = 1.0 / zz ** 2 + (1.0 / w ** 2 - 1.0 / u ** 2).sum(axis=-1)
     return out if out.shape else complex(out)
@@ -214,7 +223,7 @@ def _broadcast_wp_nu(params, z):
     """The truncated wp_nu sum broadcast over all points at once (the
     former evaluator, kept as the reference)."""
     zz = np.asarray(z, dtype=complex)
-    u = D._lattice(params)
+    u = _box_lattice(params)
     nu = params.nu_value
     w = zz[..., None]
     out = (1.0 / (w - u) - 1.0 / (w - u - nu) + nu / u ** 2).sum(axis=-1)
@@ -706,6 +715,28 @@ def test_off_support_holomorphy(acceptance_solution):
 def test_periodicity_defect(acceptance_solution):
     _, diag = acceptance_solution
     assert diag.periodic_defect < 1e-3
+
+
+@pytest.mark.parametrize("name", ["wp", "wp_nu", "f", "chi0", "chi0_prime", "chi",
+                                  "chi_prime"])
+def test_point_functions_return_a_number_for_a_scalar_only(acceptance_solution, name):
+    sol, _ = acceptance_solution
+    fn, x, number = {
+        "wp": (lambda z: wp(sol.params, z), 0.2 + 0.3j, complex),
+        "wp_nu": (lambda z: wp_nu(sol.params, z), 0.2 + 0.3j, complex),
+        "f": (sol.f, 0.1 + 0.01j, complex),
+        "chi0": (chi0, 0.3, float),
+        "chi0_prime": (chi0_prime, 0.3, float),
+        "chi": (lambda t: chi(0.1, t), 0.1, float),
+        "chi_prime": (lambda t: chi_prime(0.1, t), 0.1, float),
+    }[name]
+    value = fn(x)
+    assert type(value) is number
+    assert type(fn(np.asarray(x))) is number and fn(np.asarray(x)) == value
+    for arg, shape in (([x], (1,)), (np.full((2, 3), x), (2, 3))):
+        got = fn(arg)
+        assert type(got) is np.ndarray and got.shape == shape
+        assert got.dtype == np.dtype(number) and (got == value).all()
 
 
 def test_sup_f_within_budget(acceptance_solution):

@@ -71,6 +71,45 @@ def test_unused_constant_check_sees_one(tmp_path):
     assert found == ["a.py:3: SPARE", "a.py:3: _HIDDEN"]
 
 
+def _private_definitions(paths) -> tuple[list[tuple[str, int, str]], list[str]]:
+    """The module-level `def _x` and `class _X` of the modules, and those
+    that none of the modules references: by name, as an attribute or as an
+    imported name."""
+    defined, used = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        defined += [(path.name, node.lineno, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return defined, [f"{name}:{line}: {d}" for name, line, d in defined if d not in used]
+
+
+def test_no_unused_private_definitions():
+    defined, unused = _private_definitions(sorted((SRC / "fbt").glob("*.py")))
+    assert unused == []
+    assert defined
+
+
+def test_unused_private_definition_check_sees_one(tmp_path):
+    # used by name, as a decorator, through an import or an attribute; a
+    # nested or public definition and a method do not count
+    (tmp_path / "a.py").write_text(
+        "def _called(): pass\ndef _deco(f): return f\n@_deco\ndef _spare(): pass\n"
+        "class _Gone: pass\ndef _imported(): pass\ndef _attr(): pass\n"
+        "def public():\n    def _inner(): pass\n    return _called()\n"
+        "class Box:\n    def _method(self): pass\n")
+    (tmp_path / "b.py").write_text("from a import _imported\nimport a\nprint(a._attr, _imported)\n")
+    _, unused = _private_definitions(sorted(tmp_path.glob("*.py")))
+    assert unused == ["a.py:4: _spare", "a.py:5: _Gone"]
+
+
 def _shared_error_messages(paths) -> list[str]:
     """Plain-literal ValidationError / NumericalError messages raised from
     more than one module: a rule written twice, which should be one function
