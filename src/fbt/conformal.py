@@ -674,7 +674,8 @@ KINDS = {
 
 def spec_from_json(data: dict) -> AnnulusSpec:
     """The spec of a JSON domain file, whose parameters are JSON numbers: a
-    string, a boolean or any other value is refused, not converted."""
+    string, a boolean or any other value is refused, not converted.  Keys
+    other than `kind`, `params` and the kind's parameter names are refused."""
     try:
         kind, p = data["kind"], data["params"]
         # an unknown kind is refused by the spec
@@ -682,6 +683,10 @@ def spec_from_json(data: dict) -> AnnulusSpec:
         for n in names:
             if type(p[n]) not in (int, float):  # bool is a subclass of int
                 raise TypeError(f"parameter {n} is not a JSON number")
+        unknown = [k for k in data if k not in ("kind", "params")]
+        unknown += [k for k in p if k not in names] if names else []
+        if unknown:
+            raise TypeError(f"unknown key {unknown[0]}")
         params = tuple(float(p[n]) for n in names)
     except (KeyError, TypeError, OverflowError) as exc:  # a huge integer
         raise ValidationError(f"bad domain file: {exc}") from None

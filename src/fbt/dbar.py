@@ -218,7 +218,11 @@ class _Clusters:
     r_b = max |x_j - x_b| and its moments M_{b,k} = sum_{j in b} W_j (x_j - x_b)^k,
     k <= _MULTIPOLE_P.  A target y is far from a cluster beyond
     |y - x_b| > 3 r_b + pad; there the cluster's share of S(y) is
-    -sum_k M_{b,k}/(y - x_b)^{k+1}.
+    -sum_k M_{b,k}/(y - x_b)^{k+1}.  The Laurent sum runs Horner on
+    (cluster, target) arrays, so each step is one in-place pass along the
+    targets, and copies the terms to (target, cluster) order for the
+    per-target sum, so that numpy adds each target's row in its pairwise
+    order and the bits do not depend on the layout.
     """
 
     def __init__(self, points: np.ndarray, weights: np.ndarray, labels: np.ndarray,
@@ -233,34 +237,44 @@ class _Clusters:
                                 for x in np.split(self.points, self.offsets[1:-1])])
         self.centres = centres
         d = self.points - centres[labels]
-        self.radii = np.zeros(count)
-        np.maximum.at(self.radii, labels, np.abs(d))
-        self.moments = np.zeros((count, _MULTIPOLE_P + 1), dtype=complex)
-        np.add.at(self.moments, labels,
-                  self.weights[:, None] * np.vander(d, _MULTIPOLE_P + 1, increasing=True))
+        terms = self.weights[:, None] * np.vander(d, _MULTIPOLE_P + 1, increasing=True)
+        spans = list(zip(self.offsets[:-1], self.offsets[1:]))
+        self.radii = np.array([np.abs(d[lo:hi]).max(initial=0.0) for lo, hi in spans])
+        # each cluster's rows added one after another from 0: a reduction
+        # along the outer axis is sequential, not pairwise
+        self.moments = np.array([np.add.reduce(terms[lo:hi], axis=0, initial=0)
+                                 for lo, hi in spans])
 
     def far(self, y: np.ndarray, pad: float = 0.0) -> np.ndarray:
         """The (target, cluster) mask |y - x_b| > 3 r_b + pad."""
         return np.abs(y[:, None] - self.centres) > 3.0 * self.radii + pad
 
-    def split(self, y: np.ndarray, far: np.ndarray, scale: np.ndarray | None = None):
-        """(laurent, rows, cols): scale(y) S_b(y) summed from the moments over
-        the far clusters b of each target, and the (target, point) pairs of
-        the other clusters.  The scale enters after Horner: for |e| near
-        1e307, e S_E(e) is about M_0 while S_E(e) alone would be subnormal."""
-        w = y[:, None] - self.centres
-        u = 1.0 / np.where(far, w, 1.0)
+    def laurent(self, y: np.ndarray, far: np.ndarray, scale: np.ndarray | None = None):
+        """scale(y) S_b(y) summed from the moments over the far clusters b of
+        each target.  The scale enters after Horner: for |e| near 1e307,
+        e S_E(e) is about M_0 while S_E(e) alone would be subnormal."""
+        u = y - self.centres[:, None]
+        u[~far.T] = 1.0
+        np.divide(1.0, u, out=u)
         acc = np.zeros_like(u)
-        for m in self.moments.T[::-1]:  # Horner in u from the highest order
-            acc = acc * u + m
-        last = u if scale is None else u * scale[:, None]
-        laurent = -np.where(far, acc * last, 0.0).sum(axis=1)
-        # the points of every near (target, cluster) pair, from the CSR offsets
+        for k in range(_MULTIPOLE_P, -1, -1):  # Horner in u from the highest order
+            acc *= u
+            acc += self.moments[:, k:k + 1]
+        if scale is not None:
+            u *= scale
+        acc *= u
+        terms = np.ascontiguousarray(acc.T)
+        terms[~far] = 0.0
+        return -terms.sum(axis=1)
+
+    def near_pairs(self, far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols): the (target, point) pairs of the clusters that are
+        not far from each target, from the CSR offsets."""
         t, b = np.nonzero(~far)
         start, count = self.offsets[b], self.offsets[b + 1] - self.offsets[b]
         rows = np.repeat(t, count)
         cols = np.arange(rows.size) + np.repeat(start - (np.cumsum(count) - count), count)
-        return laurent, rows, cols
+        return rows, cols
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +390,10 @@ class ThetaKernel:
             z_nu = z + self.nu - _nearest_lattice_point(z + self.nu, self.alpha)
             m = np.round((z + self.nu).imag / self.alpha)
             e_z, e_nu = np.exp(2j * math.pi * z), np.exp(2j * math.pi * z_nu)
-            far = xi.far(z) & e_plane.far(e_z)
-            s_xi, r, c = xi.split(z, far)
-            s_e = e_plane.split(e_z, far, e_z)[0]
-            s_nu, r_nu, c_nu = e_plane.split(e_nu, e_plane.far(e_nu), e_nu)
+            far, far_nu = xi.far(z) & e_plane.far(e_z), e_plane.far(e_nu)
+            s_xi, s_e = xi.laurent(z, far), e_plane.laurent(e_z, far, e_z)
+            s_nu = e_plane.laurent(e_nu, far_nu, e_nu)
+            (r, c), (r_nu, c_nu) = xi.near_pairs(far), e_plane.near_pairs(far_nu)
             # the pairs summed directly; each complex product has its temporary
             # operand first: numpy reuses a large temporary in place, which
             # would swap the factors (and the rounding) of a product with it
@@ -671,7 +685,8 @@ class DbarSolution:
         hx, hy = self.quad.hx, self.quad.hy
         sing_radius = 2.5 * max(hx, hy)
         cells = self._cells
-        out, rows, cols = cells.split(z, cells.far(z, sing_radius))
+        far = cells.far(z, sing_radius)
+        out, (rows, cols) = cells.laurent(z, far), cells.near_pairs(far)
         w0 = cells.points[cols] - z[rows]
         near = np.abs(w0) < sing_radius
         terms = cells.weights[cols] / np.where(near, 1.0, w0)
@@ -753,20 +768,40 @@ class SolveDiagnostics:
     periodic_defect: float
 
 
-def fd_dbar(fn, z: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference dbar of fn at z from fn at z +- step, z +- i step."""
-    gx = (fn(z + step) - fn(z - step)) / (2 * step)
-    gy = (fn(z + 1j * step) - fn(z - 1j * step)) / (2 * step)
+def _stencil(z: np.ndarray, step: float) -> np.ndarray:
+    """The nodes z + step, z - step, z + i step, z - i step of the
+    central-difference dbar at z, concatenated."""
+    return np.concatenate([z + step, z - step, z + 1j * step, z - 1j * step])
+
+
+def _central_dbar(values: np.ndarray, step: float) -> np.ndarray:
+    """The central-difference dbar from a function's values at `_stencil`."""
+    xp, xm, yp, ym = np.split(values, 4)
+    gx = (xp - xm) / (2 * step)
+    gy = (yp - ym) / (2 * step)
     return 0.5 * (gx + 1j * gy)
 
 
-def _off_support_residual(fn, points: np.ndarray, cfg: DbarConfig) -> float:
-    """max |dbar fn| by central differences of step sigma/8 at the first 240
-    of the points well outside Q, where fn must be holomorphic."""
+def fd_dbar(fn, z: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference dbar of fn at z from one call of fn at z +- step,
+    z +- i step."""
+    return _central_dbar(fn(_stencil(z, step)), step)
+
+
+def _off_support(points: np.ndarray, cfg: DbarConfig) -> tuple[np.ndarray, float]:
+    """(nodes, step): the dbar stencil of step sigma/8 at the first 240 of the
+    points well outside Q, where the map must be holomorphic."""
     off = points[(np.abs(points.real) > 1.6 * cfg.delta)
                  | (np.abs(points.imag) > 0.6 * cfg.delta)][:240]
-    so = cfg.sigma / 8
-    return float(np.abs(fd_dbar(fn, off, so)).max())
+    step = cfg.sigma / 8
+    return _stencil(off, step), step
+
+
+def _batched(fn, *sets: np.ndarray) -> list[np.ndarray]:
+    """fn at each point set, from one call on their concatenation.  For
+    DbarSolution.f this changes no bit: f reduces and chunks its targets so
+    that no target's value depends on the others."""
+    return np.split(fn(np.concatenate(sets)), np.cumsum([s.size for s in sets[:-1]]))
 
 
 def fd_nodes(quad: QuadratureData, cfg: DbarConfig) -> np.ndarray:
@@ -790,24 +825,21 @@ def solve_diagnostics(sol: DbarSolution, g, g_zero: complex) -> SolveDiagnostics
     hy = sol.quad.hy
 
     nodes = fd_nodes(sol.quad, cfg)
-    dbar_fd = fd_dbar(sol.f, nodes, hy)
-    _, phi_true = blend(g(nodes), g_zero, nodes.real, cfg.delta)
-    fd_res = float(np.abs(dbar_fd - phi_true).max()) if nodes.size else 0.0
-
-    off_res = _off_support_residual(sol.f, cross_grid(params, cfg, 120, 3), cfg)
-
+    off, so = _off_support(cross_grid(params, cfg, 120, 3), cfg)
     grid = cross_grid(params, cfg)
-    f_grid = sol.f(grid)
-    sup_f = float(np.abs(f_grid).max())
-
     # the torus gluing shifts each lath along its own direction
     in_vert = np.abs(grid.real) <= cfg.sigma / 2
     in_horiz = np.abs(grid.imag) <= cfg.sigma / 2
-    vert, f_vert = grid[in_vert][::5], f_grid[in_vert][::5]
-    horiz, f_horiz = grid[in_horiz][::5], f_grid[in_horiz][::5]
-    defect = max(
-        float(np.abs(sol.f(horiz + 1.0) - f_horiz).max()),
-        float(np.abs(sol.f(vert + 1j * params.alpha) - f_vert).max()))
+    vert, horiz = grid[in_vert][::5], grid[in_horiz][::5]
+    f_fd, f_off, f_grid, f_horiz_glued, f_vert_glued = _batched(
+        sol.f, _stencil(nodes, hy), off, grid, horiz + 1.0, vert + 1j * params.alpha)
+
+    _, phi_true = blend(g(nodes), g_zero, nodes.real, cfg.delta)
+    fd_res = float(np.abs(_central_dbar(f_fd, hy) - phi_true).max()) if nodes.size else 0.0
+    off_res = float(np.abs(_central_dbar(f_off, so)).max())
+    sup_f = float(np.abs(f_grid).max())
+    defect = max(float(np.abs(f_horiz_glued - f_grid[in_horiz][::5]).max()),
+                 float(np.abs(f_vert_glued - f_grid[in_vert][::5]).max()))
 
     c1 = _c1_estimate(g, params, cfg)
     return SolveDiagnostics(sup_f, sup_f_budget(c1, c2, cfg.eps, cfg.delta),
@@ -915,14 +947,12 @@ def demo_construct(alpha: float, sigma: float, target: FreeWord,
             f"eps too large: sup|f| {sup_f:.4e} vs clearance {clearance:.4e} "
             "(pointwise puncture margin exhausted)")
 
-    def h(z):
-        return blend(g(z), g_zero, z.real, cfg.delta)[0] - sol.f(z)
-
-    residual = _off_support_residual(h, grid, cfg)
-
-    ys = np.linspace(0.0, alpha, circle_samples, endpoint=False)
-    circle = 1j * ys
-    on_circle = g(circle) - sol.f(circle)
+    off, so = _off_support(grid, cfg)
+    circle = 1j * np.linspace(0.0, alpha, circle_samples, endpoint=False)
+    f_off, f_circle = _batched(sol.f, off, circle)
+    h_off = blend(g(off), g_zero, off.real, cfg.delta)[0] - f_off
+    residual = float(np.abs(_central_dbar(h_off, so)).max())
+    on_circle = g(circle) - f_circle
     samples = np.concatenate([on_circle, on_circle[:1]])
 
     from .config3 import decode_word, plane_loop

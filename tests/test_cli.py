@@ -417,11 +417,16 @@ def test_config3_decoders_refuse_non_finite_rows(tmp_path, capsys, op, header, r
      {"dom.json": '{"kind": "rectangle", "params": {"a": "1_0", "b": 1}}'}),
     (["conformal", "lambda", "--spec-file", "dom.json"],
      {"dom.json": '{"kind": "round", "params": {"r": true, "R": 2}}'}),
+    # a key the kind does not read is refused, not dropped
+    (["conformal", "lambda", "--spec-file", "dom.json"],
+     {"dom.json": '{"kind": "round", "params": {"r": 1, "R": 2, "rr": "junk", "h": 0.1}}'}),
+    (["conformal", "lambda", "--spec-file", "dom.json"],
+     {"dom.json": '{"kind": "round", "params": {"r": 1, "R": 2}, "kindd": 3}'}),
 ], ids=("spec-non-numeric", "spec-malformed-json", "spec-missing",
         "word-missing", "braid-missing", "dump-unwritable", "csv-undecodable",
         "csv-huge-field", "spec-deep-nesting", "spec-huge-integer", "spec-nul-path",
         "word-nul-path", "dump-nul-path", "spec-numeric-strings", "spec-underscore-string",
-        "spec-boolean"))
+        "spec-boolean", "spec-unknown-param", "spec-unknown-top-level-key"))
 def test_file_input_contract_exit_code(tmp_path, monkeypatch, capsys, argv, files):
     for name, text in files.items():
         (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())

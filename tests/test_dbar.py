@@ -660,6 +660,49 @@ def test_regular_sum_keeps_its_digits_at_the_largest_alpha():
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _ref_laurent(cl, y, far, scale=None):
+    """The Laurent sum as a target-major Horner with fresh arrays at every
+    step computed it, kept as the bit reference of `_Clusters.laurent`."""
+    u = 1.0 / np.where(far, y[:, None] - cl.centres, 1.0)
+    acc = np.zeros_like(u)
+    for m in cl.moments.T[::-1]:
+        acc = acc * u + m
+    last = u if scale is None else u * scale[:, None]
+    return -np.where(far, acc * last, 0.0).sum(axis=1)
+
+
+@pytest.mark.parametrize("count", [4, 10, 32])
+@pytest.mark.parametrize("plane", ["xi", "e"])
+def test_cluster_moments_and_laurent_sum_keep_their_bits(plane, count):
+    # clusters of 400 points with cluster 1 empty, so that the order of the
+    # per-target sum shows even at 4 clusters; in the E plane the targets
+    # reach |e| = 1e307 and the sum is scaled by e, as regular_sum scales it
+    rng = np.random.default_rng(count)
+    centres = rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count)
+    labels = rng.integers(0, count - 1, 400)
+    labels[labels >= 1] += 1
+    points = centres[labels] + 0.1 * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
+    weights = rng.normal(size=400) + 1j * rng.normal(size=400)
+    cl = D._Clusters(points, weights, labels, count)
+    assert cl.offsets[1] == cl.offsets[2]
+    # the moments and radii, bit for bit, as np.add.at and np.maximum.at take them
+    d = cl.points - cl.centres[labels[cl.order]]
+    moments = np.zeros((count, D._MULTIPOLE_P + 1), dtype=complex)
+    np.add.at(moments, labels[cl.order],
+              weights[cl.order, None] * np.vander(d, D._MULTIPOLE_P + 1, increasing=True))
+    radii = np.zeros(count)
+    np.maximum.at(radii, labels[cl.order], np.abs(d))
+    assert cl.moments.tobytes() == moments.tobytes() and cl.radii.tobytes() == radii.tobytes()
+    y = 1.5 * (rng.uniform(-1, 1, 600) + 1j * rng.uniform(-1, 1, 600))
+    scale = None
+    if plane == "e":
+        y = np.concatenate([y, 10.0 ** rng.uniform(0, 307, 600) * np.exp(2j * math.pi * rng.random(600))])
+        scale = y
+    far = cl.far(y)
+    assert far.any() and (~far).any()
+    assert cl.laurent(y, far, scale).tobytes() == _ref_laurent(cl, y, far, scale).tobytes()
+
+
 def test_phi_zero_gives_f_zero():
     cfg = DbarConfig(eps=0.1, quad_n=64)
     quad = quadrature_phi(lambda z: np.full(np.shape(z), 0.5 + 0.0j), cfg)
@@ -817,3 +860,110 @@ def test_demo_refuses_a_wide_lath_at_large_eps():
     with pytest.raises((ValidationError, NumericalError)):
         demo_construct(1.0, 0.19, parse_word("a1^6"),
                        cfg=DbarConfig(eps=0.95, delta=0.2, quad_n=128))
+
+
+# ---------------------------------------------------------------------------
+# batched calls of f
+
+
+def _ref_fd_dbar(fn, z, step):
+    """fd_dbar with one call of fn per shift."""
+    gx = (fn(z + step) - fn(z - step)) / (2 * step)
+    gy = (fn(z + 1j * step) - fn(z - 1j * step)) / (2 * step)
+    return 0.5 * (gx + 1j * gy)
+
+
+def _ref_off_support_residual(fn, points, cfg):
+    off = points[(np.abs(points.real) > 1.6 * cfg.delta)
+                 | (np.abs(points.imag) > 0.6 * cfg.delta)][:240]
+    return float(np.abs(_ref_fd_dbar(fn, off, cfg.sigma / 8)).max())
+
+
+def _ref_solve_diagnostics(sol, g, g_zero):
+    """solve_diagnostics with one call of f per point set and shift."""
+    cfg, params = sol.cfg, sol.params
+    c2 = sol.kernel_c2()
+    nodes = D.fd_nodes(sol.quad, cfg)
+    _, phi_true = blend(g(nodes), g_zero, nodes.real, cfg.delta)
+    fd_res = float(np.abs(_ref_fd_dbar(sol.f, nodes, sol.quad.hy) - phi_true).max())
+    off_res = _ref_off_support_residual(sol.f, D.cross_grid(params, cfg, 120, 3), cfg)
+    grid = D.cross_grid(params, cfg)
+    f_grid = sol.f(grid)
+    vert = np.abs(grid.real) <= cfg.sigma / 2
+    horiz = np.abs(grid.imag) <= cfg.sigma / 2
+    defect = max(
+        float(np.abs(sol.f(grid[horiz][::5] + 1.0) - f_grid[horiz][::5]).max()),
+        float(np.abs(sol.f(grid[vert][::5] + 1j * params.alpha) - f_grid[vert][::5]).max()))
+    c1 = D._c1_estimate(g, params, cfg)
+    return D.SolveDiagnostics(float(np.abs(f_grid).max()),
+                              sup_f_budget(c1, c2, cfg.eps, cfg.delta),
+                              c1, c2, fd_res, off_res, defect)
+
+
+def _ref_demo(alpha, sigma, target):
+    """(map_samples, sup_f, clearance, dbar_residual) of demo_construct with
+    one call of f per point set and shift."""
+    gen, n = parse_word(target).terms[0]
+    cfg = D.demo_config(alpha, sigma, n)
+    g = demo_g(alpha, gen, n, 0.5 / math.exp(2.0 * math.pi * abs(n) * (1.5 * cfg.delta) / alpha))
+    g_zero = complex(g(0j))
+    sol = solve_dbar(quadrature_phi(g, cfg), KernelParams(alpha), cfg)
+    grid = D.cross_grid(sol.params, cfg)
+    g1, _ = blend(g(grid), g_zero, grid.real, cfg.delta)
+    clearance = float(min(np.abs(g1 - 1.0).min(), np.abs(g1 + 1.0).min()))
+    sup_f = float(np.abs(sol.f(grid)).max())
+    residual = _ref_off_support_residual(
+        lambda z: blend(g(z), g_zero, z.real, cfg.delta)[0] - sol.f(z), grid, cfg)
+    circle = 1j * np.linspace(0.0, alpha, 1024, endpoint=False)
+    on_circle = g(circle) - sol.f(circle)
+    return np.concatenate([on_circle, on_circle[:1]]), sup_f, clearance, residual
+
+
+def test_f_of_a_batch_is_the_batch_of_f(acceptance_solution):
+    # 700 + 300 targets: the batch straddles a chunk boundary of f
+    sol, _ = acceptance_solution
+    z = D.cross_grid(sol.params, sol.cfg)[::5]
+    a, b = z[:700], z[700:1000]
+    assert D._TARGET_CHUNK < a.size
+    assert sol.f(np.concatenate([a, b])).tobytes() == np.concatenate([sol.f(a), sol.f(b)]).tobytes()
+
+
+def test_batched_diagnostics_match_one_call_per_set(acceptance_solution):
+    sol, diag = acceptance_solution
+    g = demo_g(1.0, 1, 1, 0.2)
+    assert diag == _ref_solve_diagnostics(sol, g, complex(g(0j)))
+
+
+@pytest.mark.parametrize("alpha,sigma,target", [(1.0, 0.01, "a1^2"), (2.0, 0.02, "a2^-1")])
+def test_batched_demo_matches_one_call_per_set(alpha, sigma, target):
+    res = demo_construct(alpha, sigma, parse_word(target))
+    samples, sup_f, clearance, residual = _ref_demo(alpha, sigma, target)
+    assert res.map_samples.tobytes() == samples.tobytes()
+    assert (res.sup_f, res.clearance, res.dbar_residual) == (sup_f, clearance, residual)
+
+
+def test_diagnostics_and_demo_call_f_once_per_stage(acceptance_solution, monkeypatch):
+    calls = []
+    f = D.DbarSolution.f
+
+    def counted(self, z):
+        calls.append(np.size(z))
+        return f(self, z)
+
+    monkeypatch.setattr(D.DbarSolution, "f", counted)
+    sol, diag = acceptance_solution
+    g = demo_g(1.0, 1, 1, 0.2)
+    assert solve_diagnostics(sol, g, complex(g(0j))) == diag
+    assert len(calls) == 1
+    calls.clear()
+    fd_dbar(sol.f, sol.quad.centers[:10], sol.quad.hy)
+    assert calls == [40]
+    calls.clear()
+    demo_construct(1.0, 0.01, parse_word("a1^2"))
+    assert len(calls) == 2
+    calls.clear()
+    # the margin refusal comes between the two calls
+    with pytest.raises(ValidationError, match="eps too large"):
+        demo_construct(1.0, 0.05, parse_word("a1^6"),
+                       cfg=DbarConfig(eps=0.5, delta=0.1, quad_n=200))
+    assert len(calls) == 1
