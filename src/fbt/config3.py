@@ -99,7 +99,7 @@ def collinearity_defect(t: Triple) -> float:
     # Python complex arithmetic overflows to inf or nan without raising; with
     # finite differences the minimizing quotient (longest side below) is at most 1
     if not all(cmath.isfinite(d) for d in (b - a, c - a, c - b)):
-        raise OverflowError("point differences overflow")
+        raise OverflowError
     vals = []
     for z1, z2, z3 in ((a, b, c), (b, c, a), (c, a, b),
                        (a, c, b), (b, a, c), (c, b, a)):
@@ -164,7 +164,7 @@ class PlaneLoop:
             if not finite[i]:
                 raise ValidationError(f"sample {i} is not finite")
             if huge[i]:
-                raise OverflowError(f"sample {i} is too far from the punctures")
+                raise OverflowError
             raise ValidationError(f"sample {i} violates puncture clearance")
 
 

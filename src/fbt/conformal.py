@@ -266,29 +266,25 @@ def grid_extremal_length(dom: GridDomain) -> SolverReport:
     the whole domain's."""
     a, g_a, g_b = _assemble(dom)
     x0 = None if dom.x_guess is None else dom.x_guess[dom.inside]
-    u, iters, res = _cg(a, g_a, x0, dom.inside)
-    energy = _energy(dom, u, g_a, g_b)
+    u, iters, res = _cg(a, g_a, x0)
+    energy = _energy(dom, a, u, g_a, g_b)
     lam = energy if dom.family == "separating" else 1.0 / energy
     return SolverReport(lam, dom.h, iters, res)
 
 
-def _energy(dom: GridDomain, u: np.ndarray, g_a: np.ndarray, g_b: np.ndarray) -> float:
+def _energy(dom: GridDomain, a: _Stencil, u: np.ndarray, g_a: np.ndarray,
+            g_b: np.ndarray) -> float:
     """The Dirichlet energy of u over the whole domain, as the sum of squares
     sum_(inside edges) (u_i - u_j)^2 + sum g_a (u - 1)^2 + sum g_b u^2 of the
     part, times 2^k for a part mirrored on k axes.  Its terms are no larger
     than the energy, where those of u.Au - 2 b.u + c reach the conductance
     into family a and cancel."""
-    inside = dom.inside
-    grid = np.zeros(inside.shape)
-    grid[inside] = u
-    across = np.diff(grid, axis=1)[inside[:, 1:] & inside[:, :-1]]
-    down = np.diff(grid, axis=0)[inside[1:] & inside[:-1]]
+    across, down = a.differences(u)
     return 2 ** sum(dom.mirrored) * float(
         across @ across + down @ down + g_a @ (u - 1.0) ** 2 + g_b @ u ** 2)
 
 
-def _cg(a: _Stencil, rhs: np.ndarray, x0: np.ndarray | None,
-        inside: np.ndarray) -> tuple[np.ndarray, int, float]:
+def _cg(a: _Stencil, rhs: np.ndarray, x0: np.ndarray | None) -> tuple[np.ndarray, int, float]:
     """Multigrid-preconditioned conjugate gradients (Hestenes and Stiefel
     1952) on a from x0 (zero when None), until the residual is below _RTOL
     of rhs.  That test comes before each preconditioner application, and the
@@ -303,7 +299,7 @@ def _cg(a: _Stencil, rhs: np.ndarray, x0: np.ndarray | None,
         if not norm >= tol or iterations == _MAX_ITER:  # met, or not a number
             break
         if mg is None:
-            mg = _Multigrid(a, inside)
+            mg = _Multigrid(a)
         z = mg.vcycle(r)
         rho = r @ z
         if p is None:
@@ -332,51 +328,41 @@ def _shift(a: np.ndarray, dy: int, dx: int, fill) -> np.ndarray:
     return out
 
 
-def _neighbours(inside: np.ndarray) -> np.ndarray:
-    """For each direction of _DIRECTIONS, the index of each inside node's
-    neighbour among the n inside nodes (row-major), n where it has none."""
-    n = int(inside.sum())
-    idx = np.full(inside.shape, n, dtype=np.intp)
-    idx[inside] = np.arange(n)
-    return np.stack([_shift(idx, dy, dx, n)[inside] for dy, dx in _DIRECTIONS])
-
-
 class _Stencil:
     """A symmetric 5-point operator on the n inside nodes of a lattice mask
     (row-major): (A x)_i = diag_i x_i + sum_k weights[k, i] x[nbrs[k, i]]
-    over the directions k of _DIRECTIONS, where nbrs[k, i] = n and
-    weights[k, i] = 0 when node i has no neighbour in direction k.  weights
-    None stands for -1 on every edge, the unit conductances of the fine
-    level; the product then sums each row in the order below, left, self,
-    right, above, the order of the row of a CSR matrix, and gives its bits.
+    over the directions k of _DIRECTIONS, where nbrs[k, i] is the index of
+    node i's neighbour in direction k, n when it has none, and weights[k, i]
+    = 0 then.  weights None stands for -1 on every edge, the unit
+    conductances of the fine level; the product then sums each row in the
+    order below, left, self, right, above, the order of the row of a CSR
+    matrix, and gives its bits.
 
-    A direction whose neighbours all sit one step away in row-major order
-    (left and right always, below and above on whole rows) reads them as a
-    shifted slice of x; the others gather them from a copy of x whose pad
-    slot n holds 0.
+    A node's left and right neighbours are the nodes before and after it, so
+    the product reads them as shifted slices of x, zeroed at the starts and
+    the ends of the rows' runs; it gathers the neighbours below and above
+    from a copy of x whose pad slot n holds 0.
     """
 
-    def __init__(self, diag: np.ndarray, nbrs: np.ndarray, weights: np.ndarray | None = None):
+    def __init__(self, inside: np.ndarray, diag: np.ndarray, weights: np.ndarray | None = None):
         n = len(diag)
-        self.diag, self.nbrs, self.weights = diag, nbrs, weights
+        self.inside, self.diag, self.weights = inside, diag, weights
+        idx = np.full(inside.shape, n, dtype=np.intp)
+        idx[inside] = np.arange(n)
+        self.nbrs = np.stack([_shift(idx, dy, dx, n)[inside] for dy, dx in _DIRECTIONS])
         self._padded = np.zeros(n + 1)
-        self._steps = []  # per direction: (step, the nodes without a neighbour), or None
-        for nb in nbrs:
-            has = np.flatnonzero(nb < n)
-            step = nb[has] - has
-            self._steps.append((int(step[0]), np.flatnonzero(nb == n))
-                               if has.size and (step == step[0]).all() else None)
+        self._starts, self._ends = (np.flatnonzero(nb == n) for nb in self.nbrs[1:3])
 
     def _neighbours(self, k: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = x at each node's neighbour in direction k, 0 where it has none."""
-        if self._steps[k] is None:
-            return np.take(self._padded, self.nbrs[k], mode="clip", out=out)
-        step, missing = self._steps[k]
-        if step > 0:
-            out[:-step] = x[step:]
+        if k == 1:
+            out[1:] = x[:-1]
+            out[self._starts] = 0.0
+        elif k == 2:
+            out[:-1] = x[1:]
+            out[self._ends] = 0.0
         else:
-            out[-step:] = x[:step]
-        out[missing] = 0.0  # the first or last |step| nodes among them
+            np.take(self._padded, self.nbrs[k], mode="clip", out=out)
         return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -395,6 +381,13 @@ class _Stencil:
             t *= w
             y += t
         return y
+
+    def differences(self, u: np.ndarray) -> list[np.ndarray]:
+        """u at the right and at the upper end of each edge between two
+        inside nodes, minus u at its other end: the horizontal edges, then
+        the vertical ones, each in the row-major order of that other end."""
+        n = len(u)
+        return [u[nb[nb < n]] - u[nb < n] for nb in self.nbrs[2:]]
 
     def edge_weights(self) -> np.ndarray:
         """weights, with the -1 and 0 that None stands for filled in."""
@@ -421,21 +414,18 @@ def _assemble(dom: GridDomain) -> tuple[_Stencil, np.ndarray, np.ndarray]:
     marked cell has conductance 1/theta (see GridDomain).
     """
     inside = dom.inside
-    nbrs = _neighbours(inside)
-    n = nbrs.shape[1]
+    n = int(np.count_nonzero(inside))
     diag = np.zeros(n)
     g_a, g_b = np.zeros(n), np.zeros(n)
-    for nb, (dy, dx), theta in zip(nbrs, _DIRECTIONS, dom.theta):
-        diag += nb < n
+    for (dy, dx), theta in zip(_DIRECTIONS, dom.theta):
+        diag += _shift(inside, dy, dx, False)[inside]
         to_a = _shift(dom.marked_a, dy, dx, False)[inside]
         edge = to_a | _shift(dom.marked_b, dy, dx, False)[inside]
         g = 1.0 / theta
         diag[edge] += g
         g_a[edge] += np.where(to_a[edge], g, 0.0)  # the edges to the value 1
         g_b[edge] += np.where(to_a[edge], 0.0, g)
-    if (diag <= 0).any():
-        raise ValidationError("grid has isolated nodes")
-    return _Stencil(diag, nbrs), g_a, g_b
+    return _Stencil(inside, diag), g_a, g_b
 
 
 _COARSE_NODES = 150   # the coarsest level is factorized densely
@@ -457,20 +447,20 @@ def _aggregate(inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coarse, cidx.repeat(2, axis=0).repeat(2, axis=1)[:ny, :nx][inside]
 
 
-def _galerkin(a: _Stencil, agg: np.ndarray, nbrs: np.ndarray) -> _Stencil:
+def _galerkin(a: _Stencil, agg: np.ndarray, coarse_inside: np.ndarray) -> _Stencil:
     """P^T A P for the piecewise-constant prolongation P of the aggregates
-    agg, on the coarse lattice whose neighbours are nbrs: a 5-point operator
+    agg, on the coarse lattice mask coarse_inside: a 5-point operator
     again, since an edge that leaves a 2x2 block enters the next block in
     its direction.  A coarse node's diagonal sums its nodes' diagonals and
     the edges inside its block, each twice; its edge in a direction sums
     the edges that leave the block in that direction."""
-    nc = nbrs.shape[1]
+    nc = int(np.count_nonzero(coarse_inside))
     fine = a.edge_weights()
     within = np.append(agg, -1)[a.nbrs] == agg  # the pad slot is no block
     diag = np.bincount(agg, weights=a.diag + (fine * within).sum(axis=0), minlength=nc)
     weights = np.stack([np.bincount(agg, weights=np.where(w_in, 0.0, w), minlength=nc)
                         for w, w_in in zip(fine, within)])
-    return _Stencil(diag, nbrs, weights)
+    return _Stencil(coarse_inside, diag, weights)
 
 
 class _Multigrid:
@@ -494,12 +484,12 @@ class _Multigrid:
     factorization.
     """
 
-    def __init__(self, a: _Stencil, inside: np.ndarray):
+    def __init__(self, a: _Stencil):
         self.levels: list[tuple[_Stencil, np.ndarray, np.ndarray]] = []
         while len(a.diag) > _COARSE_NODES:
-            inside, agg = _aggregate(inside)
+            inside, agg = _aggregate(a.inside)
             self.levels.append((a, _OMEGA / a.diag, agg))
-            a = _galerkin(a, agg, _neighbours(inside))
+            a = _galerkin(a, agg, inside)
         try:
             inv_l = np.linalg.inv(np.linalg.cholesky(a.dense()))
         except np.linalg.LinAlgError as exc:

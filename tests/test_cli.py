@@ -151,6 +151,20 @@ def test_bounds_table_sweep(capsys):
                                  base + 192 * math.pi * 60], rel=1e-12)
 
 
+def test_bounds_table_theorem(capsys):
+    from fbt.bounds import SurfaceTopology, thm2_bound
+
+    code, out, err = run_cli(capsys, "bounds", "table", "--formula", "thm2",
+                             "--g", "1", "--m", "0", "--lambdas", "0,0.5")
+    assert code == 0 and err == ""
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["g", "m", "lambda", "ln", "decimal"]
+    assert len(rows) == 3
+    for row, lam in zip(rows[1:], (0.0, 0.5)):
+        v = thm2_bound(SurfaceTopology(1, 0), lam)
+        assert row == ["1", "0", repr(lam), repr(v.ln), v.decimal()]
+
+
 def test_empty_sweep_exits_2(capsys):
     code, _, err = run_cli(capsys, "bounds", "table", "--formula", "prop1a-upper",
                            "--sigmas", "")

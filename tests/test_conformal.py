@@ -215,6 +215,20 @@ def test_coarse_factorization_failure_is_numerical_error(monkeypatch):
         grid_extremal_length(annulus_grid(1.0, 2.0, 1 / 20))
 
 
+def test_cg_missing_its_tolerance_is_numerical_error(monkeypatch, capsys):
+    # annulus(1, 2, 1/40) takes 7 iterations from its seed
+    from fbt.cli import main
+
+    monkeypatch.setattr(Cf, "_MAX_ITER", 2)
+    with pytest.raises(NumericalError, match="conjugate gradients failed to converge"):
+        grid_extremal_length(annulus_grid(1.0, 2.0, 1 / 40))
+    code = main(["conformal", "grid", "--kind", "round", "--r", "1", "--R", "2",
+                 "--h", "0.025"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("error: conjugate gradients failed") and err.count("\n") == 1
+
+
 @pytest.fixture
 def multigrids(monkeypatch):
     """The _Multigrid hierarchies that the solves of a test build."""
@@ -431,7 +445,7 @@ def test_galerkin_levels_equal_the_triple_product():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Cf, "_COARSE_NODES", 40)
             a, _, _ = Cf._assemble(dom)
-            mg = Cf._Multigrid(a, dom.inside)
+            mg = Cf._Multigrid(a)
         ops = [level[0] for level in mg.levels]
         for (fine, _, agg), coarse in zip(mg.levels, ops[1:] + [None]):
             p = sp.csr_matrix((np.ones(len(agg)), (np.arange(len(agg)), agg)))
@@ -446,6 +460,29 @@ def test_galerkin_levels_equal_the_triple_product():
             off.setdiag(0)
             assert off.count_nonzero() == 0
             assert np.allclose(got.diagonal(), want.diagonal(), rtol=1e-15, atol=0)
+            checked += 1
+    assert checked > 40
+
+
+def test_coarse_products_match_the_gather_bit_for_bit():
+    # each coarse level's product against diag x plus, direction by
+    # direction, the neighbours' x gathered through a pad slot 0 times w
+    import numpy as np
+
+    checked = 0
+    for dom in _product_domains():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Cf, "_COARSE_NODES", 40)
+            a, _, _ = Cf._assemble(dom)
+            mg = Cf._Multigrid(a)
+        for op, _, _ in mg.levels[1:]:
+            n = len(op.diag)
+            rng = np.random.default_rng(n)
+            for x in (rng.standard_normal(n), np.ones(n), np.zeros(n)):
+                want = op.diag * x
+                for k in range(len(Cf._DIRECTIONS)):
+                    want = want + np.append(x, 0.0)[op.nbrs[k]] * op.weights[k]
+                assert (op @ x).tobytes() == want.tobytes()
             checked += 1
     assert checked > 40
 
@@ -663,8 +700,8 @@ def _whole_lattice(dom):
     lambda, iterations and relative residual."""
     a, g_a, g_b = Cf._assemble(dom)
     x0 = None if dom.x_guess is None else dom.x_guess[dom.inside]
-    u, iters, res = Cf._cg(a, g_a, x0, dom.inside)
-    energy = Cf._energy(dom, u, g_a, g_b)
+    u, iters, res = Cf._cg(a, g_a, x0)
+    energy = Cf._energy(dom, a, u, g_a, g_b)
     return (energy if dom.family == "separating" else 1.0 / energy), iters, res
 
 
