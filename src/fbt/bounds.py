@@ -87,12 +87,13 @@ class LogNumber:
 
     @staticmethod
     def parse_decimal(text: str) -> "LogNumber":
+        """The value of a decimal() literal: "0", or a positive d[.ddd]E[+-]exp."""
         if text == "0":
             return LogNumber.zero()
-        m = re.match(r"^([0-9.]+)E([+-]\d+)$", text)
-        if not m:
+        m = re.match(r"^(\d+(?:\.\d+)?)E([+-]\d+)$", text)
+        if not (m and float(m.group(1)) > 0):
             raise ValidationError(f"bad LogNumber literal {text!r}")
-        return LogNumber(math.log(float(m.group(1))) + int(m.group(2)) * LN10)
+        return LogNumber(math.log(float(m.group(1))) + float(m.group(2)) * LN10)
 
 
 @dataclass(frozen=True)

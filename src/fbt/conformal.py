@@ -154,12 +154,12 @@ class GridDomain:
 
     marked_a / marked_b hold the boundary values 1 / 0 on cells OUTSIDE the
     domain mask.  The Dirichlet contact happens across the boundary edges,
-    from an inside node to a marked neighbour: theta[k] holds, for the
-    direction _DIRECTIONS[k], the fraction in (0, 1] of each such edge from
-    the node to the true boundary, over the inside nodes next to a marked
-    cell in that direction (row-major), and the edge has conductance
-    1/theta.  The default None puts every boundary on the cell faces,
-    theta = 1/2.
+    from an inside node to a marked neighbour.  edges[k], computed from the
+    masks, holds those in the direction _DIRECTIONS[k]: their nodes' indices
+    among the inside nodes (row-major) and whether each marked cell is of
+    family a.  theta[k] holds the fraction in (0, 1] of each edge from the
+    node to the true boundary, and the edge has conductance 1/theta.  The
+    default None puts every boundary on the cell faces, theta = 1/2.
 
     mirrored (rows, columns) says whether the domain continues past its
     last row, and past its last column, as its mirror image: the lattice is
@@ -193,24 +193,32 @@ class GridDomain:
             raise ValidationError("marked families must be disjoint")
         if ((self.marked_a | self.marked_b) & self.inside).any():
             raise ValidationError("marked cells must lie outside the domain mask")
-        # boundary edges to each family, per direction; their sums are the
-        # theta lengths, since the families are disjoint
-        edges = [[int(np.count_nonzero(_shift(m, dy, dx, False) & self.inside))
-                  for m in (self.marked_a, self.marked_b)] for dy, dx in _DIRECTIONS]
-        if not all(sum(family) for family in zip(*edges)):
+        self.edges = _boundary_edges(self.inside, self.marked_a, self.marked_b)
+        to_a = np.concatenate([t for _, t in self.edges])
+        if to_a.all() or not to_a.any():
             raise ValidationError("each marked family must border an inside node")
-        counts = [a + b for a, b in edges]
         if self.x_guess is not None and (
                 self.x_guess.shape != self.inside.shape
                 or not np.isfinite(self.x_guess[self.inside]).all()):
             raise ValidationError("x_guess must be finite on the inside nodes "
                                   "of an array shaped like inside")
         if self.theta is None:
-            self.theta = tuple(np.full(c, 0.5) for c in counts)
-        elif ([len(t) for t in self.theta] != counts
+            self.theta = tuple(np.full(len(e), 0.5) for e, _ in self.edges)
+        elif ([len(t) for t in self.theta] != [len(e) for e, _ in self.edges]
               or not all(((t > 0) & (t <= 1)).all() for t in self.theta)):
             raise ValidationError("theta must hold one fraction in (0, 1] "
                                   "for each boundary edge")
+
+
+def _boundary_edges(inside: np.ndarray, marked_a: np.ndarray,
+                    marked_b: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """GridDomain.edges (see GridDomain)."""
+    edges = []
+    for dy, dx in _DIRECTIONS:
+        to_a = _shift(marked_a, dy, dx, False)[inside]
+        edge = np.flatnonzero(to_a | _shift(marked_b, dy, dx, False)[inside])
+        edges.append((edge, to_a[edge]))
+    return edges
 
 
 def _connected(mask: np.ndarray) -> bool:
@@ -413,19 +421,16 @@ def _assemble(dom: GridDomain) -> tuple[_Stencil, np.ndarray, np.ndarray]:
     Interior edges have unit conductance, and the edge from a node to a
     marked cell has conductance 1/theta (see GridDomain).
     """
-    inside = dom.inside
-    n = int(np.count_nonzero(inside))
-    diag = np.zeros(n)
+    n = int(np.count_nonzero(dom.inside))
+    a = _Stencil(dom.inside, np.zeros(n))
     g_a, g_b = np.zeros(n), np.zeros(n)
-    for (dy, dx), theta in zip(_DIRECTIONS, dom.theta):
-        diag += _shift(inside, dy, dx, False)[inside]
-        to_a = _shift(dom.marked_a, dy, dx, False)[inside]
-        edge = to_a | _shift(dom.marked_b, dy, dx, False)[inside]
+    for nb, (edge, to_a), theta in zip(a.nbrs, dom.edges, dom.theta):
+        a.diag += nb < n  # the unit interior edges
         g = 1.0 / theta
-        diag[edge] += g
-        g_a[edge] += np.where(to_a[edge], g, 0.0)  # the edges to the value 1
-        g_b[edge] += np.where(to_a[edge], 0.0, g)
-    return _Stencil(inside, diag), g_a, g_b
+        a.diag[edge] += g
+        g_a[edge[to_a]] += g[to_a]  # the edges to the value 1
+        g_b[edge[~to_a]] += g[~to_a]
+    return a, g_a, g_b
 
 
 _COARSE_NODES = 150   # the coarsest level is factorized densely
@@ -583,25 +588,24 @@ def annulus_grid(r: float, big_r: float, h: float,
     marked_a = rr <= s_r
     marked_b = rr >= s_big
     guess = np.clip(np.log(s_big / rr) / math.log(big_r / r), 0.0, 1.0)  # rr >= 1/sqrt(2)
+    dom = GridDomain(h, inside, marked_a, marked_b,
+                     family=family or KINDS["round"].family, x_guess=guess,
+                     mirrored=(True, True))
+    nodes = np.flatnonzero(inside)  # each inside node's flat lattice index
     theta = []
-    for dy, dx in _DIRECTIONS:
-        to_a = _shift(marked_a, dy, dx, False)
-        # the edges' nodes in row-major order, as np.nonzero gives them but
-        # through the flat index, which is about ten times faster
-        edge = np.flatnonzero(inside & (to_a | _shift(marked_b, dy, dx, False)))
-        ys, xs_i = np.divmod(edge, inside.shape[1])
+    for (dy, dx), (edge, to_a) in zip(_DIRECTIONS, dom.edges):
+        ys, xs_i = np.divmod(nodes[edge], inside.shape[1])
         t = np.abs(xs[xs_i] if dx else xs[ys])   # along the edge
         u = np.abs(xs[ys] if dx else xs[xs_i])   # across it
         rho = rr[ys, xs_i]
-        s = np.where(to_a[ys, xs_i], s_r, s_big)
+        s = np.where(to_a, s_r, s_big)
         # the lattice line meets the circle in a chord of half-length
         # sqrt(s^2 - u^2) whose midpoint is t away from the node, so theta is
         # |t - sqrt(s^2 - u^2)| = |rho^2 - s^2| / (t + sqrt(s^2 - u^2))
         root = np.sqrt(np.maximum((s - u) * (s + u), 0.0))
         theta.append(np.clip(np.abs(rho - s) * (rho + s) / (root + t), _THETA_MIN, 1.0))
-    return GridDomain(h, inside, marked_a, marked_b,
-                      family=family or KINDS["round"].family, x_guess=guess,
-                      theta=tuple(theta), mirrored=(True, True))
+    dom.theta = tuple(theta)
+    return dom
 
 
 def rectangle_grid(a: float, b: float, h: float,

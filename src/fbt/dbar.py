@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_alpha
+from .errors import NumericalError, ValidationError, check_alpha, check_nonnegative
 from .words import FreeWord
 
 TRUNC_MAX = 400  # (2N+1)^2 lattice terms per evaluation point
@@ -165,6 +165,7 @@ def wp_nu(params: KernelParams, z) -> np.ndarray | complex:
 def wp_tail_bound(params: KernelParams, wmax: float) -> float:
     """Bound for |wp - wp_truncated| on {|z| <= wmax}: paired terms decay
     like |u|^-4, and the off-box lattice satisfies sum |u|^-4 <= 4/N^2."""
+    check_nonnegative("radius", wmax)
     n = params.trunc
     if wmax > n / 2:
         raise ValidationError("tail bound needs |z| <= N/2")
@@ -175,6 +176,7 @@ def wp_tail_bound(params: KernelParams, wmax: float) -> float:
 def wp_nu_tail_bound(params: KernelParams, wmax: float) -> float:
     """Bound for |wp_nu - wp_nu_truncated| on {|z| <= wmax}: single terms
     decay like |u|^-3 and the off-box lattice satisfies sum |u|^-3 <= 8/N."""
+    check_nonnegative("radius", wmax)
     n = params.trunc
     nu = abs(params.nu_value)
     if 2.0 * (wmax + nu) > n:
@@ -782,12 +784,6 @@ def _central_dbar(values: np.ndarray, step: float) -> np.ndarray:
     return 0.5 * (gx + 1j * gy)
 
 
-def fd_dbar(fn, z: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference dbar of fn at z from one call of fn at z +- step,
-    z +- i step."""
-    return _central_dbar(fn(_stencil(z, step)), step)
-
-
 def _off_support(points: np.ndarray, cfg: DbarConfig) -> tuple[np.ndarray, float]:
     """(nodes, step): the dbar stencil of step sigma/8 at the first 240 of the
     points well outside Q, where the map must be holomorphic."""
@@ -917,8 +913,6 @@ def demo_construct(alpha: float, sigma: float, target: FreeWord,
     if target.is_identity or len(target.terms) != 1:
         raise ValidationError("demo target must be a single power a1^n or a2^n")
     gen, n = target.terms[0]
-    if n == 0:
-        raise ValidationError("target exponent must be nonzero")
     params = KernelParams(alpha)
     cfg = cfg or demo_config(alpha, sigma, n)
     if abs(cfg.sigma - sigma) > 1e-12:

@@ -77,6 +77,30 @@ def test_lognumber_decimal_keeps_supported_digits():
         assert abs(back - ln) <= 10.0 ** -digits + 4 * math.ulp(ln), (ln, text)
     # rounding the mantissa up to 10 carries into the exponent
     assert LogNumber(math.log(9.99999999999999) + 10 * Bd.LN10).decimal() == "1.000000000000E+11"
+    assert LogNumber.from_value(9.9999999999999e5).decimal() == "1.000000000000E+6"
+
+
+@pytest.mark.parametrize("text", ["0", "3.5E+327450324922042", "2.000000000000E-7",
+                                  "9.999999999999E+300"])
+def test_lognumber_decimal_literal_round_trips(text):
+    assert LogNumber.parse_decimal(text).decimal() == text
+
+
+@pytest.mark.parametrize("text,message", [
+    *[(t, "bad LogNumber literal") for t in
+      ("1.2.3E+1", ".E+1", "0.0E+0", "0E+3", "1.E+1", "-1E+1", "1e+1", "")],
+    # an exponent or a mantissa past the float range: ln = inf
+    pytest.param("1E+" + "9" * 400, "bound overflows", id="huge-exponent"),
+    pytest.param("9" * 400 + "E+1", "bound overflows", id="huge-mantissa"),
+])
+def test_lognumber_refuses_a_bad_literal(text, message):
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        LogNumber.parse_decimal(text)
+
+
+def test_lognumber_refuses_a_negative_value():
+    with pytest.raises(ValidationError, match="^LogNumber holds nonnegative reals$"):
+        LogNumber.from_value(-1)
 
 
 def test_trivial_lambda_values_exact():

@@ -245,6 +245,7 @@ def test_exact_input_contract_exit_code(capsys, argv):
     ("conformal", "grid", "--kind", "flat-cylinder", "--circumference", "1",
      "--height", "1", "--h", "-1"),
     ("conformal", "lambda", "--kind", "rectangle"),
+    ("conformal", "lambda"),  # neither --kind nor --spec-file
     ("conformal", "torus-bounds", "--alpha", "nan", "--sigma", "0.1"),
     ("config3", "in-h", "--points=-1,0,0,0,1,0", "--tol", "nan"),
     ("config3", "in-h", "--points=nan,0,0,0,1,0"),
@@ -258,6 +259,7 @@ def test_exact_input_contract_exit_code(capsys, argv):
     ("bounds", "thm1", "--g", "0", "--m", "1", "--lambda4", "1e14"),
     ("bounds", "table", "--formula", "thm1", "--lambdas", "1e306"),
     ("bounds", "table", "--formula", "thm1", "--lambdas", "x"),
+    ("bounds", "table", "--formula", "nope"),
     ("bounds", "thm1", "--g", "9" * 400, "--m", "1", "--lambda4", "0"),
     ("conformal", "grid", "--kind", "round", "--r", "1", "--R", "2", "--h", "4e-6"),
     ("conformal", "grid", "--kind", "rectangle", "--a", "1", "--b", "1", "--h", "1e-320"),

@@ -287,6 +287,12 @@ def test_grid_domain_validation():
     ok[1:3, 1:3] = True
     with pytest.raises(ValidationError, match="disjoint"):
         Cf.GridDomain(0.1, ok, marked, marked)
+    with pytest.raises(ValidationError, match="^unknown family 'both'$"):
+        Cf.GridDomain(0.1, ok, marked, marked_b, family="both")
+    with pytest.raises(ValidationError, match="^empty grid domain$"):
+        Cf.GridDomain(0.1, np.zeros_like(ok), marked, marked_b)
+    with pytest.raises(ValidationError, match="^marked must be horizontal or vertical$"):
+        rectangle_grid(1.0, 1.0, 0.1, marked="diagonal")
 
 
 def _spec_to_json(spec):

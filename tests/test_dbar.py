@@ -18,7 +18,6 @@ from fbt.dbar import (
     demo_construct,
     demo_g,
     sup_f_budget,
-    fd_dbar,
     quadrature_phi,
     rect_cauchy_integral,
     solve_dbar,
@@ -75,6 +74,17 @@ def test_truncation_error_decreases_and_within_bound():
             errs_wp.append(e_wp)
         assert errs_nu[1] < errs_nu[0]
         assert errs_wp[1] < errs_wp[0]
+
+
+def test_tail_bounds_refuse_radii_beyond_the_truncation():
+    p = KernelParams(1.0, trunc=10)
+    assert wp_tail_bound(p, 0.0) == 0.0 and wp_tail_bound(p, 5.0) > 0.0
+    with pytest.raises(ValidationError, match=r"^tail bound needs \|z\| <= N/2$"):
+        wp_tail_bound(p, 5.5)
+    # |nu| = sqrt(1/2): 2(|z| + |nu|) <= 10 up to |z| = 4.29
+    assert wp_nu_tail_bound(p, 4.2) > 0.0
+    with pytest.raises(ValidationError, match=r"^tail bound needs 2\(\|z\|\+\|nu\|\) <= N$"):
+        wp_nu_tail_bound(p, 4.3)
 
 
 def _mp_kernel(alpha):
@@ -955,9 +965,6 @@ def test_diagnostics_and_demo_call_f_once_per_stage(acceptance_solution, monkeyp
     g = demo_g(1.0, 1, 1, 0.2)
     assert solve_diagnostics(sol, g, complex(g(0j))) == diag
     assert len(calls) == 1
-    calls.clear()
-    fd_dbar(sol.f, sol.quad.centers[:10], sol.quad.hy)
-    assert calls == [40]
     calls.clear()
     demo_construct(1.0, 0.01, parse_word("a1^2"))
     assert len(calls) == 2

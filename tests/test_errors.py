@@ -29,6 +29,8 @@ _CASES = [
     (W.word_count_bound, "budget must be finite and >= 0"),
     (B.braid_count_bound, "budget must be finite and >= 0"),
     (lambda x: C.in_h(C.triple(-1, 0, 1), x), "tolerance must be finite and >= 0"),
+    *[(lambda x, f=f: f(D.KernelParams(1.0), x), "radius must be finite and >= 0")
+      for f in (D.wp_tail_bound, D.wp_nu_tail_bound)],
 ]
 
 

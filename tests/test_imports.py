@@ -72,14 +72,18 @@ def test_unused_constant_check_sees_one(tmp_path):
 
 
 def _private_definitions(paths) -> tuple[list[tuple[str, int, str]], list[str]]:
-    """The module-level `def _x` and `class _X` of the modules, and those
-    that none of the modules references: by name, as an attribute or as an
-    imported name."""
+    """The module-level `def _x` and `class _X` of the modules and the
+    `def _x` methods of their module-level classes, and those that none of
+    the modules references: by name, as an attribute or as an imported
+    name."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined, used = [], set()
     for path in paths:
         tree = ast.parse(path.read_text(), str(path))
-        defined += [(path.name, node.lineno, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        methods = [m for node in tree.body if isinstance(node, ast.ClassDef)
+                   for m in node.body if isinstance(m, funcs)]
+        defined += [(path.name, node.lineno, node.name) for node in tree.body + methods
+                    if isinstance(node, (*funcs, ast.ClassDef))
                     and node.name.startswith("_") and not node.name.startswith("__")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -99,15 +103,17 @@ def test_no_unused_private_definitions():
 
 def test_unused_private_definition_check_sees_one(tmp_path):
     # used by name, as a decorator, through an import or an attribute; a
-    # nested or public definition and a method do not count
+    # nested, public or dunder definition does not count, and a method
+    # counts as a module-level definition does
     (tmp_path / "a.py").write_text(
         "def _called(): pass\ndef _deco(f): return f\n@_deco\ndef _spare(): pass\n"
         "class _Gone: pass\ndef _imported(): pass\ndef _attr(): pass\n"
         "def public():\n    def _inner(): pass\n    return _called()\n"
-        "class Box:\n    def _method(self): pass\n")
+        "class Box:\n    def _method(self): pass\n"
+        "    def __init__(self): self._helper()\n    def _helper(self): pass\n")
     (tmp_path / "b.py").write_text("from a import _imported\nimport a\nprint(a._attr, _imported)\n")
     _, unused = _private_definitions(sorted(tmp_path.glob("*.py")))
-    assert unused == ["a.py:4: _spare", "a.py:5: _Gone"]
+    assert unused == ["a.py:4: _spare", "a.py:5: _Gone", "a.py:12: _method"]
 
 
 def _shared_error_messages(paths) -> list[str]:
