@@ -90,7 +90,7 @@ class LogNumber:
         """The value of a decimal() literal: "0", or a positive d[.ddd]E[+-]exp."""
         if text == "0":
             return LogNumber.zero()
-        m = re.match(r"^(\d+(?:\.\d+)?)E([+-]\d+)$", text)
+        m = re.fullmatch(r"(\d+(?:\.\d+)?)E([+-]\d+)", text)
         if not (m and float(m.group(1)) > 0):
             raise ValidationError(f"bad LogNumber literal {text!r}")
         return LogNumber(math.log(float(m.group(1))) + float(m.group(2)) * LN10)

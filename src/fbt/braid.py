@@ -12,14 +12,15 @@ free group on a1 = s1^2, a2 = s2^2 (a congruence subgroup generated by
 compares exponent sums, since the representation kernel is the cyclic
 group on d^4.
 
-Every braid that is not a power of d has a unique normal form
+Every braid has one normal form
 
-    s_j^k b1 d^l,   k != 0,  b1 a reduced word in s1^2, s2^2
+    s_j^k b1 d^l,   b1 a reduced word in s1^2, s2^2
 
-whose first term, when b1 != Id, is a power of the other generator than
-s_j.  The projection theta sends such a braid to s_j^{q(k)} b1 with q(k)
-the even neighbour of k closest to zero, read as the reduced word
-a_j^{q(k)/2} b1 in the free group; powers of d map to the identity.
+with j in {1, 2}, k != 0 and b1 empty or starting on a power of s_{3-j};
+or j = 0, k = 0 and b1 = Id (no prefix), which gives the powers of d.  The
+projection theta sends it to s_j^{q(k)} b1 with q(k) the even neighbour of
+k closest to zero, read as the reduced word a_j^{q(k)/2} b1 in the free
+group; powers of d map to the identity.
 """
 
 from __future__ import annotations
@@ -232,9 +233,7 @@ def _matrix_to_word(m: tuple[int, int, int, int]) -> FreeWord:
         a, b, c, d = -a, -b, -c, -d
     if (a, c, d) != (1, 0, 1):
         raise ValidationError("matrix is not in the pure-braid image")
-    if b != 0:
-        if b % 2:
-            raise ValidationError("matrix is not in the pure-braid image")
+    if b != 0:  # even: it is on entry, and each peeling step keeps it so
         terms.append((1, b // 2))
     w = reduce_word(terms)
     if len(w.terms) != len(terms):
@@ -244,40 +243,33 @@ def _matrix_to_word(m: tuple[int, int, int, int]) -> FreeWord:
 
 @dataclass(frozen=True)
 class BraidNormalForm:
-    kind: str             # "delta-power" | "general"
     l: int
-    j: int = 0            # general form only
+    j: int = 0            # 0: no prefix s_j^k, the power d^l
     k: int = 0
     b1: FreeWord = IDENTITY
     ambient: str = B3
 
     def __post_init__(self):
-        if self.kind not in ("delta-power", "general"):
-            raise ValidationError(f"unknown normal form kind {self.kind!r}")
-        if self.kind == "general":
-            if self.j not in (1, 2):
-                raise ValidationError("j must be 1 or 2")
-            if self.k == 0:
-                raise ValidationError("k must be nonzero")
-            if self.b1.terms and self.b1.terms[0][0] == self.j:
-                raise ValidationError("b1 must start with the other generator")
+        if self.j not in (0, 1, 2):
+            raise ValidationError("j must be 0, 1 or 2")
+        if (self.k == 0) != (self.j == 0):
+            raise ValidationError("k must be nonzero exactly when j is")
+        if self.b1.terms and self.b1.terms[0][0] != 3 - self.j:
+            raise ValidationError("b1 must be empty or start with the generator other than s_j")
         if self.ambient == MOD_CENTER and self.l not in (0, 1):
             raise ValidationError("l is reduced mod 2 in the center quotient")
 
+    @property
+    def kind(self) -> str:
+        return "general" if self.j else "delta-power"
+
     def sort_key(self):
-        if self.kind == "delta-power":
-            return (0, self.l, 0, 0, ())
-        return (1, self.l, self.j, self.k, _order_key(self.b1))
+        return (self.j > 0, self.l, self.j, self.k, _order_key(self.b1))
 
 
 def expand(nf: BraidNormalForm) -> BraidWord:
-    letters: list[BraidLetter] = []
-    if nf.kind == "general":
-        letters.append((f"s{nf.j}", nf.k))
-        letters.extend((f"s{g}", 2 * e) for g, e in nf.b1.terms)
-    if nf.l != 0:
-        letters.append(("d", nf.l))
-    return BraidWord(tuple(letters), nf.ambient)
+    letters = [(f"s{nf.j}", nf.k), *((f"s{g}", 2 * e) for g, e in nf.b1.terms), ("d", nf.l)]
+    return BraidWord(tuple((g, e) for g, e in letters if e), nf.ambient)
 
 
 # The strand permutation of b is its matrix mod 2 (B3 / P3 = S3 = SL(2, Z/2),
@@ -299,13 +291,15 @@ _PREFIX_OF_PARITY = _prefix_table()
 
 
 def normal_form(b: BraidWord) -> BraidNormalForm:
-    """Compute the unique normal form; powers of d are reported as such.
+    """Compute the unique normal form.
 
     The strand permutation picks the unique prefix (s_j0, d^l0) whose
     removal leaves a pure braid p = s_j0^-1 b d^-l0; its matrix
     S_j0^-1 M(b) D^-l0 is decoded into a word in a1, a2 plus a central
-    power of d^2 recovered from the exponent sum.  The expansion is checked
-    through the matrix oracle: its image must match the M(b) computed first.
+    power of d^2 recovered from the exponent sum.  The prefix s_j0 (none
+    for j0 = 0) absorbs the first term a_g^e of that word as s_g^{2e} when
+    g = j0 or there is no prefix.  The expansion is checked through the
+    matrix oracle: its image must match the M(b) computed first.
     """
     mb = matrix_image(b)
     j0, l0 = _PREFIX_OF_PARITY[mb.a % 2, mb.b % 2, mb.c % 2, mb.d % 2]
@@ -320,22 +314,11 @@ def normal_form(b: BraidWord) -> BraidNormalForm:
     if rem:
         raise AssertionError("pure part has inconsistent exponent sum")
 
-    ell = 2 * two_t + l0
-    if j0 == 0 and w.is_identity:
-        nf = BraidNormalForm("delta-power", _reduce_l(ell, b.ambient),
-                             ambient=b.ambient)
-    else:
-        if j0 == 0:
-            g, e = w.terms[0]
-            j, k, b1 = g, 2 * e, FreeWord(w.terms[1:])
-        elif w.is_identity:
-            j, k, b1 = j0, 1, IDENTITY
-        elif w.terms[0][0] == j0:
-            j, k, b1 = j0, 2 * w.terms[0][1] + 1, FreeWord(w.terms[1:])
-        else:
-            j, k, b1 = j0, 1, w
-        nf = BraidNormalForm("general", _reduce_l(ell, b.ambient),
-                             j=j, k=k, b1=b1, ambient=b.ambient)
+    j, k, b1 = j0, int(j0 != 0), w
+    if w.terms and (j0 == 0 or w.terms[0][0] == j0):
+        (j, e), b1 = w.terms[0], FreeWord(w.terms[1:])
+        k += 2 * e
+    nf = BraidNormalForm(_reduce_l(2 * two_t + l0, b.ambient), j, k, b1, b.ambient)
     if not _same_element(matrix_image(expand(nf)), mb, b.ambient):
         raise AssertionError("normal form failed the round-trip oracle")
     return nf
@@ -360,12 +343,8 @@ def theta(b: BraidWord) -> FreeWord:
 
 def theta_nf(nf: BraidNormalForm) -> FreeWord:
     """theta read off a normal form already computed."""
-    if nf.kind == "delta-power":
-        return IDENTITY
-    qk = q(nf.k)
-    if qk == 0:
-        return nf.b1
-    return FreeWord(((nf.j, qk // 2),) + nf.b1.terms)
+    qk = q(nf.k) if nf.j else 0
+    return FreeWord(((nf.j, qk // 2),) + nf.b1.terms) if qk else nf.b1
 
 
 def lambda_tr_lower(b: BraidWord) -> float:
@@ -376,7 +355,7 @@ def lambda_tr_lower(b: BraidWord) -> float:
 
 def lambda_tr_lower_nf(nf: BraidNormalForm) -> float:
     """lambda_tr_lower read off a normal form already computed."""
-    if nf.kind == "delta-power" or nf.b1.is_identity:
+    if nf.b1.is_identity:
         return 0.0
     return l_minus(theta_nf(nf)) / (2.0 * math.pi)
 
@@ -386,7 +365,7 @@ def lemma4_admissible(b: BraidWord, lam: float) -> bool:
     of d) vacuously admissible."""
     check_nonnegative("lambda", lam)
     nf = normal_form(b)
-    if nf.kind == "delta-power" or (nf.b1.is_identity and nf.l % 2 == 0):
+    if nf.b1.is_identity and nf.l % 2 == 0:
         return True
     return l_minus(theta_nf(nf)) <= 2.0 * math.pi * lam
 
@@ -414,17 +393,13 @@ def _preimage_forms(w: FreeWord) -> list[BraidNormalForm]:
     s_j^{2m + sgn m} b1 and s_j'^{+-1} w; for w = Id, d^0 and s_j^{+-1};
     each times d^l, l in {0, 1}.  Normal forms are unique: no repeats."""
     if w.is_identity:
-        out = [BraidNormalForm("delta-power", ell, ambient=MOD_CENTER)
-               for ell in (0, 1)]
-        heads = [(j, s, IDENTITY) for j in (1, 2) for s in (1, -1)]
+        heads = [(0, 0, IDENTITY)] + [(j, s, IDENTITY) for j in (1, 2) for s in (1, -1)]
     else:
         (j, m), b1 = w.terms[0], FreeWord(w.terms[1:])
-        out = []
         heads = [(j, 2 * m, b1), (j, 2 * m + (1 if m > 0 else -1), b1),
                  (3 - j, 1, w), (3 - j, -1, w)]
-    return out + [BraidNormalForm("general", ell, j=j, k=k, b1=rest,
-                                  ambient=MOD_CENTER)
-                  for j, k, rest in heads for ell in (0, 1)]
+    return [BraidNormalForm(ell, j, k, rest, MOD_CENTER)
+            for j, k, rest in heads for ell in (0, 1)]
 
 
 def theta_preimages(w: FreeWord) -> list[BraidWord]:
@@ -467,10 +442,9 @@ def format_braid(b: BraidWord) -> str:
 
 
 def normal_form_json(nf: BraidNormalForm) -> dict:
-    if nf.kind == "delta-power":
-        return {"kind": "delta-power", "l": nf.l}
-    return {"kind": "general", "j": nf.j, "k": nf.k,
-            "b1": format_word(nf.b1), "l": nf.l}
+    if nf.j == 0:
+        return {"kind": nf.kind, "l": nf.l}
+    return {"kind": nf.kind, "j": nf.j, "k": nf.k, "b1": format_word(nf.b1), "l": nf.l}
 
 
 def braid_json(b: BraidWord) -> dict:

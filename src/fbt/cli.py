@@ -125,7 +125,7 @@ def _cmd_braid(args) -> int:
             nf = B.normal_form(b)
             _emit({"braid": B.format_braid(b),
                    "lambda_tr_lower": B.lambda_tr_lower_nf(nf),
-                   "exceptional": nf.kind == "delta-power" or nf.b1.is_identity})
+                   "exceptional": nf.b1.is_identity})
         return 0
     # census
     budgets = _sweep(args.budgets)
@@ -188,14 +188,7 @@ def _cmd_conformal(args) -> int:
         _emit(out)
         return 0
     if getattr(args, "spec_file", None):
-        with _open(args.spec_file) as fh:
-            try:
-                data = json.load(fh)
-            except ValueError as exc:  # also undecodable bytes
-                raise ValidationError(f"bad domain file: {exc}") from None
-            except RecursionError:
-                raise ValidationError("bad domain file: nested too deeply") from None
-        spec = Cf.spec_from_json(data)
+        spec = Cf.read_spec(args.spec_file)
     elif args.kind:
         names = Cf.KINDS[args.kind].params
         spec = Cf.AnnulusSpec(args.kind, tuple(getattr(args, n) for n in names))

@@ -666,6 +666,20 @@ KINDS = {
 # the domain file
 
 
+def read_spec(path: str) -> AnnulusSpec:
+    """The spec of the JSON domain file at path (see spec_from_json)."""
+    import json
+
+    try:  # open() refuses a path with a NUL byte by a ValueError
+        with open(path) as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # also undecodable bytes
+        raise ValidationError(f"bad domain file: {exc}") from None
+    except RecursionError:
+        raise ValidationError("bad domain file: nested too deeply") from None
+    return spec_from_json(data)
+
+
 def spec_from_json(data: dict) -> AnnulusSpec:
     """The spec of a JSON domain file, whose parameters are JSON numbers: a
     string, a boolean or any other value is refused, not converted.  Keys

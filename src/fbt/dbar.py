@@ -45,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_alpha, check_nonnegative
+from .errors import (NumericalError, ValidationError, check_alpha, check_nonnegative,
+                     check_positive)
 from .words import FreeWord
 
 TRUNC_MAX = 400  # (2N+1)^2 lattice terms per evaluation point
@@ -448,8 +449,7 @@ def chi0_prime(t):
 
 def _ramp(delta: float, t) -> tuple[np.ndarray, np.ndarray]:
     """t as an array and the chi0 argument 3/2 - |t|/delta clamped to [0,1]."""
-    if not delta > 0:
-        raise ValidationError("delta must be positive")
+    check_positive(delta=delta)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     return t, np.clip(1.5 - np.abs(t) / delta, 0.0, 1.0)
 

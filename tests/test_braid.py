@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -187,6 +188,30 @@ def test_normal_form_round_trip_random():
         b = random_braid(rng, 30, amb)
         nf = normal_form(b)  # has a built-in round-trip oracle assert
         assert equal(expand(nf), b)
+        assert normal_form(expand(nf)) == nf  # equal elements, equal forms
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: BraidWord((), "B4"), "unknown ambient 'B4'"),
+    (lambda: BraidWord((("s3", 1),)), "unknown braid generator 's3'"),
+    (lambda: braid_concat(), "empty concat"),
+    (lambda: braid_concat(parse_braid("s1"), parse_braid("@mod-center s1")),
+     "ambient mismatch"),
+    (lambda: B.MatrixImage(2, 0, 0, 1, 0), "matrix image must have determinant 1"),
+    (lambda: B._matrix_to_word((1, 1, 0, 1)), "matrix is not in the pure-braid image"),
+    (lambda: B._matrix_to_word((3, 0, 0, 1)), "matrix is not in the pure-braid image"),
+    (lambda: B.BraidNormalForm(0, j=3, k=1), "j must be 0, 1 or 2"),
+    (lambda: B.BraidNormalForm(1, j=0, k=3), "k must be nonzero exactly when j is"),
+    (lambda: B.BraidNormalForm(1, b1=word((2, 1))), "b1 must be empty or start with"),
+    (lambda: B.BraidNormalForm(0, j=1, k=0), "k must be nonzero exactly when j is"),
+    (lambda: B.BraidNormalForm(0, j=1, k=1, b1=word((1, 1))), "b1 must be empty or start with"),
+    (lambda: B.BraidNormalForm(2, ambient=MOD_CENTER), "l is reduced mod 2"),
+], ids=("unknown-ambient", "unknown-generator", "empty-concat", "concat-ambients",
+        "determinant", "odd-entry", "not-unimodular", "nf-j-3", "nf-d-power-with-k",
+        "nf-d-power-with-b1", "nf-zero-k", "nf-b1-on-s_j", "nf-mod-center-l"))
+def test_braid_refusals(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+        call()
 
 
 def test_normal_form_long_words_and_big_exponents():
@@ -311,7 +336,7 @@ def test_census_complete_against_normal_form_enumeration():
     for budget in (0.0, LOG3):
         keys = set()
         for ell in (0, 1):
-            delta = B.BraidNormalForm("delta-power", ell, ambient=MOD_CENTER)
+            delta = B.BraidNormalForm(ell, ambient=MOD_CENTER)
             keys.add(matrix_image(expand(delta)).projective())
         for j in (1, 2):
             for k in [x for x in range(-4, 5) if x != 0]:
@@ -319,8 +344,7 @@ def test_census_complete_against_normal_form_enumeration():
                     if b1.terms and b1.terms[0][0] == j:
                         continue
                     for ell in (0, 1):
-                        nf = B.BraidNormalForm("general", ell, j=j, k=k, b1=b1,
-                                               ambient=MOD_CENTER)
+                        nf = B.BraidNormalForm(ell, j, k, b1, MOD_CENTER)
                         b = expand(nf)
                         if l_minus(theta(b)) <= budget + 1e-12:
                             keys.add(matrix_image(b).projective())

@@ -196,6 +196,10 @@ def test_validation_exit_code(capsys):
     ("dbar", "solve", "--eps", "0.5", "--quad", "16", "--winding", "9" * 400),
     ("dbar", "demo", "--sigma", "0.01", "--target", "a1^" + "9" * 400),
     ("dbar", "demo", "--alpha", "0", "--sigma", "0.01", "--target", "a1"),
+    # outside DbarConfig's (0, 0.2] delta, and a quadrature grid below 16
+    ("dbar", "solve", "--eps", "0.01", "--delta", "0.3"),
+    ("dbar", "solve", "--eps", "0.01", "--delta", "0"),
+    ("dbar", "solve", "--eps", "0.01", "--quad", "15"),
 ], ids=lambda argv: " ".join(argv[1:])[:60])
 def test_dbar_input_contract_exit_code(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -438,11 +442,16 @@ def test_config3_decoders_refuse_non_finite_rows(tmp_path, capsys, op, header, r
      {"dom.json": '{"kind": "round", "params": {"r": 1, "R": 2, "rr": "junk", "h": 0.1}}'}),
     (["conformal", "lambda", "--spec-file", "dom.json"],
      {"dom.json": '{"kind": "round", "params": {"r": 1, "R": 2}, "kindd": 3}'}),
+    # the loop crosses the real axis within 1e-9 of the puncture +1
+    (["config3", "decode-word", "loop.csv"],
+     {"loop.csv": "t,re,im\n0,1.0000000002,0.001\n1,1.0000000002,-0.001\n2,3.0,-0.001\n"
+                  "3,3.0,0.001\n4,1.0000000002,0.001\n"}),
 ], ids=("spec-non-numeric", "spec-malformed-json", "spec-missing",
         "word-missing", "braid-missing", "dump-unwritable", "csv-undecodable",
         "csv-huge-field", "spec-deep-nesting", "spec-huge-integer", "spec-nul-path",
         "word-nul-path", "dump-nul-path", "spec-numeric-strings", "spec-underscore-string",
-        "spec-boolean", "spec-unknown-param", "spec-unknown-top-level-key"))
+        "spec-boolean", "spec-unknown-param", "spec-unknown-top-level-key",
+        "word-crossing-at-puncture"))
 def test_file_input_contract_exit_code(tmp_path, monkeypatch, capsys, argv, files):
     for name, text in files.items():
         (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())

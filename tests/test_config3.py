@@ -147,6 +147,19 @@ def test_decode_word_clearance():
         plane_loop([1.0 + 5e-10j, 1.0 + 5e-10j])
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: compose_loops(plane_loop(circle(-1.0, 0.5)),
+                           plane_loop(circle(1.0, 0.5, phase=math.pi))),
+     "loops do not share a base point"),
+    (lambda: compose_config_loops(rotation_loop(math.pi),
+                                  rotation_loop(math.pi, points=(-2.0, 0.0, 2.0))),
+     "loops do not share a base configuration"),
+], ids=("plane", "config"))
+def test_config3_refusals(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
+
+
 def test_decode_braid_rotations():
     b = decode_braid(rotation_loop(math.pi))
     assert B.equal(b, B.parse_braid("d"))

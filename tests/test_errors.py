@@ -51,6 +51,8 @@ def test_check_nonnegative(fn, message, bad):
     (lambda: Cf.rectangle(1.0, math.nan), "b must be given, finite and positive"),
     (lambda: Cf.rectangle_grid(1.0, 1.0, 0.0), "h must be given, finite and positive"),
     (lambda: Cf.AnnulusSpec("round", (None, 2.0)), "r must be given, finite and positive"),
+    *[(lambda f=f, d=d: f(d, 0.0), "delta must be given, finite and positive")
+      for f in (D.chi, D.chi_prime) for d in (math.inf, 0.0, math.nan)],
 ])
 def test_check_positive(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

@@ -117,17 +117,22 @@ def test_unused_private_definition_check_sees_one(tmp_path):
 
 
 def _shared_error_messages(paths) -> list[str]:
-    """Plain-literal ValidationError / NumericalError messages raised from
-    more than one module: a rule written twice, which should be one function
-    in fbt.errors."""
+    """ValidationError / NumericalError messages raised from more than one
+    module, a plain literal or an f-string's leading literal: a rule written
+    twice, which should be one function in fbt.errors."""
     modules = {}
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                     and isinstance(node.exc.func, ast.Name)
                     and node.exc.func.id in ("ValidationError", "NumericalError")
-                    and node.exc.args and isinstance(node.exc.args[0], ast.Constant)):
-                modules.setdefault(node.exc.args[0].value, set()).add(path.name)
+                    and node.exc.args):
+                continue
+            msg = node.exc.args[0]
+            if isinstance(msg, ast.JoinedStr) and msg.values:
+                msg = msg.values[0]
+            if isinstance(msg, ast.Constant):
+                modules.setdefault(msg.value, set()).add(path.name)
     return [f"{msg!r}: {', '.join(sorted(names))}"
             for msg, names in sorted(modules.items()) if len(names) > 1]
 
@@ -137,18 +142,22 @@ def test_no_error_message_raised_from_two_modules():
 
 
 def test_shared_error_message_check_sees_one(tmp_path):
-    # twice in one module, an f-string or another exception type do not count
+    # an f-string counts by its leading literal; twice in one module, an
+    # f-string that opens on a value or another exception type do not count
     (tmp_path / "a.py").write_text(
         "def f(x):\n    if x:\n        raise ValidationError('x must be 1')\n"
         "    raise ValidationError('x must be 1')\n"
-        "    raise NumericalError('no convergence')\n")
+        "    raise NumericalError('no convergence')\n"
+        "    raise ValidationError(f'bad file: {x}')\n")
     (tmp_path / "b.py").write_text(
         "def g(x):\n    raise NumericalError('x must be 1')\n"
-        "def h(x):\n    raise ValidationError(f'{x} must be 1')\n")
+        "def h(x):\n    raise ValidationError(f'{x} must be 1')\n"
+        "    raise ValidationError(f'bad file: {x!r} here')\n")
     (tmp_path / "c.py").write_text(
         "raise ValueError('no convergence')\nraise ValidationError(f'no convergence')\n")
     found = _shared_error_messages(sorted(tmp_path.glob("*.py")))
-    assert found == ["'x must be 1': a.py, b.py"]
+    assert found == ["'bad file: ': a.py, b.py", "'no convergence': a.py, c.py",
+                     "'x must be 1': a.py, b.py"]
 
 
 def _scipy_imports(path: Path) -> list[str]:

@@ -325,6 +325,19 @@ def test_enumeration_deterministic_and_capped():
         enumerate_words(ENUM_BUDGET_CAP + 1e-9)
 
 
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: W.Syllable("loop", 1, (0, 1)), "unknown syllable kind 'loop'"),
+    (lambda: W.Syllable("big-power", 1, (0, 1)), "big-power degree must be >= 2"),
+    (lambda: W.Syllable("plus-run", 0, (0, 0)), "syllable degree must be positive"),
+    (lambda: W.primitive_root(IDENTITY), "identity has no primitive root"),
+    (lambda: MonodromyTuple((), -1), "genus and hole count must be nonnegative"),
+], ids=("syllable-kind", "big-power-degree", "syllable-degree", "root-of-identity",
+        "monodromy-genus"))
+def test_words_refusals(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
 @pytest.mark.parametrize("fn", [enumerate_words, census], ids=["enumerate", "census"])
 def test_budget_above_the_cap_is_refused(fn):
     budget = ENUM_BUDGET_CAP + 1e-9
